@@ -189,13 +189,6 @@ def _prepare_distribution(probs) -> tuple[np.ndarray, np.ndarray]:
     return keep, np.cumsum(weights / weights.sum())
 
 
-def _draw_prepared(keep: np.ndarray, cdf: np.ndarray, rng: np.random.Generator, size: int | None = None):
-    draws = rng.random(size)
-    picked = np.minimum(np.searchsorted(cdf, draws, side="right"), keep.size - 1)
-    outcome = keep[picked]
-    return int(outcome) if size is None else outcome
-
-
 def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator, size: int | None = None):
     """Draw an outcome index from a probability vector.
 
@@ -203,7 +196,10 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     that many independent draws as an integer array.
     """
     keep, cdf = _prepare_distribution(probs)
-    return _draw_prepared(keep, cdf, rng, size)
+    draws = rng.random(size)
+    picked = np.minimum(np.searchsorted(cdf, draws, side="right"), keep.size - 1)
+    outcome = keep[picked]
+    return int(outcome) if size is None else outcome
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:

@@ -14,8 +14,11 @@ m = 0..3, outcomes k = 0..2, physicist outcomes j = 0..8.
 """
 
 import itertools
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +27,6 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
-    _draw_prepared,
     _prepare_distribution,
     born_probabilities,
     inner_product,
@@ -245,7 +247,7 @@ def king_measure(
     return k, project_and_normalize(psi0, basis[k], "given")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """One full protocol round."""
 
@@ -258,28 +260,84 @@ class RoundRecord:
     round_index: int | None = None
 
 
+# Rounds mapped per chunk of the batch path; bounds its memory for any round count.
+CHUNK_ROUNDS = 2**16
+# Round i owns Philox counter block i: four 64-bit words.  Word 0 picks the
+# king's basis (its top two bits), words 1 and 2 give the king's and the
+# physicist's uniforms exactly as Generator.random() would, word 3 is unused.
+WORDS_PER_ROUND = 4
+_UNIFORM_SHIFT = 11
+_UNIFORM_SCALE = 2.0**-53
+
+
+class _Tables(NamedTuple):
+    """Sampling tables of the round engine, one row per distribution.
+
+    Rows are padded (outcome, cdf) pairs: each cdf row is padded with +inf
+    and each outcome row with its last outcome, so the index of a uniform
+    in a cdf row (bisect right) is always a valid column and picks exactly
+    what ``sample_outcome`` would draw.
+    """
+
+    king_outcome: np.ndarray | list  # 4 x 3, row m
+    king_cdf: np.ndarray | list
+    physicist_outcome: np.ndarray | list  # 12 x 9, row 3*m + k
+    physicist_cdf: np.ndarray | list
+    inferred: np.ndarray | list  # 4 x 9, [m][j]
+
+
+def _padded(distributions, width: int) -> tuple[np.ndarray, np.ndarray]:
+    outcome = np.empty((len(distributions), width), dtype=np.int8)
+    cdf = np.full((len(distributions), width), np.inf)
+    for row, (keep, c) in enumerate(distributions):
+        outcome[row] = keep[-1]
+        outcome[row, : keep.size] = keep
+        cdf[row, : c.size] = c
+    return outcome, cdf
+
+
 @lru_cache(maxsize=None)
-def _round_engine():
-    """Per-(m, k) sampling tables for the round loop.
+def _round_engine() -> tuple[_Tables, _Tables]:
+    """The round loop's sampling tables, as arrays and as nested lists.
 
     The king's outcome distribution and, for every collapse, the
     physicist's Born distribution are pure values; they are computed once
     through the projective-measurement path and stored in prepared
-    (outcomes, cdf) form.  A round then only draws from them, consuming the
-    generator exactly as the unbatched path would.
+    (outcomes, cdf) form.  The batch path indexes the arrays, a lone round
+    bisects the lists; both read the same numbers.
     """
     psi0 = prepare_psi0()
     pb = build_physicist_basis()
-    king = []
-    physicist = []
-    for m in range(4):
-        king.append(_prepare_distribution(king_outcome_probabilities(psi0, m)))
-        row = []
-        for k in range(3):
-            _, collapsed = king_measure(psi0, m, None, force_outcome=k)
-            row.append(_prepare_distribution(born_probabilities(collapsed, pb.basis)))
-        physicist.append(tuple(row))
-    return tuple(king), tuple(physicist), pb
+    king = [_prepare_distribution(king_outcome_probabilities(psi0, m)) for m in range(4)]
+    physicist = [
+        _prepare_distribution(
+            born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], pb.basis)
+        )
+        for m in range(4)
+        for k in range(3)
+    ]
+    arrays = _Tables(
+        *_padded(king, 3), *_padded(physicist, 9), np.array(pb.labels, dtype=np.int8).T
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays, _Tables(*(a.tolist() for a in arrays))
+
+
+def _counter_word(value, what: str) -> int:
+    """An integer in [0, 2**64), the range of one Philox counter or key word."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise ContractViolation(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= v < 2**64:
+        raise ContractViolation(f"{what} {v} outside [0, 2**64)")
+    return v
+
+
+def _check_basis(m) -> None:
+    if m is not None and m not in range(4):
+        raise ContractViolation(f"basis index {m} out of range")
 
 
 def run_round(
@@ -290,31 +348,85 @@ def run_round(
     round_index: int | None = None,
 ) -> RoundRecord:
     """Play one round: prepare, king measures (basis m, or random when m is
-    None), physicist measures her basis, inference is recorded."""
-    king_basis = int(rng.integers(4)) if m is None else int(m)
-    if not 0 <= king_basis <= 3:
-        raise ContractViolation(f"basis index {king_basis} out of range")
-    king, physicist, pb = _round_engine()
-    k = _draw_prepared(*king[king_basis], rng)
-    j = _draw_prepared(*physicist[king_basis][k], rng)
-    inferred = infer(king_basis, j, pb)
+    None), physicist measures her basis, inference is recorded.  Reads the
+    next four raw words of ``rng``, one counter block of ``round_stream``."""
+    _check_basis(m)
+    w0, w1, w2, _ = rng.bit_generator.random_raw(WORDS_PER_ROUND).tolist()
+    king_basis = w0 >> 62 if m is None else int(m)
+    t = _round_engine()[1]
+    u = (w1 >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
+    k = t.king_outcome[king_basis][bisect_right(t.king_cdf[king_basis], u)]
+    row = 3 * king_basis + k
+    u = (w2 >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
+    j = t.physicist_outcome[row][bisect_right(t.physicist_cdf[row], u)]
+    inferred = t.inferred[king_basis][j]
     return RoundRecord(king_basis, k, j, inferred, inferred == k, seed, round_index)
 
 
 def round_stream(seed: int, index: int) -> np.random.Generator:
-    """The random stream of round ``index``; depends only on (seed, index),
-    so rounds can run in any order (or in parallel) with identical results."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    """The random stream of round ``index``: Philox keyed by ``seed`` at
+    counter block ``index``.  It depends only on (seed, index), so rounds
+    can run in any order (or in parallel) with identical results, and the
+    stream of round 0 runs on through the blocks of rounds 1, 2, ..."""
+    key = _counter_word(seed, "seed")
+    block = _counter_word(index, "round index")
+    return np.random.Generator(np.random.Philox(key=key, counter=[block, 0, 0, 0]))
+
+
+def _select(outcome: np.ndarray, cdf: np.ndarray, rows: np.ndarray, words: np.ndarray):
+    """Column-wise ``bisect_right(cdf[row], u)`` and the outcome it picks."""
+    u = (words >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
+    column = (cdf[rows] <= u[:, None]).sum(axis=1)
+    return outcome[rows, column]
+
+
+def _map_words(words: np.ndarray, basis: int | None):
+    """Raw words, one row of WORDS_PER_ROUND per round, to int8 columns
+    (m, k, j, inferred): the vectorized twin of ``run_round``."""
+    t = _round_engine()[0]
+    if basis is None:
+        m = (words[:, 0] >> 62).astype(np.int8)
+    else:
+        m = np.full(len(words), basis, dtype=np.int8)
+    k = _select(t.king_outcome, t.king_cdf, m, words[:, 1])
+    j = _select(t.physicist_outcome, t.physicist_cdf, 3 * m + k, words[:, 2])
+    return m, k, j, t.inferred[m, j]
+
+
+def round_chunks(rounds: int, seed: int, basis: int | None = None):
+    """Rounds 0 .. rounds-1 as int8 columns (m, k, j, inferred), in chunks
+    of at most CHUNK_ROUNDS rounds; row i is the round ``run_round`` plays
+    on ``round_stream(seed, i)``.  Arguments are checked on the call."""
+    if rounds < 1:
+        raise ContractViolation(f"rounds must be positive, got {rounds}")
+    _check_basis(basis)
+    bits = round_stream(seed, 0).bit_generator
+    sizes = (min(CHUNK_ROUNDS, rounds - start) for start in range(0, rounds, CHUNK_ROUNDS))
+    return (
+        _map_words(bits.random_raw(WORDS_PER_ROUND * n).reshape(n, WORDS_PER_ROUND), basis)
+        for n in sizes
+    )
 
 
 def simulate_rounds(rounds: int, seed: int, basis: int | None = None) -> list[RoundRecord]:
-    """Run independent rounds, one derived stream per round."""
-    if rounds < 1:
-        raise ContractViolation(f"rounds must be positive, got {rounds}")
-    return [
-        run_round(basis, round_stream(seed, i), seed=seed, round_index=i)
-        for i in range(rounds)
-    ]
+    """Run rounds 0 .. rounds-1 of ``seed``; record i equals
+    ``run_round(basis, round_stream(seed, i), seed=seed, round_index=i)``."""
+    records: list[RoundRecord] = []
+    for m, k, j, inferred in round_chunks(rounds, seed, basis):
+        start = len(records)
+        records.extend(
+            map(
+                RoundRecord,
+                m.tolist(),
+                k.tolist(),
+                j.tolist(),
+                inferred.tolist(),
+                (inferred == k).tolist(),
+                itertools.repeat(seed),
+                range(start, start + m.size),
+            )
+        )
+    return records
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +30,8 @@ from retroking import (
     simulate_rounds,
     tensor_product,
 )
-from retroking.protocol import king_outcome_probabilities
+from retroking import cli, protocol
+from retroking.protocol import CHUNK_ROUNDS, king_outcome_probabilities, round_chunks
 
 INV_SQRT3 = 3**-0.5
 
@@ -286,12 +290,13 @@ class TestRounds:
     def test_matches_unbatched_measurement_path(self, physicist):
         # the cached sampling tables must reproduce the explicit
         # measure-collapse-measure sequence draw for draw
-        for i in range(100):
-            gen = round_stream(2024, i)
-            m = int(gen.integers(4))
+        indices = [*range(100), *range(2**40 - 50, 2**40 + 50)]
+        for seed, i in itertools.product((0, 2024, 2**64 - 1), indices):
+            gen = round_stream(seed, i)
+            m = int(gen.bit_generator.random_raw() >> 62)
             k, collapsed = king_measure(prepare_psi0(), m, gen)
             j = sample_outcome(born_probabilities(collapsed, physicist.basis), gen)
-            record = run_round(None, round_stream(2024, i))
+            record = run_round(None, round_stream(seed, i))
             assert (record.king_basis, record.king_outcome, record.physicist_outcome) == (m, k, j)
 
     def test_physicist_outcomes_uniform_over_compatible(self, physicist):
@@ -313,6 +318,93 @@ class TestRounds:
     def test_rejects_bad_basis(self, rng):
         with pytest.raises(ContractViolation):
             run_round(7, rng)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_rejects_seed_outside_key_range(self, seed):
+        with pytest.raises(ContractViolation):
+            round_stream(seed, 0)
+        with pytest.raises(ContractViolation):
+            simulate_rounds(3, seed)
+
+    @pytest.mark.parametrize("index", [-1, 2**64, 2**70])
+    def test_rejects_round_index_outside_counter_block(self, index):
+        with pytest.raises(ContractViolation):
+            round_stream(1, index)
+
+    def test_simulate_rejects_bad_basis(self):
+        for basis in (-1, 4, 7):
+            with pytest.raises(ContractViolation):
+                simulate_rounds(3, seed=1, basis=basis)
+
+
+class TestRoundChunks:
+    ROUNDS = CHUNK_ROUNDS + 2
+
+    @pytest.mark.parametrize("basis", [None, 0, 3])
+    def test_lone_rounds_match_the_batch_across_the_chunk_seam(self, basis):
+        n, seed = self.ROUNDS, 99
+        records = simulate_rounds(n, seed, basis)
+        assert len(records) == n
+        for i in (0, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, n - 1):
+            lone = run_round(basis, round_stream(seed, i), seed=seed, round_index=i)
+            assert lone == records[i]
+        king = np.zeros((4, 3), dtype=int)
+        physicist = np.zeros(9, dtype=int)
+        for r in records:
+            king[r.king_basis, r.king_outcome] += 1
+            physicist[r.physicist_outcome] += 1
+        report = cli.run(cli.RunConfig("simulate", rounds=n, seed=seed, basis=basis))
+        assert report["data"]["king_outcomes"] == king.tolist()
+        assert report["data"]["physicist_outcomes"] == physicist.tolist()
+        assert report["data"]["successes"] == n
+
+    def test_batch_and_lone_paths_agree_on_cdf_boundaries(self):
+        # uniforms landing on, just below and just above every cdf step,
+        # where a < / <= slip would split the two paths
+        tables = protocol._round_engine()[0]
+        steps = np.concatenate([tables.king_cdf.ravel(), tables.physicist_cdf.ravel()])
+        bits = np.ceil(steps[np.isfinite(steps)] * 2.0**53).astype(np.int64)
+        bits = np.unique(np.clip(np.concatenate([bits - 1, bits, bits + 1]), 0, 2**53 - 1))
+        word = bits.astype(np.uint64) << np.uint64(11)
+        rows = [[m << 62, w, v, 0] for m in range(4) for w in word for v in word]
+        words = np.array(rows, dtype=np.uint64)
+        batch = np.stack(protocol._map_words(words, None), axis=1).tolist()
+
+        class Raw:
+            def __init__(self, row):
+                self.bit_generator = self
+                self.row = row
+
+            def random_raw(self, n):
+                return words[self.row, :n]
+
+        lone = [run_round(None, Raw(i)) for i in range(len(words))]
+        assert batch == [[r.king_basis, r.king_outcome, r.physicist_outcome, r.inferred]
+                         for r in lone]
+
+    def test_chunks_validate_before_iteration(self):
+        with pytest.raises(ContractViolation):
+            round_chunks(0, seed=1)
+        with pytest.raises(ContractViolation):
+            round_chunks(5, seed=1, basis=4)
+
+    def test_chunks_are_bounded_int8_columns(self):
+        sizes = []
+        for columns in round_chunks(self.ROUNDS, seed=4):
+            assert all(c.dtype == np.int8 for c in columns)
+            sizes.append({c.size for c in columns})
+        assert sizes == [{CHUNK_ROUNDS}, {2}]
+
+    def test_simulate_memory_does_not_grow_with_rounds(self):
+        def peak(rounds):
+            tracemalloc.start()
+            try:
+                cli.run(cli.RunConfig("simulate", rounds=rounds, seed=6))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**6) <= 1.5 * peak(2 * CHUNK_ROUNDS)
 
 
 class TestExhaustiveVerify:
