@@ -273,10 +273,11 @@ _UNIFORM_SCALE = 2.0**-53
 class _Tables(NamedTuple):
     """Sampling tables of the round engine, one row per distribution.
 
-    Rows are padded (outcome, cdf) pairs: each cdf row is padded with +inf
-    and each outcome row with its last outcome, so the index of a uniform
-    in a cdf row (bisect right) is always a valid column and picks exactly
-    what ``sample_outcome`` would draw.
+    Rows are padded (outcome, cdf) pairs.  The last step of each cdf row
+    and its padding are +inf, so the index of a uniform in a cdf row
+    (bisect right) is always a column holding an outcome of that row, and
+    it picks exactly what ``sample_outcome`` draws: that clamps to the last
+    outcome, too.
     """
 
     king_outcome: np.ndarray | list  # 4 x 3, row m
@@ -287,12 +288,11 @@ class _Tables(NamedTuple):
 
 
 def _padded(distributions, width: int) -> tuple[np.ndarray, np.ndarray]:
-    outcome = np.empty((len(distributions), width), dtype=np.int8)
+    outcome = np.zeros((len(distributions), width), dtype=np.int8)
     cdf = np.full((len(distributions), width), np.inf)
     for row, (keep, c) in enumerate(distributions):
-        outcome[row] = keep[-1]
         outcome[row, : keep.size] = keep
-        cdf[row, : c.size] = c
+        cdf[row, : c.size - 1] = c[:-1]
     return outcome, cdf
 
 
@@ -505,6 +505,21 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     return tuple(tuple(labels[i] for i in indices) for indices in found)
 
 
+# Rounds of seed 0 that ``invariant_checks`` plays through both the round
+# engine and the explicit measurement path; they cover all four king bases.
+REPLAY_CHECK_ROUNDS = 16
+
+
+def _measured_round(seed: int, index: int) -> tuple[int, int, int]:
+    """Round ``index`` of ``seed`` played by measuring and collapsing states
+    on its own stream: (king basis, king outcome, physicist outcome)."""
+    gen = round_stream(seed, index)
+    m = int(gen.bit_generator.random_raw() >> 62)
+    k, collapsed = king_measure(prepare_psi0(), m, gen)
+    j = sample_outcome(born_probabilities(collapsed, build_physicist_basis().basis), gen)
+    return m, k, j
+
+
 def invariant_checks() -> list[Check]:
     """The module's full verification suite as named checks."""
     checks = []
@@ -566,4 +581,11 @@ def invariant_checks() -> list[Check]:
     checks.append(
         Check("retrodiction-certainty", certainty.passed, certainty.max_probability_deviation)
     )
+
+    records = simulate_rounds(REPLAY_CHECK_ROUNDS, 0)
+    mismatches = sum(
+        (r.king_basis, r.king_outcome, r.physicist_outcome) != _measured_round(0, i)
+        for i, r in enumerate(records)
+    )
+    checks.append(Check("round-engine-replay", mismatches == 0, float(mismatches)))
     return checks

@@ -407,6 +407,26 @@ class TestRoundChunks:
         assert peak(10**6) <= 1.5 * peak(2 * CHUNK_ROUNDS)
 
 
+class TestRoundEngineReplayCheck:
+    @staticmethod
+    def replay_check():
+        return next(c for c in protocol.invariant_checks() if c.name == "round-engine-replay")
+
+    def test_passes_and_covers_every_king_basis(self):
+        assert self.replay_check().passed
+        records = simulate_rounds(protocol.REPLAY_CHECK_ROUNDS, 0)
+        assert {r.king_basis for r in records} == {0, 1, 2, 3}
+
+    def test_catches_a_wrong_table(self, monkeypatch):
+        arrays, lists = protocol._round_engine()
+        # physicist rows in reverse order: each collapse samples another's distribution
+        wrong = arrays._replace(physicist_outcome=arrays.physicist_outcome[::-1])
+        monkeypatch.setattr(protocol, "_round_engine", lambda: (wrong, lists))
+        check = self.replay_check()
+        assert not check.passed
+        assert check.max_deviation > 0
+
+
 class TestExhaustiveVerify:
     def test_built_in_basis_passes(self):
         report = exhaustive_verify()
