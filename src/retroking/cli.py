@@ -125,11 +125,7 @@ def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     sets = protocol.search_bases()
     reference = tuple(sorted(protocol.PHYSICIST_LABELS))
     reference_index = sets.index(reference) if reference in sets else None
-    psi = protocol.build_psi_basis()
-    worst = 0.0
-    for labels in sets:
-        grid = np.stack([protocol.bracket_state(lab, psi).amps for lab in labels], axis=1)
-        worst = max(worst, float(np.abs(grid.conj().T @ grid - np.eye(9)).max()))
+    worst = float(protocol.label_set_deviations(sets).max(initial=0.0))
     checks = [
         Check("search-reference-present", reference_index is not None,
               0.0 if reference_index is not None else 1.0),

@@ -16,7 +16,7 @@ linear reconstruction
 implemented in ``density_from_probabilities``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -27,6 +27,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _readonly,
     standard_basis,
 )
 from .reporting import Check
@@ -34,11 +35,6 @@ from .reporting import Check
 # Primitive cube root of unity; every non-reference qutrit amplitude is a
 # power of it over sqrt(3).
 OMEGA = np.exp(2j * np.pi / 3)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -59,10 +55,14 @@ def qutrit_basis_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class MubSet:
-    """A complete family of dim+1 pairwise unbiased orthonormal bases."""
+    """A complete family of dim+1 pairwise unbiased orthonormal bases.
+
+    ``matrices[m]`` is ``bases[m].matrix``: the kets of basis m as columns.
+    """
 
     dim: int
     bases: tuple[OrthonormalBasis, ...]
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -83,6 +83,7 @@ class MubSet:
                         f"bases {a} and {b} are not unbiased: deviation {dev:.3e}"
                     )
         object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "matrices", _readonly(np.array([b.matrix for b in bases])))
 
 
 @lru_cache(maxsize=None)
@@ -128,19 +129,25 @@ def certify_unbiasedness(
     a broken state).
     """
     if isinstance(bases, MubSet):
-        grids = [b.matrix for b in bases.bases]
+        grids = bases.matrices
     else:
-        grids = [np.stack([v.amps for v in basis], axis=1) for basis in bases]
-    dim = grids[0].shape[0]
-    same = 0.0
-    cross = 0.0
-    for a in range(len(grids)):
-        gram = grids[a].conj().T @ grids[a]
-        same = max(same, float(np.abs(gram - np.eye(dim)).max()))
-        for b in range(a + 1, len(grids)):
-            overlap = np.abs(grids[a].conj().T @ grids[b]) ** 2
-            cross = max(cross, float(np.abs(overlap - 1.0 / dim).max()))
-    return UnbiasednessReport(dim, same, cross)
+        vectors = [[v.amps for v in basis] for basis in bases]
+        if not vectors or not all(vectors):
+            raise ContractViolation("a family needs bases, and each basis needs vectors")
+        dims = {a.shape[0] for basis in vectors for a in basis}
+        if len(dims) != 1:
+            raise ContractViolation(f"mixed vector dimensions {sorted(dims)}")
+        dim = dims.pop()
+        if any(len(basis) != dim for basis in vectors):
+            raise ContractViolation(f"each basis in dimension {dim} needs {dim} vectors")
+        grids = np.array([np.stack(basis, axis=1) for basis in vectors])
+    count, dim = grids.shape[:2]
+    # overlaps[a, b] = grids[a]^dagger grids[b]; cross holds the blocks with a != b
+    overlaps = np.einsum("aik,bil->abkl", grids.conj(), grids)
+    cross = ~np.eye(count, dtype=bool)
+    same = np.abs(overlaps[~cross] - np.eye(dim)).max()
+    bias = np.abs(np.abs(overlaps[cross]) ** 2 - 1.0 / dim).max(initial=0.0)
+    return UnbiasednessReport(dim, float(same), float(bias))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,13 +210,10 @@ def probabilities_from_density(
         rho = DensityMatrix(rho)
     if mubs.dim != 3:
         raise ContractViolation("tomography is defined for the qutrit set only")
-    rows = []
-    for basis in mubs.bases:
-        raw = np.einsum("ij,ik,kj->j", basis.matrix.conj(), rho.entries, basis.matrix)
-        if np.abs(raw.imag).max() > TOL:
-            raise ContractViolation("probabilities came out non-real")
-        rows.append(raw.real)
-    return ProbabilityTable(np.stack(rows))
+    raw = np.einsum("mik,ij,mjk->mk", mubs.matrices.conj(), rho.entries, mubs.matrices)
+    if np.abs(raw.imag).max() > TOL:
+        raise ContractViolation("probabilities came out non-real")
+    return ProbabilityTable(raw.real)
 
 
 def density_from_probabilities(
@@ -220,31 +224,8 @@ def density_from_probabilities(
         table = ProbabilityTable(table)
     if mubs.dim != 3:
         raise ContractViolation("tomography is defined for the qutrit set only")
-    rho = np.zeros((3, 3), dtype=np.complex128)
-    for m, basis in enumerate(mubs.bases):
-        for k in range(3):
-            v = basis[k].amps
-            rho += (table.values[m, k] - 0.25) * np.outer(v, v.conj())
-    return DensityMatrix(rho)
-
-
-def _hermitian_operator_basis() -> list[np.ndarray]:
-    """A real basis of the 9-dimensional space of 3x3 Hermitian matrices."""
-    ops = []
-    for i in range(3):
-        e = np.zeros((3, 3), dtype=complex)
-        e[i, i] = 1.0
-        ops.append(e)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            ops.append(e)
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = -1j
-            e[j, i] = 1j
-            ops.append(e)
-    return ops
+    u = mubs.matrices
+    return DensityMatrix(np.einsum("mik,mk,mjk->ij", u, table.values - 0.25, u.conj()))
 
 
 def probability_map_rank(mubs: MubSet) -> int:
@@ -252,18 +233,13 @@ def probability_map_rank(mubs: MubSet) -> int:
 
     Rank 9 means the twelve probabilities carry 8 independent parameters on
     top of the trace, i.e. the four row sums are the only affine constraints
-    and the reconstruction above is exact.
+    and the reconstruction above is exact.  Probability (m, k) of an operator
+    is its real Hilbert-Schmidt product with the projector |m_k><m_k|, so the
+    rank is that of the projectors' real and imaginary parts side by side.
     """
-    rows = []
-    for op in _hermitian_operator_basis():
-        rows.append(
-            [
-                float((basis[k].amps.conj() @ op @ basis[k].amps).real)
-                for basis in mubs.bases
-                for k in range(3)
-            ]
-        )
-    return int(np.linalg.matrix_rank(np.array(rows).T, tol=TOL))
+    u = mubs.matrices
+    projectors = np.einsum("mik,mjk->mkij", u, u.conj()).reshape(-1, mubs.dim**2)
+    return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 
 def invariant_checks(rng: np.random.Generator, trials: int = 100) -> list[Check]:

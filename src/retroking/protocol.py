@@ -28,6 +28,7 @@ from .linalg import (
     OrthonormalBasis,
     StateVector,
     _prepare_distribution,
+    _readonly,
     born_probabilities,
     inner_product,
     project_and_normalize,
@@ -67,7 +68,10 @@ ALL_LABELS: tuple[BracketLabel, ...] = tuple(itertools.product((0, 1, 2), repeat
 
 
 def _check_label(label) -> BracketLabel:
-    lab = tuple(int(k) for k in label)
+    try:
+        lab = tuple(map(operator.index, label))
+    except TypeError:
+        raise ContractViolation(f"bad bracket label {label!r}") from None
     if len(lab) != 4 or any(k not in (0, 1, 2) for k in lab):
         raise ContractViolation(f"bad bracket label {label!r}")
     return lab
@@ -76,6 +80,23 @@ def _check_label(label) -> BracketLabel:
 def label_agreement(a: BracketLabel, b: BracketLabel) -> int:
     """Number of coordinates where two labels coincide."""
     return sum(x == y for x, y in zip(_check_label(a), _check_label(b)))
+
+
+def _agreements(labels: np.ndarray) -> np.ndarray:
+    """Pairwise label agreement counts of the rows of an n x 4 label array."""
+    return (labels[:, None] == labels[None]).sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def label_matrix() -> np.ndarray:
+    """ALL_LABELS as a read-only 81 x 4 int8 array; row i is ALL_LABELS[i]."""
+    return _readonly(np.array(ALL_LABELS, dtype=np.int8))
+
+
+@lru_cache(maxsize=None)
+def agreement_matrix() -> np.ndarray:
+    """81 x 81 read-only: entry (i, j) is label_agreement(ALL_LABELS[i], ALL_LABELS[j])."""
+    return _readonly(_agreements(label_matrix()))
 
 
 @lru_cache(maxsize=None)
@@ -147,10 +168,23 @@ def build_psi_basis() -> OrthonormalBasis:
     for m in range(4):
         t = np.stack([trios.state(m, k).amps for k in range(3)], axis=1)
         unmixed = t @ mixing.conj().T
-        assert np.abs(unmixed[:, 0] - psi0).max() < TOL, "shared column drifted"
+        drift = np.abs(unmixed[:, 0] - psi0).max()
+        if drift >= TOL:
+            raise RuntimeError(f"trio {m} un-mixes to a shared column off psi_0 by {drift:.3e}")
         columns[2 * m + 1] = unmixed[:, 1]
         columns[2 * m + 2] = unmixed[:, 2]
     return OrthonormalBasis(tuple(StateVector(c) for c in columns))
+
+
+def _bracket_coefficients(labels: np.ndarray) -> np.ndarray:
+    """9 x n coefficients over the psi basis of the bracket states of the rows
+    of an n x 4 label array: row 0 is 1/3, rows 2m+1 and 2m+2 are
+    OMEGA**(+-k_m) / 3 (the two are conjugates)."""
+    coefficients = np.empty((9, len(labels)), dtype=np.complex128)
+    coefficients[0] = 1.0 / 3.0
+    coefficients[1::2] = OMEGA**labels.T / 3.0
+    coefficients[2::2] = coefficients[1::2].conj()
+    return coefficients
 
 
 def bracket_state(label, basis: OrthonormalBasis | None = None) -> StateVector:
@@ -161,10 +195,22 @@ def bracket_state(label, basis: OrthonormalBasis | None = None) -> StateVector:
     """
     lab = _check_label(label)
     psi = basis if basis is not None else build_psi_basis()
-    amps = psi[0].amps / 3.0
-    for m, km in enumerate(lab):
-        amps = amps + (OMEGA**km * psi[2 * m + 1].amps + OMEGA**-km * psi[2 * m + 2].amps) / 3.0
-    return StateVector(amps)
+    return StateVector(psi.matrix @ _bracket_coefficients(np.array([lab]))[:, 0])
+
+
+@lru_cache(maxsize=None)
+def bracket_matrix() -> np.ndarray:
+    """9 x 81 read-only: column i is bracket_state(ALL_LABELS[i]) in the
+    reference two-atom basis."""
+    return _readonly(build_psi_basis().matrix @ _bracket_coefficients(label_matrix()))
+
+
+@lru_cache(maxsize=None)
+def bracket_gram() -> np.ndarray:
+    """81 x 81 read-only Gram matrix of the bracket family: by the overlap
+    law it equals (agreement_matrix() - 1) / 3."""
+    brackets = bracket_matrix()
+    return _readonly(brackets.conj().T @ brackets)
 
 
 def bracket_overlap(a, b) -> float:
@@ -183,13 +229,14 @@ class PhysicistBasis:
         labels = tuple(_check_label(lab) for lab in self.labels)
         if len(labels) != 9 or self.basis.dim != 9:
             raise ContractViolation("a physicist basis holds nine labelled dim-9 states")
-        for a in range(9):
-            for b in range(a + 1, 9):
-                if label_agreement(labels[a], labels[b]) != 1:
-                    raise ContractViolation(
-                        f"labels {labels[a]} and {labels[b]} agree in "
-                        f"{label_agreement(labels[a], labels[b])} coordinates, want exactly 1"
-                    )
+        agreement = _agreements(np.array(labels))
+        clashes = np.argwhere(np.triu(agreement != 1, 1))
+        if clashes.size:
+            a, b = clashes[0]
+            raise ContractViolation(
+                f"labels {labels[a]} and {labels[b]} agree in "
+                f"{agreement[a, b]} coordinates, want exactly 1"
+            )
         object.__setattr__(self, "labels", labels)
 
 
@@ -467,6 +514,20 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
     return CertaintyReport(passed, 12, outcomes, worst, tuple(failures))
 
 
+def label_set_deviations(label_sets) -> np.ndarray:
+    """For each set of labels, the worst entry of |Gram - I| over its bracket
+    states, read off the cached bracket Gram matrix.  Zero (to round-off)
+    exactly when the set's bracket states are orthonormal."""
+    sets = np.asarray(label_sets)
+    if sets.ndim != 3 or sets.shape[2] != 4 or sets.dtype.kind not in "iu":
+        raise ContractViolation("label sets must be an integer array of shape (sets, size, 4)")
+    if sets.size and (sets.min() < 0 or sets.max() > 2):
+        raise ContractViolation("label coordinates must lie in 0..2")
+    index = sets @ np.array([27, 9, 3, 1])  # position in ALL_LABELS
+    gram = bracket_gram()[index[:, :, None], index[:, None, :]]
+    return np.abs(gram - np.eye(sets.shape[1])).max(axis=(1, 2), initial=0.0)
+
+
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     """Every 9-label set whose members pairwise agree in exactly one
     coordinate, found by backtracking over the 81 labels.
@@ -475,34 +536,35 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     canonical; every set is re-certified at the state level (nine bracket
     states forming an orthonormal basis) before being returned.
     """
-    labels = ALL_LABELS
-    n = len(labels)
+    # Bit j of compatible[i] is set when labels i and j agree in exactly one coordinate.
     compatible = [
-        frozenset(
-            j for j in range(n) if j != i and label_agreement(labels[i], labels[j]) == 1
-        )
-        for i in range(n)
+        sum(1 << j for j in np.flatnonzero(row == 1).tolist()) for row in agreement_matrix()
     ]
     found: list[tuple[int, ...]] = []
 
-    def extend(chain: list[int], candidates: frozenset[int]) -> None:
+    def extend(chain: tuple[int, ...], candidates: int) -> None:
         if len(chain) == 9:
-            found.append(tuple(chain))
+            found.append(chain)
             return
-        if len(chain) + len(candidates) < 9:
-            return
-        for v in sorted(candidates):
-            extend(chain + [v], frozenset(w for w in candidates & compatible[v] if w > v))
+        # stop as soon as the labels left cannot complete the set
+        while len(chain) + candidates.bit_count() >= 9:
+            lowest = candidates & -candidates
+            candidates ^= lowest
+            v = lowest.bit_length() - 1
+            # candidates now holds only labels above v, so every set is built in order
+            extend(chain + (v,), candidates & compatible[v])
 
-    extend([], frozenset(range(n)))
+    extend((), (1 << len(ALL_LABELS)) - 1)
 
-    psi = build_psi_basis()
-    brackets = np.stack([bracket_state(lab, psi).amps for lab in labels], axis=1)
-    for indices in found:
-        sub = brackets[:, list(indices)]
-        dev = np.abs(sub.conj().T @ sub - np.eye(9)).max()
-        assert dev < TOL, f"label set {indices} fails state-level orthonormality"
-    return tuple(tuple(labels[i] for i in indices) for indices in found)
+    sets = tuple(tuple(ALL_LABELS[i] for i in indices) for indices in found)
+    deviations = label_set_deviations(sets)
+    if deviations.max(initial=0.0) >= TOL:
+        worst = int(deviations.argmax())
+        raise RuntimeError(
+            f"label set {sets[worst]} fails state-level orthonormality: "
+            f"Gram deviation {deviations[worst]:.3e}"
+        )
+    return sets
 
 
 # Rounds of seed 0 that ``invariant_checks`` plays through both the round
@@ -553,24 +615,17 @@ def invariant_checks() -> list[Check]:
             dev = max(dev, float(np.abs(remixed[:, k] - trios.state(m, k).amps).max()))
     checks.append(Check("trio-reconstruction", dev < TOL, dev))
 
-    brackets = np.stack([bracket_state(lab, psi).amps for lab in ALL_LABELS], axis=1)
-    dev = 0.0
-    for m in range(4):
-        trio_grid = np.stack([trios.state(m, k).amps for k in range(3)], axis=1)
-        overlaps = trio_grid.conj().T @ brackets  # (3, 81): row k, column label
-        for i, lab in enumerate(ALL_LABELS):
-            for k in range(3):
-                if k == lab[m]:
-                    dev = max(dev, abs(abs(overlaps[k, i]) ** 2 - 1.0 / 3.0))
-                else:
-                    dev = max(dev, abs(overlaps[k, i]))
+    # overlaps[m, k, i] = <trio (m, k)|bracket i>: magnitude 3**-0.5 where label i
+    # has k_m = k, zero elsewhere.
+    trio_grid = np.array([[trios.state(m, k).amps for k in range(3)] for m in range(4)])
+    overlaps = trio_grid.conj() @ bracket_matrix()
+    selected = label_matrix().T[:, None, :] == np.arange(3)[None, :, None]
+    dev = float(
+        np.where(selected, np.abs(np.abs(overlaps) ** 2 - 1.0 / 3.0), np.abs(overlaps)).max()
+    )
     checks.append(Check("bracket-trio-selectivity", dev < TOL, dev))
 
-    gram = brackets.conj().T @ brackets
-    analytic = np.array(
-        [[bracket_overlap(a, b) for b in ALL_LABELS] for a in ALL_LABELS]
-    )
-    dev = float(np.abs(gram - analytic).max())
+    dev = float(np.abs(bracket_gram() - (agreement_matrix() - 1) / 3.0).max())
     checks.append(Check("bracket-overlap-law", dev < TOL, dev))
 
     pb = build_physicist_basis()

@@ -149,8 +149,9 @@ def test_physicist_outcome_statistics():
                 assert np.abs(counts[compatible] - rounds / 3).max() < bound
 
 
-def clique_oracle_count() -> int:
-    """Independent enumeration: maximal cliques of the 81-label agreement graph."""
+def clique_oracle_sets() -> set[tuple[tuple[int, ...], ...]]:
+    """Independent enumeration: the 9-vertex maximal cliques of the 81-label
+    agreement graph, each as a sorted tuple of labels."""
     graph = nx.Graph()
     labels = list(itertools.product(range(3), repeat=4))
     graph.add_nodes_from(range(len(labels)))
@@ -160,7 +161,7 @@ def clique_oracle_count() -> int:
                 graph.add_edge(a, b)
     cliques = list(nx.find_cliques(graph))
     assert max(len(c) for c in cliques) == 9
-    return sum(1 for c in cliques if len(c) == 9)
+    return {tuple(sorted(labels[i] for i in c)) for c in cliques if len(c) == 9}
 
 
 def test_basis_search():
@@ -173,7 +174,7 @@ def test_basis_search():
             grid = np.stack([bracket_state(lab, psi).amps for lab in labels], axis=1)
             assert np.abs(grid.conj().T @ grid - np.eye(9)).max() < 1e-10
         assert len(sets) == EXPECTED_BASIS_COUNT
-        assert clique_oracle_count() == EXPECTED_BASIS_COUNT
+        assert set(sets) == clique_oracle_sets()
         assert time.perf_counter() - started < 30.0
 
 

@@ -79,6 +79,32 @@ class TestCertification:
         report = certify_unbiasedness(vectors)
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param([], id="empty-family"),
+            pytest.param([list(standard_basis(3)), []], id="empty-basis"),
+            pytest.param(
+                [list(standard_basis(2)), list(standard_basis(3))], id="mixed-dimensions"
+            ),
+            pytest.param(
+                [[standard_basis_vector(d, k) for d, k in ((2, 0), (3, 1), (3, 2))]],
+                id="mixed-dimensions-in-one-basis",
+            ),
+            pytest.param(
+                [[standard_basis_vector(3, k) for k in range(2)]], id="non-square"
+            ),
+        ],
+    )
+    def test_rejects_malformed_family(self, family):
+        with pytest.raises(ContractViolation):
+            certify_unbiasedness(family)
+
+    def test_single_basis_has_no_cross_deviation(self):
+        report = certify_unbiasedness([list(standard_basis(3))])
+        assert report.passed
+        assert report.cross_basis_deviation == 0.0
+
     def test_mubset_rejects_biased_family(self):
         z = standard_basis(3)
         with pytest.raises(ContractViolation):
@@ -180,3 +206,15 @@ class TestDensityFromProbabilities:
 def test_probability_map_rank_is_nine(qutrit_mubs):
     # 12 probabilities minus 4 row sums leave 8 parameters plus the trace
     assert probability_map_rank(qutrit_mubs) == 9
+
+
+def test_qubit_probability_map_rank_is_four(qubit_mubs):
+    # 6 probabilities minus 3 row sums leave 3 parameters plus the trace
+    assert probability_map_rank(qubit_mubs) == 4
+
+
+def test_mubset_matrices_stack_the_bases(qutrit_mubs):
+    assert qutrit_mubs.matrices.shape == (4, 3, 3)
+    assert not qutrit_mubs.matrices.flags.writeable
+    for matrix, basis in zip(qutrit_mubs.matrices, qutrit_mubs.bases):
+        assert np.array_equal(matrix, basis.matrix)

@@ -9,6 +9,7 @@ from retroking import (
     ALL_LABELS,
     PARTNER_BASIS,
     PHYSICIST_LABELS,
+    TOL,
     ContractViolation,
     PhysicistBasis,
     bracket_overlap,
@@ -201,6 +202,86 @@ class TestBracketStates:
         with pytest.raises(ContractViolation):
             bracket_state((0, 1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "label", [(0, 1, 2, 0.5), (0, 1, 2, 1.0), (0, np.float64(1), 2, 0), "0120", 7]
+    )
+    def test_rejects_non_integer_coordinates(self, label):
+        for call in (
+            lambda: bracket_state(label),
+            lambda: label_agreement(label, (0, 0, 0, 0)),
+            lambda: bracket_overlap((0, 0, 0, 0), label),
+        ):
+            with pytest.raises(ContractViolation):
+                call()
+
+    def test_accepts_numpy_integer_coordinates(self):
+        row = protocol.label_matrix()[5]
+        assert np.array_equal(bracket_state(row).amps, bracket_state(ALL_LABELS[5]).amps)
+
+
+class TestBracketFamily:
+    def test_columns_are_bracket_states(self):
+        brackets = protocol.bracket_matrix()
+        assert brackets.shape == (9, 81)
+        for i, label in enumerate(ALL_LABELS):
+            assert np.abs(brackets[:, i] - bracket_state(label).amps).max() < 1e-14
+
+    def test_agreement_matrix_counts_matching_coordinates(self):
+        agreement = protocol.agreement_matrix()
+        assert agreement.shape == (81, 81)
+        for i, a in enumerate(ALL_LABELS):
+            assert agreement[i].tolist() == [label_agreement(a, b) for b in ALL_LABELS]
+
+    def test_cached_arrays_are_read_only(self):
+        for array in (
+            protocol.label_matrix(),
+            protocol.agreement_matrix(),
+            protocol.bracket_matrix(),
+            protocol.bracket_gram(),
+        ):
+            assert not array.flags.writeable
+
+
+class TestLabelSetDeviations:
+    def test_clashing_pair_reads_a_third(self):
+        # (0,0,0,0) and (0,0,1,1) agree in 2 coordinates: overlap (2 - 1) / 3
+        labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
+        assert protocol.label_set_deviations([labels])[0] == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_every_searched_set_is_orthonormal(self):
+        deviations = protocol.label_set_deviations(search_bases())
+        assert deviations.shape == (72,)
+        assert deviations.max() < TOL
+
+    @pytest.mark.parametrize(
+        "sets", [[[(0, 0, 0, 3)]], [[(0, 0, 0)]], [[(0, 0, 0, 0.5)]], [(0, 0, 0, 0)]]
+    )
+    def test_rejects_malformed_sets(self, sets):
+        with pytest.raises(ContractViolation):
+            protocol.label_set_deviations(sets)
+
+
+class TestDoctoredBracketFamily:
+    """Certification must notice a bracket matrix whose columns are not the
+    states of their labels."""
+
+    @pytest.fixture
+    def doctored(self, monkeypatch):
+        # column i holds the state of label i - 1
+        brackets = np.roll(protocol.bracket_matrix(), 1, axis=1)
+        monkeypatch.setattr(protocol, "bracket_matrix", lambda: brackets)
+        monkeypatch.setattr(protocol, "bracket_gram", lambda: brackets.conj().T @ brackets)
+
+    @pytest.mark.parametrize("name", ["bracket-trio-selectivity", "bracket-overlap-law"])
+    def test_verify_check_fails(self, doctored, name):
+        check = next(c for c in protocol.invariant_checks() if c.name == name)
+        assert not check.passed
+        assert check.max_deviation > 0.1
+
+    def test_search_raises(self, doctored):
+        with pytest.raises(RuntimeError, match="orthonormality"):
+            search_bases()
+
 
 class TestBracketOverlap:
     def test_identical_labels(self):
@@ -241,6 +322,12 @@ class TestPhysicistBasis:
     def test_rejects_clashing_labels(self, physicist):
         labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
         with pytest.raises(ContractViolation):
+            PhysicistBasis(physicist.basis, labels)
+
+    def test_clash_message_names_the_first_pair(self, physicist):
+        labels = PHYSICIST_LABELS[:7] + ((2, 1, 1, 1), PHYSICIST_LABELS[8])
+        message = r"labels \(0, 0, 0, 0\) and \(2, 1, 1, 1\) agree in 0 coordinates"
+        with pytest.raises(ContractViolation, match=message + ", want exactly 1"):
             PhysicistBasis(physicist.basis, labels)
 
 
