@@ -11,6 +11,7 @@ except ``sample_outcome``, which advances only the random generator passed
 to it.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -35,6 +36,18 @@ class ImpossibleOutcome(ValueError):
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _index(value, stop: int | None, what: str, start: int = 0) -> int:
+    """``value`` as an int in [start, stop) (no upper end when stop is None);
+    a non-integer, such as 1.5 or 1.0, or one out of range is a ContractViolation."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise ContractViolation(f"{what} must be an integer, got {value!r}") from None
+    if v < start or (stop is not None and v >= stop):
+        raise ContractViolation(f"{what} {v} outside [{start}, {'inf' if stop is None else stop})")
+    return v
 
 
 @dataclass(frozen=True, eq=False)

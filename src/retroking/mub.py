@@ -27,6 +27,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _index,
     _readonly,
     standard_basis,
 )
@@ -58,11 +59,14 @@ class MubSet:
     """A complete family of dim+1 pairwise unbiased orthonormal bases.
 
     ``matrices[m]`` is ``bases[m].matrix``: the kets of basis m as columns.
+    Row ``dim*m + k`` of ``projectors`` is vec(|m_k><m_k|), the projector
+    onto ket k of basis m flattened row-major: 12 x 9 for the qutrit set.
     """
 
     dim: int
     bases: tuple[OrthonormalBasis, ...]
     matrices: np.ndarray = field(init=False, repr=False)
+    projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -82,8 +86,11 @@ class MubSet:
                     raise ContractViolation(
                         f"bases {a} and {b} are not unbiased: deviation {dev:.3e}"
                     )
+        u = np.array([b.matrix for b in bases])
+        projectors = np.einsum("mik,mjk->mkij", u, u.conj()).reshape(-1, self.dim**2)
         object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "matrices", _readonly(np.array([b.matrix for b in bases])))
+        object.__setattr__(self, "matrices", _readonly(u))
+        object.__setattr__(self, "projectors", _readonly(projectors))
 
 
 @lru_cache(maxsize=None)
@@ -150,6 +157,61 @@ def certify_unbiasedness(
     return UnbiasednessReport(dim, float(same), float(bias))
 
 
+def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
+    """A ``dtype`` copy of a (..., *shape) stack of finite numbers of numpy
+    dtype ``kinds``, flattened to (n, *shape); anything else is a
+    ContractViolation."""
+    try:
+        raw = np.asarray(values)
+    except ValueError:
+        raise ContractViolation(f"{what} entries must form a regular array") from None
+    if raw.dtype.kind not in kinds:
+        raise ContractViolation(f"{what} entries must be numbers, got dtype {raw.dtype}")
+    if raw.shape[-2:] != shape:
+        raise ContractViolation(
+            f"expected {what} stacks of shape (..., {shape[0]}, {shape[1]}), got {raw.shape}"
+        )
+    stack = raw.astype(dtype).reshape(-1, *shape)
+    _reject(~np.isfinite(stack).all(axis=(1, 2)), f"{what} entries must be finite")
+    return stack
+
+
+def _reject(bad: np.ndarray, message: str, detail=None) -> None:
+    """ContractViolation naming the stack index of the first flagged member,
+    after its ``detail`` value if given; nothing if none is flagged."""
+    if bad.any():
+        i = int(bad.argmax())
+        value = "" if detail is None else f" {detail[i]:.3e}"
+        raise ContractViolation(f"{message}{value} (stack index {i})")
+
+
+def _check_densities(values) -> np.ndarray:
+    """Validated (n, 3, 3) complex copy of a (..., 3, 3) stack of density
+    matrices: each finite, Hermitian, of unit trace and positive (one
+    batched eigvalsh); the stack index of the first offender counts the
+    leading axes flattened."""
+    m = _numeric_stack(values, "biufc", np.complex128, (3, 3), "density matrix")
+    skew = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    _reject(skew > TOL, "density matrix must be Hermitian, deviation", skew)
+    trace_error = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
+    _reject(trace_error > TOL, "density matrix trace must be 1, deviation", trace_error)
+    smallest = np.linalg.eigvalsh(m)[:, 0]
+    _reject(smallest < -TOL, "density matrix must be positive, smallest eigenvalue", smallest)
+    return m
+
+
+def _check_tables(values) -> np.ndarray:
+    """Validated (n, 4, 3) float copy, clipped to [0, 1], of a (..., 4, 3)
+    stack of probability tables: each finite, in [0, 1] and with rows
+    summing to 1; the stack index counts the leading axes flattened."""
+    v = _numeric_stack(values, "biuf", np.float64, (4, 3), "probability table")
+    outside = np.maximum(-v, v - 1.0).max(axis=(1, 2))
+    _reject(outside > TOL, "probabilities must lie in [0, 1], overshoot", outside)
+    row_error = np.abs(v.sum(axis=2) - 1.0).max(axis=1)
+    _reject(row_error > TOL, "table rows must sum to 1, worst deviation", row_error)
+    return np.clip(v, 0.0, 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A 3x3 statistical operator: Hermitian, unit trace, positive."""
@@ -157,28 +219,25 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128).copy()
-        if m.shape != (3, 3):
-            raise ContractViolation(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ContractViolation("density matrix entries must be finite")
-        if np.abs(m - m.conj().T).max() > TOL:
-            raise ContractViolation("density matrix must be Hermitian")
-        if abs(m.trace() - 1.0) > TOL:
-            raise ContractViolation(f"density matrix trace must be 1, got {m.trace():.12f}")
-        smallest = np.linalg.eigvalsh(m)[0]
-        if smallest < -TOL:
-            raise ContractViolation(
-                f"density matrix must be positive, smallest eigenvalue {smallest:.3e}"
-            )
-        object.__setattr__(self, "entries", _readonly(m))
+        m = _check_densities(self.entries)
+        if np.ndim(self.entries) != 2:
+            raise ContractViolation("expected one 3x3 density matrix, got a stack")
+        object.__setattr__(self, "entries", _readonly(m[0]))
+
+
+def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 3, 3) unvalidated draws GG*/tr(GG*); draw i is bit for bit
+    the i-th of ``count`` sequential ``random_density_matrix`` calls."""
+    g = rng.standard_normal((count, 2, 3, 3))
+    g = g[:, 0] + 1j * g[:, 1]
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
-    """GG*/tr(GG*) for G with independent standard complex Gaussian entries."""
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
+    """GG*/tr(GG*) for G with independent standard complex Gaussian entries
+    (the real parts of G drawn before the imaginary parts)."""
+    return DensityMatrix(_random_densities(rng, 1)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,18 +247,29 @@ class ProbabilityTable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        if v.shape != (4, 3):
-            raise ContractViolation(f"expected a 4x3 table, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ContractViolation("probabilities must be finite")
-        if v.min() < -TOL or v.max() > 1.0 + TOL:
-            raise ContractViolation("probabilities must lie in [0, 1]")
-        sums = v.sum(axis=1)
-        worst = np.abs(sums - 1.0).max()
-        if worst > TOL:
-            raise ContractViolation(f"table rows must sum to 1, worst deviation {worst:.3e}")
-        object.__setattr__(self, "values", _readonly(np.clip(v, 0.0, 1.0)))
+        v = _check_tables(self.values)
+        if np.ndim(self.values) != 2:
+            raise ContractViolation("expected one 4x3 probability table, got a stack")
+        object.__setattr__(self, "values", _readonly(v[0]))
+
+
+def _qutrit_projectors(mubs: MubSet) -> np.ndarray:
+    if mubs.dim != 3:
+        raise ContractViolation("tomography is defined for the qutrit set only")
+    return mubs.projectors
+
+
+def _probabilities(densities: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """(n, 4, 3) probabilities vec(rho) @ P^dagger of an (n, 3, 3) stack."""
+    raw = densities.reshape(-1, 9) @ projectors.conj().T
+    imaginary = np.abs(raw.imag).max(axis=1)
+    _reject(imaginary > TOL, "probabilities came out non-real", imaginary)
+    return raw.real.reshape(-1, 4, 3)
+
+
+def _densities(tables: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) reconstructions (p - 1/4) @ P of an (n, 4, 3) stack."""
+    return ((tables.reshape(-1, 12) - 0.25) @ projectors).reshape(-1, 3, 3)
 
 
 def probabilities_from_density(
@@ -208,12 +278,7 @@ def probabilities_from_density(
     """p[m][k] = <m_k| rho |m_k> over the four qutrit bases."""
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
-    if mubs.dim != 3:
-        raise ContractViolation("tomography is defined for the qutrit set only")
-    raw = np.einsum("mik,ij,mjk->mk", mubs.matrices.conj(), rho.entries, mubs.matrices)
-    if np.abs(raw.imag).max() > TOL:
-        raise ContractViolation("probabilities came out non-real")
-    return ProbabilityTable(raw.real)
+    return ProbabilityTable(_probabilities(rho.entries, _qutrit_projectors(mubs))[0])
 
 
 def density_from_probabilities(
@@ -222,10 +287,7 @@ def density_from_probabilities(
     """Reconstruct rho = sum_{m,k} |m_k>(p[m][k] - 1/4)<m_k|."""
     if not isinstance(table, ProbabilityTable):
         table = ProbabilityTable(table)
-    if mubs.dim != 3:
-        raise ContractViolation("tomography is defined for the qutrit set only")
-    u = mubs.matrices
-    return DensityMatrix(np.einsum("mik,mk,mjk->ij", u, table.values - 0.25, u.conj()))
+    return DensityMatrix(_densities(table.values, _qutrit_projectors(mubs))[0])
 
 
 def probability_map_rank(mubs: MubSet) -> int:
@@ -237,13 +299,13 @@ def probability_map_rank(mubs: MubSet) -> int:
     is its real Hilbert-Schmidt product with the projector |m_k><m_k|, so the
     rank is that of the projectors' real and imaginary parts side by side.
     """
-    u = mubs.matrices
-    projectors = np.einsum("mik,mjk->mkij", u, u.conj()).reshape(-1, mubs.dim**2)
+    projectors = mubs.projectors
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 
 def invariant_checks(rng: np.random.Generator, trials: int = 100) -> list[Check]:
     """The module's full verification suite as named checks."""
+    trials = _index(trials, None, "trials", start=1)
     checks = []
     for name, mubs in (("qutrit", build_qutrit_mubs()), ("qubit", build_qubit_mubs())):
         report = certify_unbiasedness(mubs)
@@ -253,13 +315,13 @@ def invariant_checks(rng: np.random.Generator, trials: int = 100) -> list[Check]
         checks.append(
             Check(f"{name}-unbiasedness", report.cross_basis_deviation < TOL, report.cross_basis_deviation)
         )
-    qutrit = build_qutrit_mubs()
-    worst = 0.0
-    for _ in range(trials):
-        rho = random_density_matrix(rng)
-        rebuilt = density_from_probabilities(probabilities_from_density(rho, qutrit), qutrit)
-        worst = max(worst, float(np.abs(rebuilt.entries - rho.entries).max()))
+    # every source, table and reconstruction of the stack is validated
+    projectors = build_qutrit_mubs().projectors
+    sources = _check_densities(_random_densities(rng, trials))
+    tables = _check_tables(_probabilities(sources, projectors))
+    rebuilt = _check_densities(_densities(tables, projectors))
+    worst = float(np.abs(rebuilt - sources).max())
     checks.append(Check("tomography-round-trip", worst < TOL, worst))
-    rank = probability_map_rank(qutrit)
+    rank = probability_map_rank(build_qutrit_mubs())
     checks.append(Check("probability-map-rank", rank == 9, float(abs(rank - 9))))
     return checks

@@ -27,6 +27,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _index,
     _prepare_distribution,
     _readonly,
     born_probabilities,
@@ -97,6 +98,14 @@ def label_matrix() -> np.ndarray:
 def agreement_matrix() -> np.ndarray:
     """81 x 81 read-only: entry (i, j) is label_agreement(ALL_LABELS[i], ALL_LABELS[j])."""
     return _readonly(_agreements(label_matrix()))
+
+
+@lru_cache(maxsize=None)
+def _compatible_masks() -> tuple[int, ...]:
+    """Bit j of entry i is set when labels i and j agree in exactly one coordinate."""
+    return tuple(
+        sum(1 << j for j in np.flatnonzero(row == 1).tolist()) for row in agreement_matrix()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -250,19 +259,15 @@ def build_physicist_basis() -> PhysicistBasis:
 
 def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
     """The king's outcome implied by physicist outcome j, given his basis m."""
-    if not 0 <= m <= 3:
-        raise ContractViolation(f"basis index {m} out of range")
-    if not 0 <= j <= 8:
-        raise ContractViolation(f"physicist outcome {j} out of range")
+    m = _index(m, 4, "basis index")
+    j = _index(j, 9, "physicist outcome")
     pb = basis if basis is not None else build_physicist_basis()
     return pb.labels[j][m]
 
 
 def king_outcome_probabilities(psi0: StateVector, m: int) -> np.ndarray:
     """Born probabilities for measuring basis m on the given atom alone."""
-    if not 0 <= m <= 3:
-        raise ContractViolation(f"basis index {m} out of range")
-    basis = build_qutrit_mubs().bases[m]
+    basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
     grid = psi0.amps.reshape(3, 3)
     return (np.abs(basis.matrix.conj().T @ grid) ** 2).sum(axis=1)
 
@@ -280,16 +285,13 @@ def king_measure(
     so certainty can be checked for every outcome rather than sampled ones;
     the generator is unused in that case.
     """
+    m = _index(m, 4, "basis index")
     if force_outcome is None:
         if rng is None:
             raise ContractViolation("sampling a king outcome needs a generator")
         k = sample_outcome(king_outcome_probabilities(psi0, m), rng)
     else:
-        if not 0 <= m <= 3:
-            raise ContractViolation(f"basis index {m} out of range")
-        k = int(force_outcome)
-        if not 0 <= k <= 2:
-            raise ContractViolation(f"forced outcome {k} out of range")
+        k = _index(force_outcome, 3, "forced outcome")
     basis = build_qutrit_mubs().bases[m]
     return k, project_and_normalize(psi0, basis[k], "given")
 
@@ -371,20 +373,9 @@ def _round_engine() -> tuple[_Tables, _Tables]:
     return arrays, _Tables(*(a.tolist() for a in arrays))
 
 
-def _counter_word(value, what: str) -> int:
-    """An integer in [0, 2**64), the range of one Philox counter or key word."""
-    try:
-        v = operator.index(value)
-    except TypeError:
-        raise ContractViolation(f"{what} must be an integer, got {value!r}") from None
-    if not 0 <= v < 2**64:
-        raise ContractViolation(f"{what} {v} outside [0, 2**64)")
-    return v
-
-
-def _check_basis(m) -> None:
-    if m is not None and m not in range(4):
-        raise ContractViolation(f"basis index {m} out of range")
+def _check_basis(m) -> int | None:
+    """A king basis index, or None for a random basis per round."""
+    return None if m is None else _index(m, 4, "basis index")
 
 
 def run_round(
@@ -397,9 +388,9 @@ def run_round(
     """Play one round: prepare, king measures (basis m, or random when m is
     None), physicist measures her basis, inference is recorded.  Reads the
     next four raw words of ``rng``, one counter block of ``round_stream``."""
-    _check_basis(m)
+    m = _check_basis(m)
     w0, w1, w2, _ = rng.bit_generator.random_raw(WORDS_PER_ROUND).tolist()
-    king_basis = w0 >> 62 if m is None else int(m)
+    king_basis = w0 >> 62 if m is None else m
     t = _round_engine()[1]
     u = (w1 >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
     k = t.king_outcome[king_basis][bisect_right(t.king_cdf[king_basis], u)]
@@ -415,8 +406,9 @@ def round_stream(seed: int, index: int) -> np.random.Generator:
     counter block ``index``.  It depends only on (seed, index), so rounds
     can run in any order (or in parallel) with identical results, and the
     stream of round 0 runs on through the blocks of rounds 1, 2, ..."""
-    key = _counter_word(seed, "seed")
-    block = _counter_word(index, "round index")
+    # one Philox key word and one counter word: both 64-bit
+    key = _index(seed, 2**64, "seed")
+    block = _index(index, 2**64, "round index")
     return np.random.Generator(np.random.Philox(key=key, counter=[block, 0, 0, 0]))
 
 
@@ -444,9 +436,8 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     """Rounds 0 .. rounds-1 as int8 columns (m, k, j, inferred), in chunks
     of at most CHUNK_ROUNDS rounds; row i is the round ``run_round`` plays
     on ``round_stream(seed, i)``.  Arguments are checked on the call."""
-    if rounds < 1:
-        raise ContractViolation(f"rounds must be positive, got {rounds}")
-    _check_basis(basis)
+    rounds = _index(rounds, None, "rounds", start=1)
+    basis = _check_basis(basis)
     bits = round_stream(seed, 0).bit_generator
     sizes = (min(CHUNK_ROUNDS, rounds - start) for start in range(0, rounds, CHUNK_ROUNDS))
     return (
@@ -532,26 +523,28 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     """Every 9-label set whose members pairwise agree in exactly one
     coordinate, found by backtracking over the 81 labels.
 
-    Each returned set is sorted and the result is sorted, so the output is
-    canonical; every set is re-certified at the state level (nine bracket
-    states forming an orthonormal basis) before being returned.
+    Two labels with equal (k0, k1) agree in at least two coordinates, so a
+    valid set holds each of the nine (k0, k1) pairs exactly once: sorted,
+    its member d has (k0, k1) = divmod(d, 3) and lies in block d of
+    ALL_LABELS (indices 9d .. 9d+8).  Depth d of the search branches only
+    over that block.  Each returned set is sorted and the result is sorted,
+    so the output is canonical; every set is re-certified at the state
+    level (nine bracket states forming an orthonormal basis) before being
+    returned.
     """
-    # Bit j of compatible[i] is set when labels i and j agree in exactly one coordinate.
-    compatible = [
-        sum(1 << j for j in np.flatnonzero(row == 1).tolist()) for row in agreement_matrix()
-    ]
+    compatible = _compatible_masks()
     found: list[tuple[int, ...]] = []
 
     def extend(chain: tuple[int, ...], candidates: int) -> None:
-        if len(chain) == 9:
+        depth = len(chain)
+        if depth == 9:
             found.append(chain)
             return
-        # stop as soon as the labels left cannot complete the set
-        while len(chain) + candidates.bit_count() >= 9:
-            lowest = candidates & -candidates
-            candidates ^= lowest
+        block = candidates & (0x1FF << 9 * depth)
+        while block:
+            lowest = block & -block
+            block ^= lowest
             v = lowest.bit_length() - 1
-            # candidates now holds only labels above v, so every set is built in order
             extend(chain + (v,), candidates & compatible[v])
 
     extend((), (1 << len(ALL_LABELS)) - 1)

@@ -174,7 +174,11 @@ def test_basis_search():
             grid = np.stack([bracket_state(lab, psi).amps for lab in labels], axis=1)
             assert np.abs(grid.conj().T @ grid - np.eye(9)).max() < 1e-10
         assert len(sets) == EXPECTED_BASIS_COUNT
-        assert set(sets) == clique_oracle_sets()
+        oracle = clique_oracle_sets()
+        assert set(sets) == oracle
+        # the search's pruning premise: sorted member i has (k0, k1) = divmod(i, 3)
+        for labels in oracle:
+            assert [label[:2] for label in labels] == [divmod(i, 3) for i in range(9)]
         assert time.perf_counter() - started < 30.0
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import retroking
 from retroking import OMEGA, Check
 from retroking.cli import RunConfig, main
 from retroking import protocol
@@ -75,6 +80,35 @@ class TestVerify:
         code, report = run_json(capsys, ["verify"])
         assert code == 1
         assert report["pass"] is False
+
+
+VERIFY_CHECKS = [
+    "qutrit-basis-gram", "qutrit-unbiasedness", "qubit-basis-gram", "qubit-unbiasedness",
+    "tomography-round-trip", "probability-map-rank", "entangled-four-forms",
+    "psi-basis-gram", "mixing-unitarity", "paired-orthogonality", "trio-reconstruction",
+    "bracket-trio-selectivity", "bracket-overlap-law", "physicist-basis-gram",
+    "retrodiction-certainty", "round-engine-replay",
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "search-bases"])
+def test_optimized_interpreter_keeps_every_check(command):
+    # python -O strips assert statements: a check written as one would vanish
+    env = dict(os.environ)
+    source = str(Path(retroking.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "retroking.cli", command, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["pass"] is True
+    if command == "verify":
+        assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
+    else:
+        assert report["data"]["count"] == 72
+        assert len(report["data"]["bases"]) == 72
 
 
 class TestTables:

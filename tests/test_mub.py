@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from retroking import (
     OMEGA,
+    TOL,
     ContractViolation,
     DensityMatrix,
     MubSet,
@@ -18,6 +19,7 @@ from retroking import (
     standard_basis,
     standard_basis_vector,
 )
+from retroking import mub
 
 INV_SQRT3 = 3**-0.5
 
@@ -132,6 +134,18 @@ class TestDensityMatrix:
         assert rho.entries.trace() == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize(
+        "entries", ["abc", [["a", "b", "c"]] * 3, [[1, 0, 0], [0, 1]], None]
+    )
+    def test_rejects_non_numeric_entries(self, entries):
+        with pytest.raises(ContractViolation):
+            DensityMatrix(entries)
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ContractViolation, match="3x3"):
+            DensityMatrix((np.eye(3) / 3)[None])
+
+
 class TestProbabilityTable:
     def test_rejects_bad_row_sum(self):
         v = np.full((4, 3), 1 / 3)
@@ -144,6 +158,101 @@ class TestProbabilityTable:
         v[0] = [1.2, -0.1, -0.1]
         with pytest.raises(ContractViolation):
             ProbabilityTable(v)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[["a", "b", "c"]] * 4, np.full((4, 3), "0.25"), np.full((4, 3), 1 / 3 + 0j)],
+        ids=["letters", "numeric-strings", "complex"],
+    )
+    def test_rejects_non_real_numbers(self, values):
+        with pytest.raises(ContractViolation):
+            ProbabilityTable(values)
+
+
+def sequential_draws(seed: int, count: int) -> np.ndarray:
+    """GG*/tr(GG*) drawn one matrix at a time: real parts of G, then imaginary."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = g @ g.conj().T
+        draws.append(m / m.trace().real)
+    return np.array(draws)
+
+
+class TestStackValidators:
+    @staticmethod
+    def stack(count=100):
+        return mub._random_densities(np.random.default_rng(5), count)
+
+    def test_valid_stack_passes_unchanged(self):
+        stack = self.stack()
+        assert np.array_equal(mub._check_densities(stack), stack)
+        assert np.array_equal(mub._check_densities(stack.reshape(4, 25, 3, 3)), stack)
+
+    def test_non_hermitian_member_is_named(self):
+        stack = self.stack()
+        stack[37, 0, 1] += 0.1
+        message = r"Hermitian, deviation .* \(stack index 37\)"
+        with pytest.raises(ContractViolation, match=message):
+            mub._check_densities(stack)
+
+    def test_non_positive_member_is_named(self):
+        stack = self.stack()
+        stack[62] = np.diag([1.5, -0.5, 0.0])
+        message = r"positive, smallest eigenvalue -5.000e-01 \(stack index 62\)"
+        with pytest.raises(ContractViolation, match=message):
+            mub._check_densities(stack)
+
+    def test_bad_table_row_is_named(self):
+        tables = np.full((10, 4, 3), 1 / 3)
+        tables[4, 2] = [0.5, 0.5, 0.5]
+        with pytest.raises(ContractViolation, match=r"sum to 1, .* \(stack index 4\)"):
+            mub._check_tables(tables)
+
+    def test_leading_axes_are_flattened(self):
+        stack = self.stack(12).reshape(3, 4, 3, 3)
+        stack[2, 1] = np.eye(3)
+        with pytest.raises(ContractViolation, match=r"stack index 9\)"):
+            mub._check_densities(stack)
+
+
+class TestTomographyRoundTripCheck:
+    @staticmethod
+    def round_trip(rng):
+        return next(c for c in mub.invariant_checks(rng) if c.name == "tomography-round-trip")
+
+    @pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+    def test_batched_sources_equal_sequential_draws(self, seed):
+        expected = sequential_draws(seed, 100)
+        batched = mub._random_densities(np.random.default_rng(seed), 100)
+        assert np.array_equal(batched, expected)
+        rng = np.random.default_rng(seed)
+        public = np.array([random_density_matrix(rng).entries for _ in range(100)])
+        assert np.array_equal(public, expected)
+
+    def test_passes_tightly(self):
+        check = self.round_trip(np.random.default_rng(0))
+        assert check.passed
+        assert check.max_deviation < 1e-14
+
+    def test_swapped_projector_rows_fail(self, monkeypatch, qutrit_mubs):
+        # Rows 0 and 3 belong to bases 0 and 1, so table rows 0 and 1 stop
+        # summing to 1.  A swap within one basis only relabels its outcomes,
+        # which both maps undo alike, so the round trip cannot see it; the
+        # projector-row test below can.
+        doctored = MubSet(3, qutrit_mubs.bases)
+        projectors = qutrit_mubs.projectors.copy()
+        projectors[[0, 3]] = projectors[[3, 0]]
+        object.__setattr__(doctored, "projectors", projectors)
+        monkeypatch.setattr(mub, "build_qutrit_mubs", lambda: doctored)
+        with pytest.raises(ContractViolation, match="rows must sum to 1"):
+            self.round_trip(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("trials", [0, -3, 1.5, "100", None])
+    def test_rejects_bad_trial_counts(self, trials):
+        with pytest.raises(ContractViolation):
+            mub.invariant_checks(np.random.default_rng(0), trials=trials)
 
 
 class TestProbabilitiesFromDensity:
@@ -211,6 +320,18 @@ def test_probability_map_rank_is_nine(qutrit_mubs):
 def test_qubit_probability_map_rank_is_four(qubit_mubs):
     # 6 probabilities minus 3 row sums leave 3 parameters plus the trace
     assert probability_map_rank(qubit_mubs) == 4
+
+
+@pytest.mark.parametrize("name", ["qutrit_mubs", "qubit_mubs"])
+def test_projector_rows_are_flattened_projectors(request, name):
+    mubs = request.getfixturevalue(name)
+    d = mubs.dim
+    assert mubs.projectors.shape == ((d + 1) * d, d * d)
+    assert not mubs.projectors.flags.writeable
+    for m, basis in enumerate(mubs.bases):
+        for k, ket in enumerate(basis):
+            expected = np.outer(ket.amps, ket.amps.conj()).reshape(-1)
+            assert np.abs(mubs.projectors[d * m + k] - expected).max() < TOL
 
 
 def test_mubset_matrices_stack_the_bases(qutrit_mubs):

@@ -133,6 +133,47 @@ class TestKingMeasure:
             king_measure(prepare_psi0(), 0, None, force_outcome=3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: king_measure(prepare_psi0(), 0, None, force_outcome=1.5),
+        lambda: king_measure(prepare_psi0(), 1.5, None, force_outcome=0),
+        lambda: king_measure(prepare_psi0(), 1.0, None, force_outcome=0),
+        lambda: king_measure(prepare_psi0(), 0, None, force_outcome="1"),
+        lambda: infer(1.5, 0),
+        lambda: infer(0, 2.5),
+        lambda: infer(np.float64(1), 0),
+        lambda: king_outcome_probabilities(prepare_psi0(), 1.5),
+        lambda: run_round(1.0, np.random.default_rng(0)),
+        lambda: simulate_rounds(3, seed=1, basis=2.0),
+        lambda: simulate_rounds(1.5, seed=1),
+        lambda: simulate_rounds("3", seed=1),
+    ],
+    ids=[
+        "forced-outcome-1.5",
+        "king-basis-1.5",
+        "king-basis-1.0",
+        "forced-outcome-str",
+        "infer-basis-1.5",
+        "infer-outcome-2.5",
+        "infer-basis-float64",
+        "king-probabilities-basis-1.5",
+        "run-round-basis-1.0",
+        "simulate-basis-2.0",
+        "simulate-rounds-1.5",
+        "simulate-rounds-str",
+    ],
+)
+def test_non_integer_arguments_are_contract_violations(call):
+    with pytest.raises(ContractViolation):
+        call()
+
+
+def test_numpy_integer_indices_are_accepted():
+    assert infer(np.int8(3), np.int64(3)) == 2
+    assert king_measure(prepare_psi0(), np.int64(2), None, force_outcome=np.int8(1))[0] == 1
+
+
 class TestPsiBasis:
     def test_gram_is_identity(self, psi_basis):
         gram = psi_basis.matrix.conj().T @ psi_basis.matrix
