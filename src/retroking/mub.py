@@ -260,15 +260,15 @@ def _qutrit_projectors(mubs: MubSet) -> np.ndarray:
 
 
 def _probabilities(densities: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """(n, 4, 3) probabilities vec(rho) @ P^dagger of an (n, 3, 3) stack."""
+    """(n, 4, 3) probabilities vec(rho) @ P^dagger of a (..., 3, 3) stack."""
     raw = densities.reshape(-1, 9) @ projectors.conj().T
     imaginary = np.abs(raw.imag).max(axis=1)
-    _reject(imaginary > TOL, "probabilities came out non-real", imaginary)
+    _reject(imaginary > TOL, "probabilities came out non-real, imaginary part", imaginary)
     return raw.real.reshape(-1, 4, 3)
 
 
 def _densities(tables: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """(n, 3, 3) reconstructions (p - 1/4) @ P of an (n, 4, 3) stack."""
+    """(n, 3, 3) reconstructions (p - 1/4) @ P of a (..., 4, 3) stack."""
     return ((tables.reshape(-1, 12) - 0.25) @ projectors).reshape(-1, 3, 3)
 
 
