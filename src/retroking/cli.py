@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mub, protocol
-from .linalg import TOL, ContractViolation
+from .linalg import TOL, ContractViolation, _index
 from .mub import OMEGA
 from .reporting import Check, all_passed
 
@@ -38,12 +38,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ContractViolation(f"unknown command {self.command!r}")
-        if self.rounds < 1:
-            raise ContractViolation("rounds must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ContractViolation("seed must fit in 64 unsigned bits")
-        if self.basis is not None and self.basis not in range(4):
-            raise ContractViolation("basis must lie in 0..3")
+        object.__setattr__(self, "rounds", _index(self.rounds, None, "rounds", start=1))
+        object.__setattr__(self, "seed", _index(self.seed, 2**64, "seed"))
+        if self.basis is not None:
+            object.__setattr__(self, "basis", _index(self.basis, 4, "basis"))
         if self.format not in ("text", "json"):
             raise ContractViolation(f"unknown format {self.format!r}")
         if self.state not in TOMOGRAPHY_STATES:
@@ -101,19 +99,21 @@ def cmd_tables(config: RunConfig) -> tuple[list[Check], dict]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
-    successes = 0
-    king_grid = np.zeros((4, 3), dtype=int)
-    physicist = np.zeros(9, dtype=int)
-    for m, k, j, inferred in protocol.round_chunks(config.rounds, config.seed, config.basis):
-        successes += int(np.count_nonzero(inferred == k))
-        king_grid += np.bincount(3 * m + k, minlength=12).reshape(4, 3)
-        physicist += np.bincount(j, minlength=9)
+    counts = np.zeros(36, dtype=np.int64)
+    for bins in protocol.round_chunks(config.rounds, config.seed, config.basis):
+        counts += np.bincount(bins, minlength=36)
+    m, k, j, inferred = protocol.round_outcomes().T.astype(np.intp)
+    king_grid = np.zeros((4, 3), dtype=np.int64)
+    np.add.at(king_grid, (m, k), counts)
+    physicist = np.zeros(9, dtype=np.int64)
+    np.add.at(physicist, j, counts)
+    successes = int(counts[inferred == k].sum())
     checks = [
         Check("retrodiction-success", successes == config.rounds, float(config.rounds - successes))
     ]
     data = {
         "rounds": config.rounds,
-        "successes": int(successes),
+        "successes": successes,
         "basis_choices": king_grid.sum(axis=1).tolist(),
         "king_outcomes": king_grid.tolist(),
         "physicist_outcomes": physicist.tolist(),

@@ -74,8 +74,8 @@ class StateVector:
 
 def standard_basis_vector(dim: int, index: int) -> StateVector:
     """Unit vector e_index in the given dimension."""
-    if not 0 <= index < dim:
-        raise ContractViolation(f"index {index} out of range for dimension {dim}")
+    dim = _index(dim, None, "dimension", start=1)
+    index = _index(index, dim, "basis vector index")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps)

@@ -14,8 +14,8 @@ m = 0..3, outcomes k = 0..2, physicist outcomes j = 0..8.
 """
 
 import itertools
+import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -309,68 +309,74 @@ class RoundRecord:
     round_index: int | None = None
 
 
-# Rounds mapped per chunk of the batch path; bounds its memory for any round count.
-CHUNK_ROUNDS = 2**16
+# Rounds mapped per chunk of the batch path; bounds its memory for any round
+# count.  A chunk's 256 KiB of words and its temporaries stay in a core's L2
+# cache: on a 2 MiB-L2 Xeon, 2**16-round chunks made simulate ~1.6x slower.
+CHUNK_ROUNDS = 2**13
 # Round i owns Philox counter block i: four 64-bit words.  Word 0 picks the
-# king's basis (its top two bits), words 1 and 2 give the king's and the
-# physicist's uniforms exactly as Generator.random() would, word 3 is unused.
+# king's basis (its top two bits), words 1 and 2 are the king's and the
+# physicist's draws, word 3 is unused.  Generator.random() would read a word
+# w as the uniform u = (w >> 11) * 2**-53.  For a cdf step c < 1 scaling by
+# 2**53 is exact, so u >= c holds exactly when w >= ceil(c * 2**53) << 11:
+# the engine compares raw words with these integer thresholds.
 WORDS_PER_ROUND = 4
 _UNIFORM_SHIFT = 11
-_UNIFORM_SCALE = 2.0**-53
 
 
-class _Tables(NamedTuple):
-    """Sampling tables of the round engine, one row per distribution.
+class _Engine(NamedTuple):
+    """The round engine's tables.  Every distribution a round draws from has
+    three outcomes; a word picks the one given by how many of its row's two
+    thresholds it reaches.  A round's bin is 3*row + jb, where row = 3*m + k
+    and jb is the physicist's pick within that row."""
 
-    Rows are padded (outcome, cdf) pairs.  The last step of each cdf row
-    and its padding are +inf, so the index of a uniform in a cdf row
-    (bisect right) is always a column holding an outcome of that row, and
-    it picks exactly what ``sample_outcome`` draws: that clamps to the last
-    outcome, too.
-    """
-
-    king_outcome: np.ndarray | list  # 4 x 3, row m
-    king_cdf: np.ndarray | list
-    physicist_outcome: np.ndarray | list  # 12 x 9, row 3*m + k
-    physicist_cdf: np.ndarray | list
-    inferred: np.ndarray | list  # 4 x 9, [m][j]
+    king: np.ndarray  # 4 x 2 uint64, row m
+    physicist: np.ndarray  # 12 x 2 uint64, row 3*m + k
+    outcomes: np.ndarray  # 36 x 4 int8, bin -> (m, k, j, inferred)
 
 
-def _padded(distributions, width: int) -> tuple[np.ndarray, np.ndarray]:
-    outcome = np.zeros((len(distributions), width), dtype=np.int8)
-    cdf = np.full((len(distributions), width), np.inf)
-    for row, (keep, c) in enumerate(distributions):
-        outcome[row, : keep.size] = keep
-        cdf[row, : c.size - 1] = c[:-1]
-    return outcome, cdf
+def _word_thresholds(probs, what: str) -> tuple[list[int], list[int]]:
+    """The outcomes of a three-outcome distribution and the two words at
+    which a draw moves past its first and its second cdf step."""
+    keep, cdf = _prepare_distribution(probs)
+    if keep.size != 3:
+        raise RuntimeError(f"{what} has {keep.size} possible outcomes, expected 3")
+    steps = [math.ceil(c * 2.0**53) for c in cdf[:2].tolist()]
+    if not 0 <= steps[0] <= steps[1] < 2**53:
+        raise RuntimeError(f"{what} has cdf steps {cdf[:2].tolist()} outside [0, 1)")
+    return keep.tolist(), [s << _UNIFORM_SHIFT for s in steps]
 
 
 @lru_cache(maxsize=None)
-def _round_engine() -> tuple[_Tables, _Tables]:
-    """The round loop's sampling tables, as arrays and as nested lists.
-
-    The king's outcome distribution and, for every collapse, the
-    physicist's Born distribution are pure values; they are computed once
-    through the projective-measurement path and stored in prepared
-    (outcomes, cdf) form.  The batch path indexes the arrays, a lone round
-    bisects the lists; both read the same numbers.
-    """
+def _round_engine() -> _Engine:
+    """The round loop's tables, computed once through the projective
+    measurement path: the king's outcome distribution per basis and the
+    physicist's Born distribution per collapse."""
     psi0 = prepare_psi0()
     pb = build_physicist_basis()
-    king = [_prepare_distribution(king_outcome_probabilities(psi0, m)) for m in range(4)]
-    physicist = [
-        _prepare_distribution(
-            born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], pb.basis)
-        )
+    king = [
+        _word_thresholds(king_outcome_probabilities(psi0, m), f"king basis {m}")[1]
         for m in range(4)
-        for k in range(3)
     ]
-    arrays = _Tables(
-        *_padded(king, 3), *_padded(physicist, 9), np.array(pb.labels, dtype=np.int8).T
+    physicist, outcomes = [], []
+    for m in range(4):
+        for k in range(3):
+            collapsed = king_measure(psi0, m, None, force_outcome=k)[1]
+            keep, steps = _word_thresholds(
+                born_probabilities(collapsed, pb.basis), f"collapse (m={m}, k={k})"
+            )
+            physicist.append(steps)
+            outcomes.extend((m, k, j, pb.labels[j][m]) for j in keep)
+    return _Engine(
+        _readonly(np.array(king, dtype=np.uint64)),
+        _readonly(np.array(physicist, dtype=np.uint64)),
+        _readonly(np.array(outcomes, dtype=np.int8)),
     )
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays, _Tables(*(a.tolist() for a in arrays))
+
+
+def round_outcomes() -> np.ndarray:
+    """36 x 4 read-only int8: row b is (m, k, j, inferred) of a round in
+    bin b, the unit ``round_chunks`` yields."""
+    return _round_engine().outcomes
 
 
 def _check_basis(m) -> int | None:
@@ -390,15 +396,13 @@ def run_round(
     next four raw words of ``rng``, one counter block of ``round_stream``."""
     m = _check_basis(m)
     w0, w1, w2, _ = rng.bit_generator.random_raw(WORDS_PER_ROUND).tolist()
-    king_basis = w0 >> 62 if m is None else m
-    t = _round_engine()[1]
-    u = (w1 >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
-    k = t.king_outcome[king_basis][bisect_right(t.king_cdf[king_basis], u)]
-    row = 3 * king_basis + k
-    u = (w2 >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
-    j = t.physicist_outcome[row][bisect_right(t.physicist_cdf[row], u)]
-    inferred = t.inferred[king_basis][j]
-    return RoundRecord(king_basis, k, j, inferred, inferred == k, seed, round_index)
+    t = _round_engine()
+    if m is None:
+        m = w0 >> 62
+    row = 3 * m + (w1 >= t.king.item(m, 0)) + (w1 >= t.king.item(m, 1))
+    b = 3 * row + (w2 >= t.physicist.item(row, 0)) + (w2 >= t.physicist.item(row, 1))
+    m, k, j, inferred = t.outcomes[b].tolist()
+    return RoundRecord(m, k, j, inferred, inferred == k, seed, round_index)
 
 
 def round_stream(seed: int, index: int) -> np.random.Generator:
@@ -412,30 +416,26 @@ def round_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key, counter=[block, 0, 0, 0]))
 
 
-def _select(outcome: np.ndarray, cdf: np.ndarray, rows: np.ndarray, words: np.ndarray):
-    """Column-wise ``bisect_right(cdf[row], u)`` and the outcome it picks."""
-    u = (words >> _UNIFORM_SHIFT) * _UNIFORM_SCALE
-    column = (cdf[rows] <= u[:, None]).sum(axis=1)
-    return outcome[rows, column]
-
-
-def _map_words(words: np.ndarray, basis: int | None):
-    """Raw words, one row of WORDS_PER_ROUND per round, to int8 columns
-    (m, k, j, inferred): the vectorized twin of ``run_round``."""
-    t = _round_engine()[0]
+def _map_words(words: np.ndarray, basis: int | None) -> np.ndarray:
+    """Raw words, one row of WORDS_PER_ROUND per round, to int8 round bins:
+    the vectorized twin of ``run_round``."""
+    t = _round_engine()
+    w1, w2 = words[:, 1], words[:, 2]
     if basis is None:
-        m = (words[:, 0] >> 62).astype(np.int8)
+        m = (words[:, 0] >> 62).astype(np.intp)
+        king_lo, king_hi = t.king.T
+        row = 3 * m + (w1 >= king_lo.take(m)) + (w1 >= king_hi.take(m))
     else:
-        m = np.full(len(words), basis, dtype=np.int8)
-    k = _select(t.king_outcome, t.king_cdf, m, words[:, 1])
-    j = _select(t.physicist_outcome, t.physicist_cdf, 3 * m + k, words[:, 2])
-    return m, k, j, t.inferred[m, j]
+        row = 3 * basis + (w1 >= t.king[basis, 0]) + (w1 >= t.king[basis, 1])
+    lo, hi = t.physicist.T
+    return (3 * row + (w2 >= lo.take(row)) + (w2 >= hi.take(row))).astype(np.int8)
 
 
 def round_chunks(rounds: int, seed: int, basis: int | None = None):
-    """Rounds 0 .. rounds-1 as int8 columns (m, k, j, inferred), in chunks
-    of at most CHUNK_ROUNDS rounds; row i is the round ``run_round`` plays
-    on ``round_stream(seed, i)``.  Arguments are checked on the call."""
+    """Rounds 0 .. rounds-1 as int8 round bins (rows of ``round_outcomes()``),
+    in chunks of at most CHUNK_ROUNDS rounds; entry i is the round
+    ``run_round`` plays on ``round_stream(seed, i)``.  Arguments are checked
+    on the call."""
     rounds = _index(rounds, None, "rounds", start=1)
     basis = _check_basis(basis)
     bits = round_stream(seed, 0).bit_generator
@@ -450,20 +450,11 @@ def simulate_rounds(rounds: int, seed: int, basis: int | None = None) -> list[Ro
     """Run rounds 0 .. rounds-1 of ``seed``; record i equals
     ``run_round(basis, round_stream(seed, i), seed=seed, round_index=i)``."""
     records: list[RoundRecord] = []
-    for m, k, j, inferred in round_chunks(rounds, seed, basis):
-        start = len(records)
-        records.extend(
-            map(
-                RoundRecord,
-                m.tolist(),
-                k.tolist(),
-                j.tolist(),
-                inferred.tolist(),
-                (inferred == k).tolist(),
-                itertools.repeat(seed),
-                range(start, start + m.size),
-            )
-        )
+    for bins in round_chunks(rounds, seed, basis):
+        m, k, j, inferred = round_outcomes()[bins].T.tolist()
+        indices = range(len(records), len(records) + len(bins))
+        success, seeds = map(operator.eq, inferred, k), itertools.repeat(seed)
+        records.extend(map(RoundRecord, m, k, j, inferred, success, seeds, indices))
     return records
 
 

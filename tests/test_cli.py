@@ -91,24 +91,64 @@ VERIFY_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("command", ["verify", "search-bases"])
-def test_optimized_interpreter_keeps_every_check(command):
-    # python -O strips assert statements: a check written as one would vanish
+def run_optimized(argv):
+    """The JSON report of a ``python -O -m retroking.cli`` subprocess, which
+    must exit 0.  python -O strips assert statements: a check written as
+    one would vanish."""
     env = dict(os.environ)
     source = str(Path(retroking.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-O", "-m", "retroking.cli", command, "--format", "json"],
+        [sys.executable, "-O", "-m", "retroking.cli", *argv, "--format", "json"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("command", ["verify", "search-bases"])
+def test_optimized_interpreter_keeps_every_check(command):
+    report = run_optimized([command])
     assert report["pass"] is True
     if command == "verify":
         assert [c["name"] for c in report["checks"]] == VERIFY_CHECKS
     else:
         assert report["data"]["count"] == 72
         assert len(report["data"]["bases"]) == 72
+
+
+# What (rounds, seed, basis) gave when the round engine still drew float
+# uniforms: any later engine must play the same rounds.
+PINNED_SIMULATIONS = [
+    ((100_000, 42, None), {
+        "rounds": 100000, "successes": 100000,
+        "basis_choices": [25000, 25089, 24950, 24961],
+        "king_outcomes": [[8347, 8217, 8436], [8307, 8346, 8436], [8419, 8312, 8219],
+                          [8290, 8220, 8451]],
+        "physicist_outcomes": [11147, 11076, 11178, 11102, 11025, 11163, 10978, 11310, 11021],
+    }),
+    ((70_000, 7, 2), {
+        "rounds": 70000, "successes": 70000,
+        "basis_choices": [0, 0, 70000, 0],
+        "king_outcomes": [[0, 0, 0], [0, 0, 0], [23402, 23325, 23273], [0, 0, 0]],
+        "physicist_outcomes": [7972, 7905, 7731, 7614, 7791, 7758, 7751, 7672, 7806],
+    }),
+    ((65_539, 2**64 - 1, None), {
+        "rounds": 65539, "successes": 65539,
+        "basis_choices": [16314, 16442, 16513, 16270],
+        "king_outcomes": [[5361, 5518, 5435], [5453, 5560, 5429], [5493, 5459, 5561],
+                          [5350, 5402, 5518]],
+        "physicist_outcomes": [7254, 7271, 7486, 7360, 7273, 7221, 7152, 7338, 7184],
+    }),
+]
+
+
+@pytest.mark.parametrize(("args", "data"), PINNED_SIMULATIONS)
+def test_simulate_output_is_pinned(args, data):
+    rounds, seed, basis = args
+    argv = ["simulate", "--rounds", str(rounds), "--seed", str(seed)]
+    report = run_optimized(argv + ([] if basis is None else ["--basis", str(basis)]))
+    assert report["data"] == data
 
 
 class TestTables:

@@ -29,6 +29,7 @@ from retroking import (
     sample_outcome,
     search_bases,
     simulate_rounds,
+    standard_basis_vector,
     tensor_product,
 )
 from retroking import cli, protocol
@@ -148,6 +149,11 @@ class TestKingMeasure:
         lambda: simulate_rounds(3, seed=1, basis=2.0),
         lambda: simulate_rounds(1.5, seed=1),
         lambda: simulate_rounds("3", seed=1),
+        lambda: standard_basis_vector(3, 1.5),
+        lambda: standard_basis_vector(1.5, 0),
+        lambda: cli.RunConfig("verify", seed="a"),
+        lambda: cli.RunConfig("simulate", rounds=1.5),
+        lambda: cli.RunConfig("simulate", basis=1.0),
     ],
     ids=[
         "forced-outcome-1.5",
@@ -162,6 +168,11 @@ class TestKingMeasure:
         "simulate-basis-2.0",
         "simulate-rounds-1.5",
         "simulate-rounds-str",
+        "basis-vector-index-1.5",
+        "basis-vector-dim-1.5",
+        "config-seed-str",
+        "config-rounds-1.5",
+        "config-basis-1.0",
     ],
 )
 def test_non_integer_arguments_are_contract_violations(call):
@@ -486,29 +497,80 @@ class TestRoundChunks:
         assert report["data"]["physicist_outcomes"] == physicist.tolist()
         assert report["data"]["successes"] == n
 
-    def test_batch_and_lone_paths_agree_on_cdf_boundaries(self):
-        # uniforms landing on, just below and just above every cdf step,
-        # where a < / <= slip would split the two paths
-        tables = protocol._round_engine()[0]
-        steps = np.concatenate([tables.king_cdf.ravel(), tables.physicist_cdf.ravel()])
-        bits = np.ceil(steps[np.isfinite(steps)] * 2.0**53).astype(np.int64)
-        bits = np.unique(np.clip(np.concatenate([bits - 1, bits, bits + 1]), 0, 2**53 - 1))
-        word = bits.astype(np.uint64) << np.uint64(11)
-        rows = [[m << 62, w, v, 0] for m in range(4) for w in word for v in word]
-        words = np.array(rows, dtype=np.uint64)
-        batch = np.stack(protocol._map_words(words, None), axis=1).tolist()
+    def test_batch_and_lone_paths_agree_on_cdf_boundaries(self, physicist):
+        # words on, just below and just above every threshold, where a < / <=
+        # slip or an off-by-one in the shift would split the paths; each
+        # draw is also sampled from the explicit Born vector
+        engine = protocol._round_engine()
+        offsets = np.array([-2048, -1, 0, 1], dtype=np.int64)
 
-        class Raw:
-            def __init__(self, row):
+        def near(thresholds):
+            edges = np.unique(thresholds).astype(np.int64)
+            return np.unique(edges[:, None] + offsets).astype(np.uint64).tolist()
+
+        class Draw:
+            """Stands in for a Generator: random() reads one given word."""
+
+            def __init__(self, *words):
                 self.bit_generator = self
-                self.row = row
+                self.words = np.array(words, dtype=np.uint64)
 
             def random_raw(self, n):
-                return words[self.row, :n]
+                return self.words[:n]
 
-        lone = [run_round(None, Raw(i)) for i in range(len(words))]
-        assert batch == [[r.king_basis, r.king_outcome, r.physicist_outcome, r.inferred]
-                         for r in lone]
+            def random(self, size=None):
+                return (int(self.words[0]) >> 11) * 2.0**-53
+
+        word = np.random.Philox(key=3).random_raw()
+        assert Draw(word).random() == np.random.Generator(np.random.Philox(key=3)).random()
+
+        psi0 = prepare_psi0()
+        physicist_words = near(engine.physicist)
+        rows, expected = [], []
+        for m in range(4):
+            king = king_outcome_probabilities(psi0, m)
+            for w1 in near(engine.king):
+                k = sample_outcome(king, Draw(w1))
+                born = born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1],
+                                          physicist.basis)
+                for w2 in physicist_words:
+                    j = sample_outcome(born, Draw(w2))
+                    rows.append([m << 62, w1, w2, 0])
+                    expected.append([m, k, j, infer(m, j)])
+        words = np.array(rows, dtype=np.uint64)
+        outcomes = protocol.round_outcomes()
+        batch = outcomes[protocol._map_words(words, None)].tolist()
+        lone = [run_round(None, Draw(*row)) for row in words]
+        assert {m for m, *_ in expected} == {0, 1, 2, 3}
+        assert batch == expected
+        assert [[r.king_basis, r.king_outcome, r.physicist_outcome, r.inferred]
+                for r in lone] == expected
+        for m in range(4):
+            forced = outcomes[protocol._map_words(words[words[:, 0] == m << 62], m)]
+            assert forced.tolist() == [e for e in expected if e[0] == m]
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5, 0.0], [0.25] * 4, [1.0]])
+    def test_engine_rows_need_three_outcomes(self, probs):
+        with pytest.raises(RuntimeError, match="expected 3"):
+            protocol._word_thresholds(probs, "row")
+
+    def test_tally_matches_the_measurement_path(self):
+        # _measured_round never reads the engine's tables
+        n = 600
+        for seed in (0, 2**64 - 1):
+            king = np.zeros((4, 3), dtype=int)
+            physicist = np.zeros(9, dtype=int)
+            successes = 0
+            for i in range(n):
+                m, k, j = protocol._measured_round(seed, i)
+                king[m, k] += 1
+                physicist[j] += 1
+                successes += infer(m, j) == k
+            data = cli.run(cli.RunConfig("simulate", rounds=n, seed=seed))["data"]
+            assert data["basis_choices"] == king.sum(axis=1).tolist()
+            assert data["king_outcomes"] == king.tolist()
+            assert data["physicist_outcomes"] == physicist.tolist()
+            assert data["successes"] == successes == n
 
     def test_chunks_validate_before_iteration(self):
         with pytest.raises(ContractViolation):
@@ -516,12 +578,13 @@ class TestRoundChunks:
         with pytest.raises(ContractViolation):
             round_chunks(5, seed=1, basis=4)
 
-    def test_chunks_are_bounded_int8_columns(self):
+    def test_chunks_are_bounded_int8_bins(self):
         sizes = []
-        for columns in round_chunks(self.ROUNDS, seed=4):
-            assert all(c.dtype == np.int8 for c in columns)
-            sizes.append({c.size for c in columns})
-        assert sizes == [{CHUNK_ROUNDS}, {2}]
+        for bins in round_chunks(self.ROUNDS, seed=4):
+            assert bins.dtype == np.int8 and bins.ndim == 1
+            assert 0 <= bins.min() and bins.max() < 36
+            sizes.append(bins.size)
+        assert sizes == [CHUNK_ROUNDS, 2]
 
     def test_simulate_memory_does_not_grow_with_rounds(self):
         def peak(rounds):
@@ -546,10 +609,13 @@ class TestRoundEngineReplayCheck:
         assert {r.king_basis for r in records} == {0, 1, 2, 3}
 
     def test_catches_a_wrong_table(self, monkeypatch):
-        arrays, lists = protocol._round_engine()
-        # physicist rows in reverse order: each collapse samples another's distribution
-        wrong = arrays._replace(physicist_outcome=arrays.physicist_outcome[::-1])
-        monkeypatch.setattr(protocol, "_round_engine", lambda: (wrong, lists))
+        engine = protocol._round_engine()
+        # physicist rows in reverse order: each collapse samples another's
+        # thresholds and outcomes
+        outcomes = engine.outcomes.copy()
+        outcomes[:, 2] = outcomes[:, 2].reshape(12, 3)[::-1].ravel()
+        wrong = engine._replace(physicist=engine.physicist[::-1], outcomes=outcomes)
+        monkeypatch.setattr(protocol, "_round_engine", lambda: wrong)
         check = self.replay_check()
         assert not check.passed
         assert check.max_deviation > 0
