@@ -208,6 +208,8 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     Deterministic given the generator state.  With ``size`` given, returns
     that many independent draws as an integer array.
     """
+    if size is not None:
+        size = _index(size, None, "size")
     keep, cdf = _prepare_distribution(probs)
     draws = rng.random(size)
     picked = np.minimum(np.searchsorted(cdf, draws, side="right"), keep.size - 1)

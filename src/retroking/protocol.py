@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import (
     TOL,
@@ -261,8 +262,11 @@ def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
     """The king's outcome implied by physicist outcome j, given his basis m."""
     m = _index(m, 4, "basis index")
     j = _index(j, 9, "physicist outcome")
-    pb = basis if basis is not None else build_physicist_basis()
-    return pb.labels[j][m]
+    if basis is None:
+        basis = build_physicist_basis()
+    elif not isinstance(basis, PhysicistBasis):
+        raise ContractViolation(f"basis must be a PhysicistBasis, got {type(basis).__name__}")
+    return basis.labels[j][m]
 
 
 def king_outcome_probabilities(psi0: StateVector, m: int) -> np.ndarray:
@@ -395,7 +399,13 @@ def run_round(
     None), physicist measures her basis, inference is recorded.  Reads the
     next four raw words of ``rng``, one counter block of ``round_stream``."""
     m = _check_basis(m)
-    w0, w1, w2, _ = rng.bit_generator.random_raw(WORDS_PER_ROUND).tolist()
+    try:
+        draw = rng.bit_generator.random_raw
+    except AttributeError:
+        raise ContractViolation(
+            f"a round draws from a numpy Generator, got {type(rng).__name__}"
+        ) from None
+    w0, w1, w2, _ = draw(WORDS_PER_ROUND).tolist()
     t = _round_engine()
     if m is None:
         m = w0 >> 62
@@ -405,15 +415,34 @@ def run_round(
     return RoundRecord(m, k, j, inferred, inferred == k, seed, round_index)
 
 
+class _PhiloxKey(ISeedSequence):
+    """The key words ``[seed, 0]`` of ``Philox(key=seed)``, handed straight
+    to Philox: ``Philox(key=...)`` first seeds and discards an OS-entropy
+    SeedSequence, most of the cost of a lone round's stream."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(
+                f"Philox asked its key for {n_words} words of {dtype}, expected 2 of uint64"
+            )
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
 def round_stream(seed: int, index: int) -> np.random.Generator:
     """The random stream of round ``index``: Philox keyed by ``seed`` at
     counter block ``index``.  It depends only on (seed, index), so rounds
     can run in any order (or in parallel) with identical results, and the
     stream of round 0 runs on through the blocks of rounds 1, 2, ..."""
-    # one Philox key word and one counter word: both 64-bit
+    # one Philox key word and one counter word: both 64-bit.  An int counter
+    # is split exactly; a list would pass through float64 and alias blocks.
     key = _index(seed, 2**64, "seed")
     block = _index(index, 2**64, "round index")
-    return np.random.Generator(np.random.Philox(key=key, counter=[block, 0, 0, 0]))
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=block))
 
 
 def _map_words(words: np.ndarray, basis: int | None) -> np.ndarray:

@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +178,23 @@ class TestKingMeasure:
     ],
 )
 def test_non_integer_arguments_are_contract_violations(call):
+    with pytest.raises(ContractViolation):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_round(None, "x"),
+        lambda: run_round(None, None),
+        lambda: sample_outcome([0.5, 0.5], np.random.default_rng(0), size=-1),
+        lambda: sample_outcome([0.5, 0.5], np.random.default_rng(0), size=1.5),
+        lambda: infer(0, 0, basis="x"),
+    ],
+    ids=["run-round-str-rng", "run-round-no-rng", "sample-size--1", "sample-size-1.5",
+         "infer-str-basis"],
+)
+def test_bad_sampling_arguments_are_contract_violations(call):
     with pytest.raises(ContractViolation):
         call()
 
@@ -437,6 +456,36 @@ class TestRounds:
             j = sample_outcome(born_probabilities(collapsed, physicist.basis), gen)
             record = run_round(None, round_stream(seed, i))
             assert (record.king_basis, record.king_outcome, record.physicist_outcome) == (m, k, j)
+
+    def test_stream_is_numpys_keyed_philox(self):
+        # every index owns its own counter block, up to 2**64 - 1, and no
+        # cast on the way warns
+        seeds = (0, 7, 2**63, 2**64 - 1)
+        indices = (0, 1, 2**40, 2**63 - 1, 2**63 + 1, 2**64 - 1024, 2**64 - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed, i in itertools.product(seeds, indices):
+                ours = round_stream(seed, i).bit_generator
+                numpys = np.random.Philox(key=seed, counter=i)
+                state, expected = ours.state["state"], numpys.state["state"]
+                assert state.keys() == expected.keys()
+                for name in state:
+                    assert np.array_equal(state[name], expected[name]), (seed, i, name)
+                assert np.array_equal(ours.random_raw(8), numpys.random_raw(8)), (seed, i)
+            last = round_stream(5, 2**64 - 1).bit_generator.random_raw(4)
+            first = round_stream(5, 0).bit_generator.random_raw(4)
+        assert not np.array_equal(last, first)
+
+    def test_stream_pickles_and_draws_like_generator(self):
+        gen = round_stream(3, 2**40)
+        again = pickle.loads(pickle.dumps(gen))
+        assert gen.random() == again.random() == np.random.Generator(
+            np.random.Philox(key=3, counter=2**40)).random()
+
+    @pytest.mark.parametrize("request_", [(4, np.uint64), (2, np.uint32), (1, np.uint64)])
+    def test_stream_key_refuses_other_requests(self, request_):
+        with pytest.raises(RuntimeError, match="expected 2 of uint64"):
+            protocol._PhiloxKey(1).generate_state(*request_)
 
     def test_physicist_outcomes_uniform_over_compatible(self, physicist):
         n = 30_000
