@@ -50,6 +50,49 @@ def _index(value, stop: int | None, what: str, start: int = 0) -> int:
     return v
 
 
+def _as_state(value, what: str, dim: int | None = None) -> "StateVector":
+    """``value`` if it is a StateVector (of dimension ``dim`` when given);
+    anything else is a ContractViolation."""
+    if not isinstance(value, StateVector):
+        raise ContractViolation(f"{what} must be a StateVector, got {type(value).__name__}")
+    if dim is not None and value.dim != dim:
+        raise ContractViolation(f"{what} must have dimension {dim}, got {value.dim}")
+    return value
+
+
+def _as_basis(value, what: str, dim: int | None = None) -> "OrthonormalBasis":
+    """``value`` if it is an OrthonormalBasis (of dimension ``dim`` when
+    given); anything else is a ContractViolation."""
+    if not isinstance(value, OrthonormalBasis):
+        raise ContractViolation(f"{what} must be an OrthonormalBasis, got {type(value).__name__}")
+    if dim is not None and value.dim != dim:
+        raise ContractViolation(f"{what} must have dimension {dim}, got {value.dim}")
+    return value
+
+
+def _as_generator(value, method: str):
+    """``value`` if it has the numpy Generator method ``method`` (so
+    stand-ins drawing given numbers still work); anything else is a
+    ContractViolation."""
+    if not callable(getattr(value, method, None)):
+        raise ContractViolation(f"drawing needs a numpy Generator, got {type(value).__name__}")
+    return value
+
+
+def _numeric_vector(values, kinds: str, what: str) -> np.ndarray:
+    """``values`` as a 1-d array of numpy dtype ``kinds``; anything else,
+    such as a matrix, a string or a ragged list, is a ContractViolation."""
+    try:
+        v = np.asarray(values)
+    except ValueError:
+        raise ContractViolation(f"{what} must form a regular array") from None
+    if v.ndim != 1 or v.dtype.kind not in kinds:
+        raise ContractViolation(
+            f"{what} must be a 1-d array of numbers, got shape {v.shape} of dtype {v.dtype}"
+        )
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over a fixed ordered basis."""
@@ -57,7 +100,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1).copy()
+        amps = _numeric_vector(self.amps, "biufc", "state amplitudes").astype(np.complex128)
         if not np.all(np.isfinite(amps)):
             raise ContractViolation("state amplitudes must be finite")
         norm = np.linalg.norm(amps)
@@ -92,7 +135,10 @@ class OrthonormalBasis:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        vectors = tuple(self.vectors)
+        try:
+            vectors = tuple(_as_state(v, "a basis vector") for v in self.vectors)
+        except TypeError:
+            raise ContractViolation("a basis takes a sequence of StateVectors") from None
         if not vectors:
             raise ContractViolation("a basis needs at least one vector")
         dim = vectors[0].dim
@@ -130,17 +176,15 @@ def standard_basis(dim: int) -> OrthonormalBasis:
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugating a's amplitudes."""
-    if a.dim != b.dim:
+    if _as_state(a, "bra").dim != _as_state(b, "ket").dim:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Two-atom product state; amplitude a_i * b_j sits at index 3*i + j."""
-    if a.dim != 3 or b.dim != 3:
-        raise ContractViolation(
-            f"tensor_product combines two qutrit states, got dims {a.dim} and {b.dim}"
-        )
+    _as_state(a, "the given atom's state", 3)
+    _as_state(b, "the auxiliary atom's state", 3)
     return StateVector(np.kron(a.amps, b.amps))
 
 
@@ -154,20 +198,14 @@ def project_and_normalize(
     ``ImpossibleOutcome`` when the projection is (numerically) zero, i.e.
     the requested outcome cannot occur.
     """
-    if state.dim != 9:
-        raise ContractViolation(f"expected a two-atom state (dim 9), got dim {state.dim}")
-    if subspace_vector.dim != 3:
-        raise ContractViolation(
-            f"expected a single-atom vector (dim 3), got dim {subspace_vector.dim}"
-        )
-    grid = state.amps.reshape(3, 3)
-    v = subspace_vector.amps
+    grid = _as_state(state, "a two-atom state", 9).amps.reshape(3, 3)
+    v = _as_state(subspace_vector, "a single-atom vector", 3).amps
+    if not isinstance(slot, str) or slot not in ("given", "auxiliary"):
+        raise ContractViolation(f"unknown atom slot {slot!r}")
     if slot == "given":
         projected = np.outer(v, v.conj()) @ grid
-    elif slot == "auxiliary":
-        projected = grid @ np.outer(v.conj(), v)
     else:
-        raise ContractViolation(f"unknown atom slot {slot!r}")
+        projected = grid @ np.outer(v.conj(), v)
     flat = projected.reshape(-1)
     norm = np.linalg.norm(flat)
     if norm < TOL:
@@ -177,7 +215,7 @@ def project_and_normalize(
 
 def born_probabilities(state: StateVector, basis: OrthonormalBasis) -> np.ndarray:
     """|<basis_j|state>|^2 for each j; sums to 1 for any normalized state."""
-    if state.dim != basis.dim:
+    if _as_state(state, "state").dim != _as_basis(basis, "basis").dim:
         raise ContractViolation(f"dimension mismatch: state {state.dim}, basis {basis.dim}")
     overlaps = basis.matrix.conj().T @ state.amps
     return np.abs(overlaps) ** 2
@@ -190,9 +228,9 @@ def _prepare_distribution(probs) -> tuple[np.ndarray, np.ndarray]:
     renormalized), so an analytically impossible outcome can never be
     drawn because of round-off.
     """
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
-        raise ContractViolation("probabilities must be a finite 1-d sequence")
+    p = _numeric_vector(probs, "biuf", "probabilities").astype(float)
+    if p.size == 0 or not np.all(np.isfinite(p)):
+        raise ContractViolation("probabilities must be a finite non-empty sequence")
     if p.min() < -TOL or abs(p.sum() - 1.0) > TOL:
         raise ContractViolation(
             f"malformed distribution: min {p.min():.3e}, sum {p.sum():.12f}"
@@ -211,7 +249,7 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     if size is not None:
         size = _index(size, None, "size")
     keep, cdf = _prepare_distribution(probs)
-    draws = rng.random(size)
+    draws = _as_generator(rng, "random").random(size)
     picked = np.minimum(np.searchsorted(cdf, draws, side="right"), keep.size - 1)
     outcome = keep[picked]
     return int(outcome) if size is None else outcome
@@ -219,6 +257,6 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
     """True iff the normalized states differ by at most a unit-modulus factor."""
-    if a.dim != b.dim:
+    if _as_state(a, "state").dim != _as_state(b, "state").dim:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
     return bool(abs(np.vdot(a.amps, b.amps)) >= 1.0 - TOL)

@@ -27,6 +27,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _as_generator,
     _index,
     _readonly,
     standard_basis,
@@ -237,7 +238,7 @@ def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
     """GG*/tr(GG*) for G with independent standard complex Gaussian entries
     (the real parts of G drawn before the imaginary parts)."""
-    return DensityMatrix(_random_densities(rng, 1)[0])
+    return DensityMatrix(_random_densities(_as_generator(rng, "standard_normal"), 1)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,11 +14,9 @@ m = 0..3, outcomes k = 0..2, physicist outcomes j = 0..8.
 """
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -28,8 +26,9 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _as_basis,
+    _as_state,
     _index,
-    _prepare_distribution,
     _readonly,
     born_probabilities,
     inner_product,
@@ -204,7 +203,7 @@ def bracket_state(label, basis: OrthonormalBasis | None = None) -> StateVector:
     in each basis m, where the overlap has magnitude 3**-0.5.
     """
     lab = _check_label(label)
-    psi = basis if basis is not None else build_psi_basis()
+    psi = build_psi_basis() if basis is None else _as_basis(basis, "a psi basis", 9)
     return StateVector(psi.matrix @ _bracket_coefficients(np.array([lab]))[:, 0])
 
 
@@ -258,21 +257,27 @@ def build_physicist_basis() -> PhysicistBasis:
     return PhysicistBasis(OrthonormalBasis(vectors), PHYSICIST_LABELS)
 
 
+def _as_physicist_basis(basis) -> PhysicistBasis:
+    """The reference basis for None, ``basis`` if it is a PhysicistBasis;
+    anything else is a ContractViolation."""
+    if basis is None:
+        return build_physicist_basis()
+    if not isinstance(basis, PhysicistBasis):
+        raise ContractViolation(f"basis must be a PhysicistBasis, got {type(basis).__name__}")
+    return basis
+
+
 def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
     """The king's outcome implied by physicist outcome j, given his basis m."""
     m = _index(m, 4, "basis index")
     j = _index(j, 9, "physicist outcome")
-    if basis is None:
-        basis = build_physicist_basis()
-    elif not isinstance(basis, PhysicistBasis):
-        raise ContractViolation(f"basis must be a PhysicistBasis, got {type(basis).__name__}")
-    return basis.labels[j][m]
+    return _as_physicist_basis(basis).labels[j][m]
 
 
 def king_outcome_probabilities(psi0: StateVector, m: int) -> np.ndarray:
     """Born probabilities for measuring basis m on the given atom alone."""
     basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
-    grid = psi0.amps.reshape(3, 3)
+    grid = _as_state(psi0, "a two-atom state", 9).amps.reshape(3, 3)
     return (np.abs(basis.matrix.conj().T @ grid) ** 2).sum(axis=1)
 
 
@@ -320,67 +325,55 @@ CHUNK_ROUNDS = 2**13
 # Round i owns Philox counter block i: four 64-bit words.  Word 0 picks the
 # king's basis (its top two bits), words 1 and 2 are the king's and the
 # physicist's draws, word 3 is unused.  Generator.random() would read a word
-# w as the uniform u = (w >> 11) * 2**-53.  For a cdf step c < 1 scaling by
-# 2**53 is exact, so u >= c holds exactly when w >= ceil(c * 2**53) << 11:
-# the engine compares raw words with these integer thresholds.
+# w as the uniform u = (w >> 11) * 2**-53, and u >= c holds exactly when
+# w >= ceil(c * 2**53) << 11.  Every distribution a round draws from picks
+# one of three outcomes with probability 1/3 (``_round_engine`` certifies
+# it), so its cdf steps are 1/3 and 2/3 and a draw picks the outcome given by
+# how many of these two words it reaches.  Both are computed in integers:
+# float division rounds 2**54 / 3 down by one.
 WORDS_PER_ROUND = 4
 _UNIFORM_SHIFT = 11
+ONE_THIRD = -(-(2**53) // 3) << _UNIFORM_SHIFT
+TWO_THIRDS = -(-(2**54) // 3) << _UNIFORM_SHIFT
 
 
-class _Engine(NamedTuple):
-    """The round engine's tables.  Every distribution a round draws from has
-    three outcomes; a word picks the one given by how many of its row's two
-    thresholds it reaches.  A round's bin is 3*row + jb, where row = 3*m + k
-    and jb is the physicist's pick within that row."""
-
-    king: np.ndarray  # 4 x 2 uint64, row m
-    physicist: np.ndarray  # 12 x 2 uint64, row 3*m + k
-    outcomes: np.ndarray  # 36 x 4 int8, bin -> (m, k, j, inferred)
-
-
-def _word_thresholds(probs, what: str) -> tuple[list[int], list[int]]:
-    """The outcomes of a three-outcome distribution and the two words at
-    which a draw moves past its first and its second cdf step."""
-    keep, cdf = _prepare_distribution(probs)
-    if keep.size != 3:
-        raise RuntimeError(f"{what} has {keep.size} possible outcomes, expected 3")
-    steps = [math.ceil(c * 2.0**53) for c in cdf[:2].tolist()]
-    if not 0 <= steps[0] <= steps[1] < 2**53:
-        raise RuntimeError(f"{what} has cdf steps {cdf[:2].tolist()} outside [0, 1)")
-    return keep.tolist(), [s << _UNIFORM_SHIFT for s in steps]
+def _third_outcomes(probs, what: str) -> list[int]:
+    """The outcomes of a distribution that has exactly three, each of
+    probability 1/3 within TOL: the fact the word constants rest on."""
+    p = np.asarray(probs, dtype=float)
+    keep = np.flatnonzero(p >= TOL)
+    if keep.size != 3 or np.abs(p[keep] - 1.0 / 3.0).max() >= TOL:
+        raise RuntimeError(
+            f"{what} has outcome probabilities {p.tolist()}, expected three of 1/3 "
+            f"within {TOL:g}"
+        )
+    return keep.tolist()
 
 
 @lru_cache(maxsize=None)
-def _round_engine() -> _Engine:
-    """The round loop's tables, computed once through the projective
-    measurement path: the king's outcome distribution per basis and the
-    physicist's Born distribution per collapse."""
+def _round_engine() -> np.ndarray:
+    """The round engine's 36 x 4 int8 outcome table, built once through the
+    projective measurement path: row 9*m + 3*k + jb holds (m, k, j, inferred)
+    for the king's outcome k in basis m and the physicist's jb-th possible
+    outcome j after that collapse."""
     psi0 = prepare_psi0()
     pb = build_physicist_basis()
-    king = [
-        _word_thresholds(king_outcome_probabilities(psi0, m), f"king basis {m}")[1]
-        for m in range(4)
-    ]
-    physicist, outcomes = [], []
+    outcomes = []
     for m in range(4):
+        _third_outcomes(king_outcome_probabilities(psi0, m), f"king basis {m}")
         for k in range(3):
             collapsed = king_measure(psi0, m, None, force_outcome=k)[1]
-            keep, steps = _word_thresholds(
+            keep = _third_outcomes(
                 born_probabilities(collapsed, pb.basis), f"collapse (m={m}, k={k})"
             )
-            physicist.append(steps)
             outcomes.extend((m, k, j, pb.labels[j][m]) for j in keep)
-    return _Engine(
-        _readonly(np.array(king, dtype=np.uint64)),
-        _readonly(np.array(physicist, dtype=np.uint64)),
-        _readonly(np.array(outcomes, dtype=np.int8)),
-    )
+    return _readonly(np.array(outcomes, dtype=np.int8))
 
 
 def round_outcomes() -> np.ndarray:
     """36 x 4 read-only int8: row b is (m, k, j, inferred) of a round in
     bin b, the unit ``round_chunks`` yields."""
-    return _round_engine().outcomes
+    return _round_engine()
 
 
 def _check_basis(m) -> int | None:
@@ -406,12 +399,11 @@ def run_round(
             f"a round draws from a numpy Generator, got {type(rng).__name__}"
         ) from None
     w0, w1, w2, _ = draw(WORDS_PER_ROUND).tolist()
-    t = _round_engine()
     if m is None:
         m = w0 >> 62
-    row = 3 * m + (w1 >= t.king.item(m, 0)) + (w1 >= t.king.item(m, 1))
-    b = 3 * row + (w2 >= t.physicist.item(row, 0)) + (w2 >= t.physicist.item(row, 1))
-    m, k, j, inferred = t.outcomes[b].tolist()
+    k = (w1 >= ONE_THIRD) + (w1 >= TWO_THIRDS)
+    jb = (w2 >= ONE_THIRD) + (w2 >= TWO_THIRDS)
+    m, k, j, inferred = _round_engine()[9 * m + 3 * k + jb].tolist()
     return RoundRecord(m, k, j, inferred, inferred == k, seed, round_index)
 
 
@@ -446,18 +438,20 @@ def round_stream(seed: int, index: int) -> np.random.Generator:
 
 
 def _map_words(words: np.ndarray, basis: int | None) -> np.ndarray:
-    """Raw words, one row of WORDS_PER_ROUND per round, to int8 round bins:
-    the vectorized twin of ``run_round``."""
-    t = _round_engine()
+    """Raw words, one row of WORDS_PER_ROUND per round, to int8 round bins
+    9*m + 3*k + jb: the vectorized twin of ``run_round``."""
+    # 1-d column views: a 2-d slice such as words[:, 1:3] would give numpy
+    # inner loops of length 2
     w1, w2 = words[:, 1], words[:, 2]
+    bins = (w1 >= ONE_THIRD).view(np.int8) + (w1 >= TWO_THIRDS).view(np.int8)
+    bins *= 3
+    bins += (w2 >= ONE_THIRD).view(np.int8)
+    bins += (w2 >= TWO_THIRDS).view(np.int8)
     if basis is None:
-        m = (words[:, 0] >> 62).astype(np.intp)
-        king_lo, king_hi = t.king.T
-        row = 3 * m + (w1 >= king_lo.take(m)) + (w1 >= king_hi.take(m))
+        bins += 9 * (words[:, 0] >> 62).astype(np.int8)
     else:
-        row = 3 * basis + (w1 >= t.king[basis, 0]) + (w1 >= t.king[basis, 1])
-    lo, hi = t.physicist.T
-    return (3 * row + (w2 >= lo.take(row)) + (w2 >= hi.take(row))).astype(np.int8)
+        bins += 9 * basis
+    return bins
 
 
 def round_chunks(rounds: int, seed: int, basis: int | None = None):
@@ -501,7 +495,7 @@ class CertaintyReport:
 def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
     """Check every collapse case (m, k): exactly three physicist outcomes
     are possible, each with probability 1/3, and all of them infer k."""
-    pb = basis if basis is not None else build_physicist_basis()
+    pb = _as_physicist_basis(basis)
     trios = trio_table()
     failures: list[str] = []
     worst = 0.0

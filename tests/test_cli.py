@@ -210,6 +210,33 @@ class TestSimulate:
             main(["simulate", "--basis", "9"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--rounds", "0"],
+        ["simulate", "--rounds", "x"],
+        ["simulate", "--seed", "-1"],
+        ["verify", "--seed", str(2**64)],
+        ["simulate", "--basis", "4"],
+        ["tables", "--format", "xml"],
+        ["trace"],
+    ],
+    ids=["rounds-0", "rounds-x", "seed--1", "seed-2**64", "basis-4", "format-xml",
+         "unknown-command"],
+)
+def test_bad_flags_exit_2_with_an_error_line(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert any(line.startswith("error:") or ": error:" in line for line in lines)
+    assert "Traceback" not in captured.err
+
+
 class TestSearchBases:
     def test_count_reference_and_recertification(self, capsys):
         code, report = run_json(capsys, ["search-bases"])

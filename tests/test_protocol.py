@@ -1,7 +1,9 @@
 import itertools
+import math
 import pickle
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,12 +36,64 @@ from retroking import (
     standard_basis_vector,
     tensor_product,
 )
-from retroking import cli, protocol
+from retroking import cli, linalg, protocol
 from retroking.protocol import CHUNK_ROUNDS, king_outcome_probabilities, round_chunks
 
 INV_SQRT3 = 3**-0.5
 
 labels_strategy = st.tuples(*[st.integers(0, 2)] * 4)
+
+
+class Draw:
+    """Stands in for a Generator: random_raw() hands out the given words and
+    random() reads the first as Generator.random() would."""
+
+    def __init__(self, *words):
+        self.bit_generator = self
+        self.words = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, n):
+        return self.words[:n]
+
+    def random(self, size=None):
+        return (int(self.words[0]) >> 11) * 2.0**-53
+
+
+def exact_round(m, w1, w2):
+    """[m, k, j, inferred] by the exact rational cdf: word w draws the
+    uniform Fraction(w >> 11, 2**53) and picks the outcome given by how many
+    of the steps 1/3 and 2/3 it reaches; the physicist's outcomes after the
+    king's (m, k) are the labels with k in coordinate m, in order."""
+
+    def pick(w):
+        u = Fraction(w >> 11, 2**53)
+        return (u >= Fraction(1, 3)) + (u >= Fraction(2, 3))
+
+    k = pick(w1)
+    j = [j for j, label in enumerate(PHYSICIST_LABELS) if label[m] == k][pick(w2)]
+    return [m, k, j, infer(m, j)]
+
+
+def former_thresholds():
+    """The words ceil(c * 2**53) << 11 at which sample_outcome, on a row's
+    float Born vector, passes its two cdf steps c: king rows m = 0..3, then
+    collapse rows 3*m + k."""
+    psi0 = prepare_psi0()
+    physicist = protocol.build_physicist_basis().basis
+    rows = [king_outcome_probabilities(psi0, m) for m in range(4)]
+    rows += [
+        born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
+        for m in range(4)
+        for k in range(3)
+    ]
+    return [
+        [math.ceil(c * 2.0**53) << 11 for c in linalg._prepare_distribution(p)[1][:2].tolist()]
+        for p in rows
+    ]
+
+
+def as_lists(records):
+    return [[r.king_basis, r.king_outcome, r.physicist_outcome, r.inferred] for r in records]
 
 
 class TestPreparation:
@@ -546,62 +600,94 @@ class TestRoundChunks:
         assert report["data"]["physicist_outcomes"] == physicist.tolist()
         assert report["data"]["successes"] == n
 
-    def test_batch_and_lone_paths_agree_on_cdf_boundaries(self, physicist):
-        # words on, just below and just above every threshold, where a < / <=
-        # slip or an off-by-one in the shift would split the paths; each
-        # draw is also sampled from the explicit Born vector
-        engine = protocol._round_engine()
-        offsets = np.array([-2048, -1, 0, 1], dtype=np.int64)
-
-        def near(thresholds):
-            edges = np.unique(thresholds).astype(np.int64)
-            return np.unique(edges[:, None] + offsets).astype(np.uint64).tolist()
-
-        class Draw:
-            """Stands in for a Generator: random() reads one given word."""
-
-            def __init__(self, *words):
-                self.bit_generator = self
-                self.words = np.array(words, dtype=np.uint64)
-
-            def random_raw(self, n):
-                return self.words[:n]
-
-            def random(self, size=None):
-                return (int(self.words[0]) >> 11) * 2.0**-53
-
-        word = np.random.Philox(key=3).random_raw()
-        assert Draw(word).random() == np.random.Generator(np.random.Philox(key=3)).random()
-
-        psi0 = prepare_psi0()
-        physicist_words = near(engine.physicist)
-        rows, expected = [], []
-        for m in range(4):
-            king = king_outcome_probabilities(psi0, m)
-            for w1 in near(engine.king):
-                k = sample_outcome(king, Draw(w1))
-                born = born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1],
-                                          physicist.basis)
-                for w2 in physicist_words:
-                    j = sample_outcome(born, Draw(w2))
-                    rows.append([m << 62, w1, w2, 0])
-                    expected.append([m, k, j, infer(m, j)])
+    def test_batch_and_lone_paths_agree_on_cdf_boundaries(self):
+        # words on, just below and just above both word constants and every
+        # former float threshold, where a < / <= slip or an off-by-one in the
+        # shift would split the paths; each round is also mapped by the exact
+        # rational cdf
+        edges = {protocol.ONE_THIRD, protocol.TWO_THIRDS}
+        edges.update(itertools.chain.from_iterable(former_thresholds()))
+        near = sorted({e + d for e in edges for d in (-2048, -1, 0, 1)})
+        rows = [[m << 62, w1, w2, 0] for m in range(4) for w1 in near for w2 in near]
+        expected = [exact_round(m >> 62, w1, w2) for m, w1, w2, _ in rows]
         words = np.array(rows, dtype=np.uint64)
         outcomes = protocol.round_outcomes()
-        batch = outcomes[protocol._map_words(words, None)].tolist()
-        lone = [run_round(None, Draw(*row)) for row in words]
-        assert {m for m, *_ in expected} == {0, 1, 2, 3}
-        assert batch == expected
-        assert [[r.king_basis, r.king_outcome, r.physicist_outcome, r.inferred]
-                for r in lone] == expected
+        assert {k for _, k, *_ in expected} == {0, 1, 2}
+        assert outcomes[protocol._map_words(words, None)].tolist() == expected
+        assert as_lists(run_round(None, Draw(*row)) for row in rows) == expected
         for m in range(4):
             forced = outcomes[protocol._map_words(words[words[:, 0] == m << 62], m)]
             assert forced.tolist() == [e for e in expected if e[0] == m]
 
-    @pytest.mark.parametrize("probs", [[0.5, 0.5, 0.0], [0.25] * 4, [1.0]])
+    def test_float_path_moves_rounds_only_in_named_windows(self):
+        # sample_outcome on a float Born vector reaches a cdf step at the
+        # former threshold, the engine at the exact word constant; between
+        # the two (the other word in the middle of a third) a round moves
+        # from the float path's bin to the engine's.  Each entry is
+        # (float bin, engine bin, window width in words).
+        word = np.random.Philox(key=3).random_raw()
+        assert Draw(word).random() == np.random.Generator(np.random.Philox(key=3)).random()
+        psi0 = prepare_psi0()
+        physicist = protocol.build_physicist_basis().basis
+        outcomes = [tuple(row) for row in protocol.round_outcomes()[:, :3].tolist()]
+        middle = [(2 * i + 1) * 2**64 // 6 for i in range(3)]
+
+        def float_bin(m, w1, w2):
+            k = sample_outcome(king_outcome_probabilities(psi0, m), Draw(w1))
+            born = born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
+            return outcomes.index((m, k, sample_outcome(born, Draw(w2))))
+
+        def bins(row, w):
+            m, k = (row, 0) if row < 4 else divmod(row - 4, 3)
+            w1, w2 = (w, middle[0]) if row < 4 else (middle[k], w)
+            engine = protocol._map_words(np.array([[m << 62, w1, w2, 0]], dtype=np.uint64), None)
+            return float_bin(m, w1, w2), int(engine[0])
+
+        moved = []
+        for row, steps in enumerate(former_thresholds()):
+            for former, exact in zip(steps, (protocol.ONE_THIRD, protocol.TWO_THIRDS)):
+                lo, hi = sorted((former, exact))
+                for w in (lo - 1, hi):
+                    assert len(set(bins(row, w))) == 1, (row, w)
+                if lo < hi:
+                    assert bins(row, lo) == bins(row, hi - 1)
+                    moved.append((*bins(row, lo), hi - lo))
+        # king basis 0's second step, then collapse rows 0, 1, 2, 3, 5, 5,
+        # 6, 6, 7, 8, 9, 10, 11: at most 2 * 2**11 words each
+        assert moved == [
+            (6, 3, 2048),
+            (2, 1, 2048), (5, 4, 2048), (8, 7, 2048), (9, 10, 2048),
+            (16, 15, 2048), (17, 16, 4096), (18, 19, 2048), (19, 20, 2048),
+            (21, 22, 2048), (26, 25, 2048), (27, 28, 4096), (31, 30, 4096),
+            (34, 33, 2048),
+        ]
+
+    @given(*[st.one_of(
+        st.integers(0, 2**64 - 1),
+        st.tuples(st.sampled_from([protocol.ONE_THIRD, protocol.TWO_THIRDS]),
+                  st.integers(-(2**12), 2**12)).map(sum),
+    )] * 3)
+    def test_mapping_follows_the_exact_rule(self, w0, w1, w2):
+        words = np.array([[w0, w1, w2, 0]], dtype=np.uint64)
+        for basis in (None, 0, 1, 2, 3):
+            expected = exact_round(w0 >> 62 if basis is None else basis, w1, w2)
+            assert as_lists([run_round(basis, Draw(w0, w1, w2, 0))]) == [expected]
+            batch = protocol.round_outcomes()[protocol._map_words(words, basis)]
+            assert batch.tolist() == [expected]
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5, 0.0], [0.25] * 4, [1.0], [0.3, 0.3, 0.4]])
     def test_engine_rows_need_three_outcomes(self, probs):
-        with pytest.raises(RuntimeError, match="expected 3"):
-            protocol._word_thresholds(probs, "row")
+        with pytest.raises(RuntimeError, match="expected three of 1/3"):
+            protocol._third_outcomes(probs, "row")
+
+    def test_engine_rows_keep_the_outcomes_of_a_third(self):
+        assert protocol._third_outcomes([0, 1 / 3, 0, 1 / 3, 1 / 3], "row") == [1, 3, 4]
+
+    def test_engine_build_certifies_the_king_rows(self, monkeypatch):
+        monkeypatch.setattr(protocol, "king_outcome_probabilities",
+                            lambda psi0, m: np.array([0.3, 0.3, 0.4]))
+        with pytest.raises(RuntimeError, match="king basis 0 has outcome probabilities"):
+            protocol._round_engine.__wrapped__()
 
     def test_tally_matches_the_measurement_path(self):
         # _measured_round never reads the engine's tables
@@ -658,12 +744,9 @@ class TestRoundEngineReplayCheck:
         assert {r.king_basis for r in records} == {0, 1, 2, 3}
 
     def test_catches_a_wrong_table(self, monkeypatch):
-        engine = protocol._round_engine()
-        # physicist rows in reverse order: each collapse samples another's
-        # thresholds and outcomes
-        outcomes = engine.outcomes.copy()
-        outcomes[:, 2] = outcomes[:, 2].reshape(12, 3)[::-1].ravel()
-        wrong = engine._replace(physicist=engine.physicist[::-1], outcomes=outcomes)
+        # the physicist outcomes of each collapse's three bins in reverse order
+        wrong = protocol._round_engine().copy()
+        wrong[:, 2] = wrong[:, 2].reshape(12, 3)[:, ::-1].ravel()
         monkeypatch.setattr(protocol, "_round_engine", lambda: wrong)
         check = self.replay_check()
         assert not check.passed
