@@ -44,7 +44,6 @@ from .protocol import (
     CertaintyReport,
     PhysicistBasis,
     RoundRecord,
-    TrioTable,
     bracket_overlap,
     bracket_state,
     build_physicist_basis,
@@ -60,7 +59,7 @@ from .protocol import (
     run_round,
     search_bases,
     simulate_rounds,
-    trio_table,
+    trio_matrix,
 )
 from .reporting import Check, all_passed
 

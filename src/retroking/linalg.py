@@ -13,7 +13,7 @@ to it.
 
 import operator
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +21,6 @@ import numpy as np
 # All constants in play are 1/sqrt(3), 1/3, and cube roots of unity, so
 # round-off at these dimensions sits many orders of magnitude below this.
 TOL = 1e-10
-
-AtomSlot = Literal["given", "auxiliary"]
 
 
 class ContractViolation(ValueError):
@@ -188,25 +186,17 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(np.kron(a.amps, b.amps))
 
 
-def project_and_normalize(
-    state: StateVector, subspace_vector: StateVector, slot: AtomSlot = "given"
-) -> StateVector:
-    """Collapse one atom of a two-atom state onto a single-atom vector.
+def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> StateVector:
+    """Collapse the given atom of a two-atom state onto a single-atom vector.
 
-    Applies the rank-1 projector onto ``subspace_vector`` on the selected
-    atom slot (identity on the other) and renormalizes.  Raises
+    Applies the rank-1 projector onto ``subspace_vector`` on the given atom
+    (identity on the auxiliary one) and renormalizes.  Raises
     ``ImpossibleOutcome`` when the projection is (numerically) zero, i.e.
     the requested outcome cannot occur.
     """
     grid = _as_state(state, "a two-atom state", 9).amps.reshape(3, 3)
     v = _as_state(subspace_vector, "a single-atom vector", 3).amps
-    if not isinstance(slot, str) or slot not in ("given", "auxiliary"):
-        raise ContractViolation(f"unknown atom slot {slot!r}")
-    if slot == "given":
-        projected = np.outer(v, v.conj()) @ grid
-    else:
-        projected = grid @ np.outer(v.conj(), v)
-    flat = projected.reshape(-1)
+    flat = (np.outer(v, v.conj()) @ grid).reshape(-1)
     norm = np.linalg.norm(flat)
     if norm < TOL:
         raise ImpossibleOutcome("projection removed the whole state")

@@ -27,7 +27,9 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _as_basis,
     _as_generator,
+    _as_state,
     _index,
     _readonly,
     standard_basis,
@@ -70,9 +72,12 @@ class MubSet:
     projectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim not in (2, 3):
+        if _index(self.dim, None, "dimension") not in (2, 3):
             raise ContractViolation(f"unsupported dimension {self.dim}")
-        bases = tuple(self.bases)
+        try:
+            bases = tuple(_as_basis(b, "a basis of the set") for b in self.bases)
+        except TypeError:
+            raise ContractViolation("a MUB set takes a sequence of bases") from None
         if len(bases) != self.dim + 1:
             raise ContractViolation(
                 f"dimension {self.dim} takes {self.dim + 1} bases, got {len(bases)}"
@@ -139,7 +144,10 @@ def certify_unbiasedness(
     if isinstance(bases, MubSet):
         grids = bases.matrices
     else:
-        vectors = [[v.amps for v in basis] for basis in bases]
+        try:
+            vectors = [[_as_state(v, "a basis vector").amps for v in basis] for basis in bases]
+        except TypeError:
+            raise ContractViolation("a family takes a MubSet or sequences of vectors") from None
         if not vectors or not all(vectors):
             raise ContractViolation("a family needs bases, and each basis needs vectors")
         dims = {a.shape[0] for basis in vectors for a in basis}
@@ -254,8 +262,15 @@ class ProbabilityTable:
         object.__setattr__(self, "values", _readonly(v[0]))
 
 
+def _as_mub_set(mubs) -> MubSet:
+    """``mubs`` if it is a MubSet; anything else is a ContractViolation."""
+    if not isinstance(mubs, MubSet):
+        raise ContractViolation(f"mubs must be a MubSet, got {type(mubs).__name__}")
+    return mubs
+
+
 def _qutrit_projectors(mubs: MubSet) -> np.ndarray:
-    if mubs.dim != 3:
+    if _as_mub_set(mubs).dim != 3:
         raise ContractViolation("tomography is defined for the qutrit set only")
     return mubs.projectors
 
@@ -300,7 +315,7 @@ def probability_map_rank(mubs: MubSet) -> int:
     is its real Hilbert-Schmidt product with the projector |m_k><m_k|, so the
     rank is that of the projectors' real and imaginary parts side by side.
     """
-    projectors = mubs.projectors
+    projectors = _as_mub_set(mubs).projectors
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 

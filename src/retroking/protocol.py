@@ -34,7 +34,6 @@ from .linalg import (
     inner_product,
     project_and_normalize,
     sample_outcome,
-    tensor_product,
 )
 from .mub import OMEGA, build_qutrit_mubs, fourier_matrix
 from .reporting import Check
@@ -101,14 +100,6 @@ def agreement_matrix() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _compatible_masks() -> tuple[int, ...]:
-    """Bit j of entry i is set when labels i and j agree in exactly one coordinate."""
-    return tuple(
-        sum(1 << j for j in np.flatnonzero(row == 1).tolist()) for row in agreement_matrix()
-    )
-
-
-@lru_cache(maxsize=None)
 def prepare_psi0() -> StateVector:
     """The entangled two-atom preparation.
 
@@ -121,44 +112,25 @@ def prepare_psi0() -> StateVector:
     return StateVector(amps)
 
 
-@dataclass(frozen=True, eq=False)
-class TrioTable:
-    """The 4 trios of possible two-atom states after the king's measurement.
-
-    ``states[m][k]`` is the product of the given atom's |m_k> with the
-    auxiliary atom's partner ket.  Within fixed m the three members are
-    mutually orthogonal.
-    """
-
-    states: tuple[tuple[StateVector, StateVector, StateVector], ...]
-
-    def state(self, m: int, k: int) -> StateVector:
-        return self.states[m][k]
-
-
 @lru_cache(maxsize=None)
-def trio_table() -> TrioTable:
-    mubs = build_qutrit_mubs()
-    rows = []
-    for m in range(4):
-        partner = mubs.bases[PARTNER_BASIS[m]]
-        rows.append(
-            tuple(
-                tensor_product(mubs.bases[m][k], partner[partner_outcome(m, k)])
-                for k in range(3)
-            )
-        )
-    return TrioTable(tuple(rows))
+def trio_matrix() -> np.ndarray:
+    """The 4 trios of possible two-atom states after the king's measurement,
+    as a 12 x 9 read-only array: row 3*m + k is the product of the given
+    atom's |m_k> with the auxiliary atom's partner ket.  Within fixed m the
+    three rows are orthonormal."""
+    kets = build_qutrit_mubs().matrices.transpose(0, 2, 1)  # kets[m, k] = |m_k>
+    partners = np.array(
+        [kets[PARTNER_BASIS[m], partner_outcome(m, k)] for m in range(4) for k in range(3)]
+    )
+    # the broadcast product is tensor_product's np.kron, bit for bit
+    return _readonly((kets.reshape(12, 3)[:, :, None] * partners[:, None, :]).reshape(12, 9))
 
 
 def entangled_forms() -> tuple[StateVector, StateVector, StateVector, StateVector]:
     """One decomposition of the preparation per king basis: the normalized
     sum of each trio.  All four come out as the same vector."""
-    trios = trio_table()
-    return tuple(
-        StateVector(sum(trios.state(m, k).amps for k in range(3)) / np.sqrt(3))
-        for m in range(4)
-    )
+    sums = trio_matrix().reshape(4, 3, 9).sum(axis=1) / np.sqrt(3)
+    return tuple(StateVector(form) for form in sums)
 
 
 @lru_cache(maxsize=None)
@@ -170,18 +142,14 @@ def build_psi_basis() -> OrthonormalBasis:
     that each trio equals (psi_0, psi_2m+1, psi_2m+2) times the mixing
     matrix, exactly and not merely up to phase.
     """
-    mixing = fourier_matrix()
-    trios = trio_table()
     psi0 = prepare_psi0().amps
-    columns = [psi0] + [None] * 8
-    for m in range(4):
-        t = np.stack([trios.state(m, k).amps for k in range(3)], axis=1)
-        unmixed = t @ mixing.conj().T
-        drift = np.abs(unmixed[:, 0] - psi0).max()
-        if drift >= TOL:
-            raise RuntimeError(f"trio {m} un-mixes to a shared column off psi_0 by {drift:.3e}")
-        columns[2 * m + 1] = unmixed[:, 1]
-        columns[2 * m + 2] = unmixed[:, 2]
+    # unmixed[m] holds the columns of trio m, un-mixed
+    unmixed = trio_matrix().reshape(4, 3, 9).transpose(0, 2, 1) @ fourier_matrix().conj().T
+    drift = np.abs(unmixed[:, :, 0] - psi0).max(axis=1)
+    if drift.max() >= TOL:
+        m = int(drift.argmax())
+        raise RuntimeError(f"trio {m} un-mixes to a shared column off psi_0 by {drift[m]:.3e}")
+    columns = [psi0, *unmixed[:, :, 1:].transpose(0, 2, 1).reshape(8, 9)]
     return OrthonormalBasis(tuple(StateVector(c) for c in columns))
 
 
@@ -235,8 +203,12 @@ class PhysicistBasis:
     labels: tuple[BracketLabel, ...]
 
     def __post_init__(self):
-        labels = tuple(_check_label(lab) for lab in self.labels)
-        if len(labels) != 9 or self.basis.dim != 9:
+        _as_basis(self.basis, "a physicist basis", 9)
+        try:
+            labels = tuple(_check_label(lab) for lab in self.labels)
+        except TypeError:
+            raise ContractViolation("a physicist basis takes a sequence of labels") from None
+        if len(labels) != 9:
             raise ContractViolation("a physicist basis holds nine labelled dim-9 states")
         agreement = _agreements(np.array(labels))
         clashes = np.argwhere(np.triu(agreement != 1, 1))
@@ -302,7 +274,7 @@ def king_measure(
     else:
         k = _index(force_outcome, 3, "forced outcome")
     basis = build_qutrit_mubs().bases[m]
-    return k, project_and_normalize(psi0, basis[k], "given")
+    return k, project_and_normalize(psi0, basis[k])
 
 
 @dataclass(frozen=True, slots=True)
@@ -350,23 +322,27 @@ def _third_outcomes(probs, what: str) -> list[int]:
     return keep.tolist()
 
 
+def _collapse_born(pb: PhysicistBasis) -> np.ndarray:
+    """12 x 9: entry (3*m + k, j) is the probability of physicist outcome j
+    after the king's outcome k in basis m, |<P_j|trio (m, k)>|^2."""
+    return np.abs(trio_matrix().conj() @ pb.basis.matrix) ** 2
+
+
 @lru_cache(maxsize=None)
 def _round_engine() -> np.ndarray:
-    """The round engine's 36 x 4 int8 outcome table, built once through the
-    projective measurement path: row 9*m + 3*k + jb holds (m, k, j, inferred)
-    for the king's outcome k in basis m and the physicist's jb-th possible
-    outcome j after that collapse."""
+    """The round engine's 36 x 4 int8 outcome table: row 9*m + 3*k + jb
+    holds (m, k, j, inferred) for the king's outcome k in basis m and the
+    physicist's jb-th possible outcome j after that collapse.  Every king
+    and collapse row is certified to have three outcomes of 1/3."""
     psi0 = prepare_psi0()
     pb = build_physicist_basis()
-    outcomes = []
     for m in range(4):
         _third_outcomes(king_outcome_probabilities(psi0, m), f"king basis {m}")
-        for k in range(3):
-            collapsed = king_measure(psi0, m, None, force_outcome=k)[1]
-            keep = _third_outcomes(
-                born_probabilities(collapsed, pb.basis), f"collapse (m={m}, k={k})"
-            )
-            outcomes.extend((m, k, j, pb.labels[j][m]) for j in keep)
+    outcomes = []
+    for row, probs in enumerate(_collapse_born(pb)):
+        m, k = divmod(row, 3)
+        keep = _third_outcomes(probs, f"collapse (m={m}, k={k})")
+        outcomes.extend((m, k, j, pb.labels[j][m]) for j in keep)
     return _readonly(np.array(outcomes, dtype=np.int8))
 
 
@@ -496,27 +472,21 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
     """Check every collapse case (m, k): exactly three physicist outcomes
     are possible, each with probability 1/3, and all of them infer k."""
     pb = _as_physicist_basis(basis)
-    trios = trio_table()
-    failures: list[str] = []
-    worst = 0.0
-    outcomes = 0
-    for m in range(4):
-        for k in range(3):
-            probs = born_probabilities(trios.state(m, k), pb.basis)
-            compatible = np.flatnonzero(probs > TOL)
-            outcomes += compatible.size
-            if compatible.size != 3:
-                failures.append(
-                    f"(m={m}, k={k}): {compatible.size} compatible outcomes, expected 3"
-                )
-            for j in compatible:
-                guessed = infer(m, int(j), pb)
-                if guessed != k:
-                    failures.append(f"(m={m}, k={k}, j={int(j)}): inferred {guessed}")
-            if compatible.size:
-                worst = max(worst, float(np.abs(probs[compatible] - 1.0 / 3.0).max()))
+    born = _collapse_born(pb)
+    compatible = born > TOL
+    failures = [
+        f"(m={row // 3}, k={row % 3}): {n} compatible outcomes, expected 3"
+        for row, n in enumerate(compatible.sum(axis=1).tolist())
+        if n != 3
+    ]
+    for row, j in np.argwhere(compatible).tolist():
+        m, k = divmod(row, 3)
+        guessed = infer(m, j, pb)
+        if guessed != k:
+            failures.append(f"(m={m}, k={k}, j={j}): inferred {guessed}")
+    worst = float(np.abs(born[compatible] - 1.0 / 3.0).max(initial=0.0))
     passed = not failures and worst < TOL
-    return CertaintyReport(passed, 12, outcomes, worst, tuple(failures))
+    return CertaintyReport(passed, 12, int(compatible.sum()), worst, tuple(failures))
 
 
 def label_set_deviations(label_sets) -> np.ndarray:
@@ -535,43 +505,41 @@ def label_set_deviations(label_sets) -> np.ndarray:
 
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     """Every 9-label set whose members pairwise agree in exactly one
-    coordinate, found by backtracking over the 81 labels.
+    coordinate: the sets {(a, b, f[a, b], g[a, b])} over the ordered pairs
+    (f, g) of orthogonal Latin squares of order 3 (Hayashi, Horibe and
+    Hashimoto, Phys. Rev. A 71, 052331 (2005)).
 
-    Two labels with equal (k0, k1) agree in at least two coordinates, so a
-    valid set holds each of the nine (k0, k1) pairs exactly once: sorted,
-    its member d has (k0, k1) = divmod(d, 3) and lies in block d of
-    ALL_LABELS (indices 9d .. 9d+8).  Depth d of the search branches only
-    over that block.  Each returned set is sorted and the result is sorted,
-    so the output is canonical; every set is re-certified at the state
-    level (nine bracket states forming an orthonormal basis) before being
-    returned.
+    This is exhaustive.  Two labels of a valid set agree in at most one
+    coordinate, so any two of its columns take each of the nine value pairs
+    exactly once: every pair of columns is a bijection onto Z3^2.  Ordered
+    by (k0, k1), columns 2 and 3 are therefore Latin squares in (k0, k1),
+    and orthogonal to each other; conversely each such pair gives a valid
+    set.  The squares are the stackings of three row permutations whose
+    columns are permutations too.  Each returned set is sorted (its (a, b)
+    run row-major) and the result is sorted, so the output is canonical;
+    every set is re-certified at the state level (nine bracket states
+    forming an orthonormal basis) before being returned.
     """
-    compatible = _compatible_masks()
-    found: list[tuple[int, ...]] = []
-
-    def extend(chain: tuple[int, ...], candidates: int) -> None:
-        depth = len(chain)
-        if depth == 9:
-            found.append(chain)
-            return
-        block = candidates & (0x1FF << 9 * depth)
-        while block:
-            lowest = block & -block
-            block ^= lowest
-            v = lowest.bit_length() - 1
-            extend(chain + (v,), candidates & compatible[v])
-
-    extend((), (1 << len(ALL_LABELS)) - 1)
-
-    sets = tuple(tuple(ALL_LABELS[i] for i in indices) for indices in found)
-    deviations = label_set_deviations(sets)
+    perms = np.array(list(itertools.permutations(range(3))))
+    stacks = perms[np.array(list(itertools.product(range(6), repeat=3)))]
+    # bit v of a mask is set when the value v occurs: a column holding all
+    # three values has mask 0b111, and 3f + g taking all nine has 0x1FF
+    squares = stacks[(np.bitwise_or.reduce(1 << stacks, axis=1) == 0b111).all(axis=1)]
+    codes = (3 * squares[:, None] + squares[None]).reshape(len(squares), len(squares), 9)
+    f, g = np.nonzero(np.bitwise_or.reduce(1 << codes, axis=-1) == 0x1FF)
+    a, b = np.divmod(np.arange(9), 3)
+    labels = np.stack(
+        np.broadcast_arrays(a, b, squares[f].reshape(-1, 9), squares[g].reshape(-1, 9)),
+        axis=-1,
+    )
+    deviations = label_set_deviations(labels)
     if deviations.max(initial=0.0) >= TOL:
         worst = int(deviations.argmax())
         raise RuntimeError(
-            f"label set {sets[worst]} fails state-level orthonormality: "
+            f"label set {labels[worst].tolist()} fails state-level orthonormality: "
             f"Gram deviation {deviations[worst]:.3e}"
         )
-    return sets
+    return tuple(sorted(tuple(map(tuple, s)) for s in labels.tolist()))
 
 
 # Rounds of seed 0 that ``invariant_checks`` plays through both the round
@@ -606,26 +574,19 @@ def invariant_checks() -> list[Check]:
     dev = float(np.abs(mixing.conj().T @ mixing - np.eye(3)).max())
     checks.append(Check("mixing-unitarity", dev < TOL, dev))
 
-    dev = max(
-        abs(inner_product(psi[2 * m + 1], psi[2 * m + 2])) for m in range(4)
-    )
+    kets = psi.matrix.T  # row i is psi_i
+    dev = float(np.abs((kets[1::2].conj() * kets[2::2]).sum(axis=1)).max())
     checks.append(Check("paired-orthogonality", dev < TOL, dev))
 
-    trios = trio_table()
-    dev = 0.0
-    for m in range(4):
-        triple = np.stack(
-            [psi[0].amps, psi[2 * m + 1].amps, psi[2 * m + 2].amps], axis=1
-        )
-        remixed = triple @ mixing
-        for k in range(3):
-            dev = max(dev, float(np.abs(remixed[:, k] - trios.state(m, k).amps).max()))
+    trios = trio_matrix()
+    # row k of (mixing^T @ triples[m]) is column k of (psi_0, psi_2m+1, psi_2m+2) @ mixing
+    triples = np.stack(np.broadcast_arrays(kets[0], kets[1::2], kets[2::2]), axis=1)
+    dev = float(np.abs(mixing.T @ triples - trios.reshape(4, 3, 9)).max())
     checks.append(Check("trio-reconstruction", dev < TOL, dev))
 
     # overlaps[m, k, i] = <trio (m, k)|bracket i>: magnitude 3**-0.5 where label i
     # has k_m = k, zero elsewhere.
-    trio_grid = np.array([[trios.state(m, k).amps for k in range(3)] for m in range(4)])
-    overlaps = trio_grid.conj() @ bracket_matrix()
+    overlaps = (trios.conj() @ bracket_matrix()).reshape(4, 3, -1)
     selected = label_matrix().T[:, None, :] == np.arange(3)[None, :, None]
     dev = float(
         np.where(selected, np.abs(np.abs(overlaps) ** 2 - 1.0 / 3.0), np.abs(overlaps)).max()

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 
 from retroking import (
+    StateVector,
     build_physicist_basis,
     build_psi_basis,
     build_qubit_mubs,
     build_qutrit_mubs,
-    trio_table,
+    trio_matrix,
 )
 
 hypothesis.settings.register_profile("default", deadline=None)
@@ -26,7 +27,9 @@ def qubit_mubs():
 
 @pytest.fixture(scope="session")
 def trios():
-    return trio_table()
+    """trios(m, k) is the trio member (m, k): row 3*m + k of trio_matrix()."""
+    rows = trio_matrix()
+    return lambda m, k: StateVector(rows[3 * m + k])
 
 
 @pytest.fixture(scope="session")

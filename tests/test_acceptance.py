@@ -14,6 +14,7 @@ import numpy as np
 from retroking import (
     ALL_LABELS,
     PHYSICIST_LABELS,
+    StateVector,
     bracket_overlap,
     bracket_state,
     born_probabilities,
@@ -34,7 +35,7 @@ from retroking import (
     sample_outcome,
     search_bases,
     simulate_rounds,
-    trio_table,
+    trio_matrix,
 )
 from retroking.cli import main
 
@@ -107,12 +108,12 @@ def test_bracket_overlap_law():
 
 def test_bracket_defining_property():
     with criterion("bracket-defining-property"):
-        trios = trio_table()
+        trios = trio_matrix()
         for label in ALL_LABELS:
             state = bracket_state(label)
             for m in range(4):
                 for k in range(3):
-                    overlap = inner_product(trios.state(m, k), state)
+                    overlap = inner_product(StateVector(trios[3 * m + k]), state)
                     if k == label[m]:
                         assert abs(abs(overlap) ** 2 - 1 / 3) < 1e-10
                     else:
@@ -199,9 +200,9 @@ def test_inference_always_names_the_kings_result():
     # agrees with the compatibility pattern for every basis and outcome
     with criterion("inference-consistency"):
         physicist = build_physicist_basis()
-        trios = trio_table()
+        trios = trio_matrix()
         for m in range(4):
             for k in range(3):
-                probs = born_probabilities(trios.state(m, k), physicist.basis)
+                probs = born_probabilities(StateVector(trios[3 * m + k]), physicist.basis)
                 for j in np.flatnonzero(probs > 1e-10):
                     assert infer(m, int(j), physicist) == k

@@ -8,18 +8,24 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from retroking import (
+    Check,
     ContractViolation,
     ImpossibleOutcome,
+    MubSet,
     OrthonormalBasis,
+    PhysicistBasis,
     StateVector,
     born_probabilities,
     bracket_state,
+    certify_unbiasedness,
     equal_up_to_global_phase,
     exhaustive_verify,
     infer,
     inner_product,
     king_measure,
     prepare_psi0,
+    probabilities_from_density,
+    probability_map_rank,
     project_and_normalize,
     random_density_matrix,
     sample_outcome,
@@ -46,12 +52,21 @@ from retroking import (
         lambda: sample_outcome("ab", np.random.default_rng(0)),
         lambda: random_density_matrix(None),
         lambda: exhaustive_verify("x"),
+        lambda: Check(1, 2, "x"),
+        lambda: Check(1, True, 0.0),
+        lambda: probabilities_from_density(np.eye(3) / 3, 5),
+        lambda: probability_map_rank(5),
+        lambda: certify_unbiasedness(5),
+        lambda: MubSet(3, 5),
+        lambda: PhysicistBasis(1, 2),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "inner-product-int", "tensor-product-none",
         "born-str-state", "born-list-basis", "project-int-state", "basis-of-int",
         "king-measure-int-state", "bracket-qutrit-basis", "sample-no-generator",
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
+        "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
+        "certify-int", "mub-set-int-bases", "physicist-basis-ints",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):
@@ -94,7 +109,6 @@ ENTRY_POINTS = {
     "born-basis": lambda a, b: born_probabilities(prepare_psi0(), a),
     "project": lambda a, b: project_and_normalize(a, b),
     "project-vector": lambda a, b: project_and_normalize(prepare_psi0(), a),
-    "project-slot": lambda a, b: project_and_normalize(prepare_psi0(), qutrit, a),
     "basis": lambda a, b: OrthonormalBasis(a),
     "basis-of-two": lambda a, b: OrthonormalBasis([a, b]),
     "king-measure": lambda a, b: king_measure(a, 0, None, b),
@@ -106,6 +120,13 @@ ENTRY_POINTS = {
     "random-density": lambda a, b: random_density_matrix(a),
     "exhaustive-verify": lambda a, b: exhaustive_verify(a),
     "infer": lambda a, b: infer(a, b),
+    "check": lambda a, b: Check("x", a, b),
+    "probabilities-mubs": lambda a, b: probabilities_from_density(np.eye(3) / 3, a),
+    "map-rank": lambda a, b: probability_map_rank(a),
+    "certify": lambda a, b: certify_unbiasedness(a),
+    "mub-set": lambda a, b: MubSet(a, b),
+    "mub-set-bases": lambda a, b: MubSet(3, a),
+    "physicist-basis": lambda a, b: PhysicistBasis(a, b),
 }
 
 

@@ -125,40 +125,32 @@ class TestTensorProduct:
 
 class TestProjectAndNormalize:
     def test_given_slot_collapse(self, qutrit_mubs, trios):
-        collapsed = project_and_normalize(prepare_psi0(), qutrit_mubs.bases[1][0], "given")
-        assert equal_up_to_global_phase(collapsed, trios.state(1, 0))
+        collapsed = project_and_normalize(prepare_psi0(), qutrit_mubs.bases[1][0])
+        assert equal_up_to_global_phase(collapsed, trios(1, 0))
 
     def test_fourth_basis_pairs_swapped_outcomes(self, qutrit_mubs, trios):
-        collapsed = project_and_normalize(prepare_psi0(), qutrit_mubs.bases[3][1], "given")
-        assert equal_up_to_global_phase(collapsed, trios.state(3, 1))
+        collapsed = project_and_normalize(prepare_psi0(), qutrit_mubs.bases[3][1])
+        assert equal_up_to_global_phase(collapsed, trios(3, 1))
         # i.e. the auxiliary atom carries outcome 2 of basis 3
         aux = tensor_product(qutrit_mubs.bases[3][1], qutrit_mubs.bases[3][2])
         assert equal_up_to_global_phase(collapsed, aux)
 
-    def test_auxiliary_slot_collapse(self, qutrit_mubs, trios):
-        collapsed = project_and_normalize(prepare_psi0(), qutrit_mubs.bases[1][2], "auxiliary")
-        # projecting the auxiliary atom onto |1_2> leaves the given atom in |2_2>
-        expected = tensor_product(qutrit_mubs.bases[2][2], qutrit_mubs.bases[1][2])
-        assert equal_up_to_global_phase(collapsed, expected)
-
     def test_impossible_outcome(self):
         two_atom = tensor_product(standard_basis_vector(3, 0), standard_basis_vector(3, 0))
         with pytest.raises(ImpossibleOutcome):
-            project_and_normalize(two_atom, standard_basis_vector(3, 1), "given")
+            project_and_normalize(two_atom, standard_basis_vector(3, 1))
 
-    def test_rejects_bad_dimensions_and_slot(self):
+    def test_rejects_bad_dimensions(self):
         with pytest.raises(ContractViolation):
             project_and_normalize(standard_basis_vector(3, 0), standard_basis_vector(3, 0))
         with pytest.raises(ContractViolation):
             project_and_normalize(prepare_psi0(), standard_basis_vector(2, 0))
-        with pytest.raises(ContractViolation):
-            project_and_normalize(prepare_psi0(), standard_basis_vector(3, 0), "middle")
 
-    @given(seeds, seeds, st.sampled_from(["given", "auxiliary"]))
-    def test_output_normalized(self, sa, sb, slot):
+    @given(seeds, seeds)
+    def test_output_normalized(self, sa, sb):
         state, direction = random_state(sa, 9), random_state(sb, 3)
         try:
-            out = project_and_normalize(state, direction, slot)
+            out = project_and_normalize(state, direction)
         except ImpossibleOutcome:
             return
         assert np.linalg.norm(out.amps) == pytest.approx(1.0, abs=1e-12)
@@ -175,7 +167,7 @@ class TestBornProbabilities:
 
     def test_collapsed_state_in_physicist_basis(self, trios, physicist):
         # |0_1 0_1>: probability 1/3 on exactly the outcomes whose label starts with 1
-        probs = born_probabilities(trios.state(0, 1), physicist.basis)
+        probs = born_probabilities(trios(0, 1), physicist.basis)
         expected = [1 / 3 if lab[0] == 1 else 0.0 for lab in PHYSICIST_LABELS]
         assert probs == pytest.approx(expected, abs=1e-12)
 

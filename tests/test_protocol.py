@@ -4,6 +4,7 @@ import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from retroking import (
     simulate_rounds,
     standard_basis_vector,
     tensor_product,
+    trio_matrix,
 )
 from retroking import cli, linalg, protocol
 from retroking.protocol import CHUNK_ROUNDS, king_outcome_probabilities, round_chunks
@@ -128,13 +130,13 @@ class TestTrioTable:
                     qutrit_mubs.bases[m][k],
                     qutrit_mubs.bases[PARTNER_BASIS[m]][partner_outcome(m, k)],
                 )
-                assert np.abs(trios.state(m, k).amps - expected.amps).max() == 0
+                assert np.abs(trios(m, k).amps - expected.amps).max() == 0
 
     def test_within_trio_orthogonality(self, trios):
         for m in range(4):
             for k in range(3):
                 for kp in range(k + 1, 3):
-                    value = inner_product(trios.state(m, k), trios.state(m, kp))
+                    value = inner_product(trios(m, k), trios(m, kp))
                     assert abs(value) < 1e-12
 
 
@@ -142,7 +144,7 @@ class TestKingMeasure:
     def test_forced_collapse_reference_basis(self, trios):
         k, collapsed = king_measure(prepare_psi0(), 0, None, force_outcome=1)
         assert k == 1
-        assert equal_up_to_global_phase(collapsed, trios.state(0, 1))
+        assert equal_up_to_global_phase(collapsed, trios(0, 1))
 
     def test_forced_collapse_fourth_basis(self, qutrit_mubs):
         _, collapsed = king_measure(prepare_psi0(), 3, None, force_outcome=2)
@@ -153,7 +155,7 @@ class TestKingMeasure:
         for m in range(4):
             for k in range(3):
                 _, collapsed = king_measure(prepare_psi0(), m, None, force_outcome=k)
-                assert equal_up_to_global_phase(collapsed, trios.state(m, k))
+                assert equal_up_to_global_phase(collapsed, trios(m, k))
 
     def test_outcomes_uniform(self, rng):
         n = 3000
@@ -277,7 +279,7 @@ class TestPsiBasis:
         triple = np.stack([psi_basis[j].amps for j in (0, 1, 2)], axis=1)
         remixed = triple @ mixing
         for k in range(3):
-            assert np.abs(remixed[:, k] - trios.state(0, k).amps).max() < 1e-12
+            assert np.abs(remixed[:, k] - trios(0, k).amps).max() < 1e-12
 
     def test_mixing_reproduces_every_trio_exactly(self, psi_basis, trios, qutrit_mubs):
         mixing = qutrit_mubs.bases[3].matrix
@@ -289,7 +291,7 @@ class TestPsiBasis:
             remixed = triple @ mixing
             for k in range(3):
                 # equality on the nose, not merely up to a phase
-                assert np.abs(remixed[:, k] - trios.state(m, k).amps).max() < 1e-12
+                assert np.abs(remixed[:, k] - trios(m, k).amps).max() < 1e-12
 
     def test_paired_states_orthogonal(self, psi_basis):
         for m in range(4):
@@ -311,7 +313,7 @@ class TestBracketStates:
             state = bracket_state(label)
             for m in range(4):
                 for k in range(3):
-                    value = inner_product(trios.state(m, k), state)
+                    value = inner_product(trios(m, k), state)
                     if k == label[m]:
                         assert abs(value) == pytest.approx(INV_SQRT3, abs=1e-10)
                     else:
@@ -406,6 +408,57 @@ class TestDoctoredBracketFamily:
     def test_search_raises(self, doctored):
         with pytest.raises(RuntimeError, match="orthonormality"):
             search_bases()
+
+
+def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):
+    protocol.invariant_checks()  # every cache built from the true psi basis
+    matrix = protocol.build_psi_basis().matrix.copy()
+    matrix[:, 4] = matrix[:, 3]  # pair m = 1 made parallel
+    monkeypatch.setattr(protocol, "build_psi_basis", lambda: SimpleNamespace(matrix=matrix))
+    check = next(c for c in protocol.invariant_checks() if c.name == "paired-orthogonality")
+    assert not check.passed
+
+
+class TestDoctoredTrioMatrix:
+    """Certification must notice a trio matrix whose rows are not the
+    collapses they stand for."""
+
+    @pytest.fixture
+    def doctored(self, monkeypatch):
+        protocol.build_psi_basis()  # cached from the true trios
+        # the rows of trio 1 in the order (1, 1), (1, 2), (1, 0)
+        trios = protocol.trio_matrix().copy()
+        trios[3:6] = np.roll(trios[3:6], -1, axis=0)
+        monkeypatch.setattr(protocol, "trio_matrix", lambda: trios)
+        protocol._round_engine.cache_clear()
+        yield
+        protocol._round_engine.cache_clear()
+
+    @pytest.mark.parametrize(
+        "name", ["trio-reconstruction", "retrodiction-certainty", "round-engine-replay"]
+    )
+    def test_verify_check_fails(self, doctored, name):
+        check = next(c for c in protocol.invariant_checks() if c.name == name)
+        assert not check.passed
+
+    def test_engine_rows_still_look_like_thirds(self, doctored):
+        # every collapse row keeps three outcomes of 1/3, so only the
+        # explicit-path replay can tell that basis 1's rows moved
+        engine = protocol._round_engine()
+        assert engine.shape == (36, 4)
+        assert (engine[9:18, 3] != engine[9:18, 1]).all()
+
+
+class TestCollapseBorn:
+    def test_a_third_exactly_where_the_label_names_the_outcome(self, physicist):
+        labels = np.array(physicist.labels).T  # labels[m, j] = label_j[m]
+        m, k = np.divmod(np.arange(12), 3)
+        expected = (labels[m] == k[:, None]) / 3.0
+        assert np.abs(protocol._collapse_born(physicist) - expected).max() < 1e-15
+
+    def test_trio_matrix_is_read_only(self):
+        assert trio_matrix().shape == (12, 9)
+        assert not trio_matrix().flags.writeable
 
 
 class TestBracketOverlap:
@@ -784,6 +837,19 @@ class TestSearchBases:
         for labels in sets:
             assert list(labels) == sorted(labels)
         assert len(set(sets)) == len(sets)
+
+    def test_sets_are_orthogonal_latin_square_pairs(self):
+        pairs = set()
+        for labels in search_bases():
+            a, b, f, g = np.array(labels).T
+            assert a.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+            assert b.tolist() == [0, 1, 2] * 3
+            for square in (f.reshape(3, 3), g.reshape(3, 3)):
+                assert (np.sort(square, axis=0) == np.arange(3)[:, None]).all()
+                assert (np.sort(square, axis=1) == np.arange(3)).all()
+            assert sorted(3 * f + g) == list(range(9))
+            pairs.add((tuple(f), tuple(g)))
+        assert len(pairs) == 72
 
     def test_pairwise_orthogonality_criterion(self):
         for labels in search_bases():
