@@ -12,7 +12,6 @@ from .linalg import (
     OrthonormalBasis,
     StateVector,
     born_probabilities,
-    equal_up_to_global_phase,
     inner_product,
     project_and_normalize,
     sample_outcome,

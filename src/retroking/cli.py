@@ -22,7 +22,6 @@ from .linalg import TOL, ContractViolation, _index
 from .mub import OMEGA
 from .reporting import Check, all_passed
 
-COMMANDS = ("verify", "tables", "simulate", "search-bases", "tomography")
 TOMOGRAPHY_STATES = ("random", "mixed", "pure")
 
 
@@ -160,19 +159,10 @@ def cmd_tomography(config: RunConfig) -> tuple[list[Check], dict]:
     return checks, data
 
 
-_HANDLERS = {
-    "verify": cmd_verify,
-    "tables": cmd_tables,
-    "simulate": cmd_simulate,
-    "search-bases": cmd_search,
-    "tomography": cmd_tomography,
-}
-
-
 def run(config: RunConfig) -> dict:
     """Execute one command and assemble its report."""
     started = time.perf_counter()
-    checks, data = _HANDLERS[config.command](config)
+    checks, data = COMMANDS[config.command][0](config)
     elapsed = time.perf_counter() - started
     echo = {"rounds": config.rounds, "seed": config.seed, "basis": config.basis,
             "format": config.format}
@@ -241,18 +231,23 @@ def _render_tomography(data: dict) -> None:
     print(f"reconstruction error: {data['reconstruction_error']:.3e}")
 
 
-_RENDERERS = {
-    "tables": _render_tables,
-    "simulate": _render_simulate,
-    "search-bases": _render_search,
-    "tomography": _render_tomography,
+# name -> (handler, text renderer of its data or None, help line)
+COMMANDS = {
+    "verify": (cmd_verify, None, "run every invariant suite and report deviations"),
+    "tables": (cmd_tables, _render_tables,
+               "emit the reference matrices, labels, and overlap tables"),
+    "simulate": (cmd_simulate, _render_simulate, "run seeded Monte Carlo protocol rounds"),
+    "search-bases": (cmd_search, _render_search,
+                     "enumerate all valid final-measurement label sets"),
+    "tomography": (cmd_tomography, _render_tomography,
+                   "reconstruct a density matrix from its probability table"),
 }
 
 
 def render_text(report: dict) -> None:
     print(f"retroking {report['command']}")
     print(f"config: {json.dumps(report['config'])}")
-    renderer = _RENDERERS.get(report["command"])
+    renderer = COMMANDS[report["command"]][1]
     if renderer is not None:
         renderer(report["data"])
     for check in report["checks"]:
@@ -269,25 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
         "simulation, basis search, and tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "verify": "run every invariant suite and report deviations",
-        "tables": "emit the reference matrices, labels, and overlap tables",
-        "simulate": "run seeded Monte Carlo protocol rounds",
-        "search-bases": "enumerate all valid final-measurement label sets",
-        "tomography": "reconstruct a density matrix from its probability table",
-    }
-    for name in COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        cmd.add_argument("--format", choices=("text", "json"), default="text",
+    # flags left out stay out of the namespace, so RunConfig alone holds defaults
+    for name, (_, _, help_line) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_line, argument_default=argparse.SUPPRESS)
+        cmd.add_argument("--seed", type=int, help="random seed (default 0)")
+        cmd.add_argument("--format", choices=("text", "json"),
                          help="report format (default text)")
         if name == "simulate":
-            cmd.add_argument("--rounds", type=int, default=10_000,
-                             help="number of rounds (default 10000)")
-            cmd.add_argument("--basis", type=int, choices=range(4), default=None,
+            cmd.add_argument("--rounds", type=int, help="number of rounds (default 10000)")
+            cmd.add_argument("--basis", type=int, choices=range(4),
                              help="force the king's basis (default: random per round)")
         if name == "tomography":
-            cmd.add_argument("--state", choices=TOMOGRAPHY_STATES, default="random",
+            cmd.add_argument("--state", choices=TOMOGRAPHY_STATES,
                              help="source density matrix (default random)")
     return parser
 
@@ -295,14 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            rounds=getattr(args, "rounds", 10_000),
-            seed=args.seed,
-            basis=getattr(args, "basis", None),
-            format=args.format,
-            state=getattr(args, "state", "random"),
-        )
+        config = RunConfig(**vars(args))
         report = run(config)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

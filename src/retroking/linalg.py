@@ -22,6 +22,13 @@ import numpy as np
 # round-off at these dimensions sits many orders of magnitude below this.
 TOL = 1e-10
 
+# Largest dimension the standard-basis builders make: a two-atom state's.  It
+# bounds their memory, as standard_basis(d) holds d**2 amplitudes.
+MAX_DIM = 9
+# Most draws one ``sample_outcome`` call makes: a bound on the memory of one
+# call (8 MiB of uniforms), well above the 100,000 the largest caller takes.
+MAX_DRAWS = 2**20
+
 
 class ContractViolation(ValueError):
     """An argument broke an operation's precondition."""
@@ -48,21 +55,14 @@ def _index(value, stop: int | None, what: str, start: int = 0) -> int:
     return v
 
 
-def _as_state(value, what: str, dim: int | None = None) -> "StateVector":
-    """``value`` if it is a StateVector (of dimension ``dim`` when given);
+def _as_instance(value, cls: type, what: str, dim: int | None = None):
+    """``value`` if it is a ``cls`` (of dimension ``dim`` when given);
     anything else is a ContractViolation."""
-    if not isinstance(value, StateVector):
-        raise ContractViolation(f"{what} must be a StateVector, got {type(value).__name__}")
-    if dim is not None and value.dim != dim:
-        raise ContractViolation(f"{what} must have dimension {dim}, got {value.dim}")
-    return value
-
-
-def _as_basis(value, what: str, dim: int | None = None) -> "OrthonormalBasis":
-    """``value`` if it is an OrthonormalBasis (of dimension ``dim`` when
-    given); anything else is a ContractViolation."""
-    if not isinstance(value, OrthonormalBasis):
-        raise ContractViolation(f"{what} must be an OrthonormalBasis, got {type(value).__name__}")
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ContractViolation(
+            f"{what} must be {article} {cls.__name__}, got {type(value).__name__}"
+        )
     if dim is not None and value.dim != dim:
         raise ContractViolation(f"{what} must have dimension {dim}, got {value.dim}")
     return value
@@ -115,7 +115,7 @@ class StateVector:
 
 def standard_basis_vector(dim: int, index: int) -> StateVector:
     """Unit vector e_index in the given dimension."""
-    dim = _index(dim, None, "dimension", start=1)
+    dim = _index(dim, MAX_DIM + 1, "dimension", start=1)
     index = _index(index, dim, "basis vector index")
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
@@ -134,7 +134,7 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         try:
-            vectors = tuple(_as_state(v, "a basis vector") for v in self.vectors)
+            vectors = tuple(_as_instance(v, StateVector, "a basis vector") for v in self.vectors)
         except TypeError:
             raise ContractViolation("a basis takes a sequence of StateVectors") from None
         if not vectors:
@@ -169,20 +169,21 @@ class OrthonormalBasis:
 
 
 def standard_basis(dim: int) -> OrthonormalBasis:
+    dim = _index(dim, MAX_DIM + 1, "dimension", start=1)
     return OrthonormalBasis(tuple(standard_basis_vector(dim, k) for k in range(dim)))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugating a's amplitudes."""
-    if _as_state(a, "bra").dim != _as_state(b, "ket").dim:
+    if _as_instance(a, StateVector, "bra").dim != _as_instance(b, StateVector, "ket").dim:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amps, b.amps))
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Two-atom product state; amplitude a_i * b_j sits at index 3*i + j."""
-    _as_state(a, "the given atom's state", 3)
-    _as_state(b, "the auxiliary atom's state", 3)
+    _as_instance(a, StateVector, "the given atom's state", 3)
+    _as_instance(b, StateVector, "the auxiliary atom's state", 3)
     return StateVector(np.kron(a.amps, b.amps))
 
 
@@ -194,8 +195,8 @@ def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> S
     ``ImpossibleOutcome`` when the projection is (numerically) zero, i.e.
     the requested outcome cannot occur.
     """
-    grid = _as_state(state, "a two-atom state", 9).amps.reshape(3, 3)
-    v = _as_state(subspace_vector, "a single-atom vector", 3).amps
+    grid = _as_instance(state, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
+    v = _as_instance(subspace_vector, StateVector, "a single-atom vector", 3).amps
     flat = (np.outer(v, v.conj()) @ grid).reshape(-1)
     norm = np.linalg.norm(flat)
     if norm < TOL:
@@ -205,7 +206,8 @@ def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> S
 
 def born_probabilities(state: StateVector, basis: OrthonormalBasis) -> np.ndarray:
     """|<basis_j|state>|^2 for each j; sums to 1 for any normalized state."""
-    if _as_state(state, "state").dim != _as_basis(basis, "basis").dim:
+    state = _as_instance(state, StateVector, "state")
+    if state.dim != _as_instance(basis, OrthonormalBasis, "basis").dim:
         raise ContractViolation(f"dimension mismatch: state {state.dim}, basis {basis.dim}")
     overlaps = basis.matrix.conj().T @ state.amps
     return np.abs(overlaps) ** 2
@@ -234,19 +236,12 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     """Draw an outcome index from a probability vector.
 
     Deterministic given the generator state.  With ``size`` given, returns
-    that many independent draws as an integer array.
+    that many independent draws (at most MAX_DRAWS) as an integer array.
     """
     if size is not None:
-        size = _index(size, None, "size")
+        size = _index(size, MAX_DRAWS + 1, "size")
     keep, cdf = _prepare_distribution(probs)
     draws = _as_generator(rng, "random").random(size)
     picked = np.minimum(np.searchsorted(cdf, draws, side="right"), keep.size - 1)
     outcome = keep[picked]
     return int(outcome) if size is None else outcome
-
-
-def equal_up_to_global_phase(a: StateVector, b: StateVector) -> bool:
-    """True iff the normalized states differ by at most a unit-modulus factor."""
-    if _as_state(a, "state").dim != _as_state(b, "state").dim:
-        raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return bool(abs(np.vdot(a.amps, b.amps)) >= 1.0 - TOL)

@@ -27,9 +27,8 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
-    _as_basis,
     _as_generator,
-    _as_state,
+    _as_instance,
     _index,
     _readonly,
     standard_basis,
@@ -57,6 +56,20 @@ def qutrit_basis_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _readonly(first), _readonly(second), fourier_matrix()
 
 
+def _overlaps(grids: np.ndarray) -> np.ndarray:
+    """overlaps[a, b] = grids[a]^dagger grids[b]: entry (k, l) is <a_k|b_l>
+    for a stack of bases with their kets as columns."""
+    return np.einsum("aik,bil->abkl", grids.conj(), grids)
+
+
+def _bias(overlaps: np.ndarray) -> np.ndarray:
+    """Per pair of bases (a, b), the worst ||<a_k|b_l>|^2 - 1/d|; zero on the
+    diagonal, where a basis meets itself."""
+    bias = np.abs(np.abs(overlaps) ** 2 - 1.0 / overlaps.shape[-1]).max(axis=(2, 3))
+    np.fill_diagonal(bias, 0.0)
+    return bias
+
+
 @dataclass(frozen=True, eq=False)
 class MubSet:
     """A complete family of dim+1 pairwise unbiased orthonormal bases.
@@ -75,7 +88,9 @@ class MubSet:
         if _index(self.dim, None, "dimension") not in (2, 3):
             raise ContractViolation(f"unsupported dimension {self.dim}")
         try:
-            bases = tuple(_as_basis(b, "a basis of the set") for b in self.bases)
+            bases = tuple(
+                _as_instance(b, OrthonormalBasis, "a basis of the set") for b in self.bases
+            )
         except TypeError:
             raise ContractViolation("a MUB set takes a sequence of bases") from None
         if len(bases) != self.dim + 1:
@@ -84,15 +99,13 @@ class MubSet:
             )
         if any(b.dim != self.dim for b in bases):
             raise ContractViolation("basis dimension does not match the set dimension")
-        for a in range(len(bases)):
-            for b in range(a + 1, len(bases)):
-                overlap = np.abs(bases[a].matrix.conj().T @ bases[b].matrix) ** 2
-                dev = np.abs(overlap - 1.0 / self.dim).max()
-                if dev > TOL:
-                    raise ContractViolation(
-                        f"bases {a} and {b} are not unbiased: deviation {dev:.3e}"
-                    )
         u = np.array([b.matrix for b in bases])
+        bias = _bias(_overlaps(u))
+        if bias.max() > TOL:
+            a, b = np.unravel_index(bias.argmax(), bias.shape)
+            raise ContractViolation(
+                f"bases {a} and {b} are not unbiased: deviation {bias[a, b]:.3e}"
+            )
         projectors = np.einsum("mik,mjk->mkij", u, u.conj()).reshape(-1, self.dim**2)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "matrices", _readonly(u))
@@ -145,7 +158,10 @@ def certify_unbiasedness(
         grids = bases.matrices
     else:
         try:
-            vectors = [[_as_state(v, "a basis vector").amps for v in basis] for basis in bases]
+            vectors = [
+                [_as_instance(v, StateVector, "a basis vector").amps for v in basis]
+                for basis in bases
+            ]
         except TypeError:
             raise ContractViolation("a family takes a MubSet or sequences of vectors") from None
         if not vectors or not all(vectors):
@@ -158,12 +174,9 @@ def certify_unbiasedness(
             raise ContractViolation(f"each basis in dimension {dim} needs {dim} vectors")
         grids = np.array([np.stack(basis, axis=1) for basis in vectors])
     count, dim = grids.shape[:2]
-    # overlaps[a, b] = grids[a]^dagger grids[b]; cross holds the blocks with a != b
-    overlaps = np.einsum("aik,bil->abkl", grids.conj(), grids)
-    cross = ~np.eye(count, dtype=bool)
-    same = np.abs(overlaps[~cross] - np.eye(dim)).max()
-    bias = np.abs(np.abs(overlaps[cross]) ** 2 - 1.0 / dim).max(initial=0.0)
-    return UnbiasednessReport(dim, float(same), float(bias))
+    overlaps = _overlaps(grids)
+    same = np.abs(overlaps[np.eye(count, dtype=bool)] - np.eye(dim)).max()
+    return UnbiasednessReport(dim, float(same), float(_bias(overlaps).max()))
 
 
 def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -262,15 +275,8 @@ class ProbabilityTable:
         object.__setattr__(self, "values", _readonly(v[0]))
 
 
-def _as_mub_set(mubs) -> MubSet:
-    """``mubs`` if it is a MubSet; anything else is a ContractViolation."""
-    if not isinstance(mubs, MubSet):
-        raise ContractViolation(f"mubs must be a MubSet, got {type(mubs).__name__}")
-    return mubs
-
-
 def _qutrit_projectors(mubs: MubSet) -> np.ndarray:
-    if _as_mub_set(mubs).dim != 3:
+    if _as_instance(mubs, MubSet, "mubs").dim != 3:
         raise ContractViolation("tomography is defined for the qutrit set only")
     return mubs.projectors
 
@@ -315,12 +321,13 @@ def probability_map_rank(mubs: MubSet) -> int:
     is its real Hilbert-Schmidt product with the projector |m_k><m_k|, so the
     rank is that of the projectors' real and imaginary parts side by side.
     """
-    projectors = _as_mub_set(mubs).projectors
+    projectors = _as_instance(mubs, MubSet, "mubs").projectors
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 
 def invariant_checks(rng: np.random.Generator, trials: int = 100) -> list[Check]:
     """The module's full verification suite as named checks."""
+    _as_generator(rng, "standard_normal")
     trials = _index(trials, None, "trials", start=1)
     checks = []
     for name, mubs in (("qutrit", build_qutrit_mubs()), ("qubit", build_qubit_mubs())):

@@ -26,8 +26,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
-    _as_basis,
-    _as_state,
+    _as_instance,
     _index,
     _readonly,
     born_probabilities,
@@ -46,6 +45,7 @@ PARTNER_BASIS = (0, 2, 1, 3)
 
 
 def partner_outcome(m: int, k: int) -> int:
+    m, k = _index(m, 4, "basis index"), _index(k, 3, "outcome")
     return k if m < 3 else (-k) % 3
 
 
@@ -164,15 +164,14 @@ def _bracket_coefficients(labels: np.ndarray) -> np.ndarray:
     return coefficients
 
 
-def bracket_state(label, basis: OrthonormalBasis | None = None) -> StateVector:
-    """The two-atom state |[k0 k1 k2 k3]>.
+def bracket_state(label) -> StateVector:
+    """The two-atom state |[k0 k1 k2 k3]>, over the reference psi basis.
 
     It is orthogonal to every trio member except the one with outcome k_m
     in each basis m, where the overlap has magnitude 3**-0.5.
     """
-    lab = _check_label(label)
-    psi = build_psi_basis() if basis is None else _as_basis(basis, "a psi basis", 9)
-    return StateVector(psi.matrix @ _bracket_coefficients(np.array([lab]))[:, 0])
+    coefficients = _bracket_coefficients(np.array([_check_label(label)]))[:, 0]
+    return StateVector(build_psi_basis().matrix @ coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +202,7 @@ class PhysicistBasis:
     labels: tuple[BracketLabel, ...]
 
     def __post_init__(self):
-        _as_basis(self.basis, "a physicist basis", 9)
+        _as_instance(self.basis, OrthonormalBasis, "a physicist basis", 9)
         try:
             labels = tuple(_check_label(lab) for lab in self.labels)
         except TypeError:
@@ -224,8 +223,7 @@ class PhysicistBasis:
 @lru_cache(maxsize=None)
 def build_physicist_basis() -> PhysicistBasis:
     """The reference final-measurement basis, labels as in PHYSICIST_LABELS."""
-    psi = build_psi_basis()
-    vectors = tuple(bracket_state(lab, psi) for lab in PHYSICIST_LABELS)
+    vectors = tuple(bracket_state(lab) for lab in PHYSICIST_LABELS)
     return PhysicistBasis(OrthonormalBasis(vectors), PHYSICIST_LABELS)
 
 
@@ -234,9 +232,7 @@ def _as_physicist_basis(basis) -> PhysicistBasis:
     anything else is a ContractViolation."""
     if basis is None:
         return build_physicist_basis()
-    if not isinstance(basis, PhysicistBasis):
-        raise ContractViolation(f"basis must be a PhysicistBasis, got {type(basis).__name__}")
-    return basis
+    return _as_instance(basis, PhysicistBasis, "basis")
 
 
 def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
@@ -249,7 +245,7 @@ def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
 def king_outcome_probabilities(psi0: StateVector, m: int) -> np.ndarray:
     """Born probabilities for measuring basis m on the given atom alone."""
     basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
-    grid = _as_state(psi0, "a two-atom state", 9).amps.reshape(3, 3)
+    grid = _as_instance(psi0, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
     return (np.abs(basis.matrix.conj().T @ grid) ** 2).sum(axis=1)
 
 
@@ -493,7 +489,10 @@ def label_set_deviations(label_sets) -> np.ndarray:
     """For each set of labels, the worst entry of |Gram - I| over its bracket
     states, read off the cached bracket Gram matrix.  Zero (to round-off)
     exactly when the set's bracket states are orthonormal."""
-    sets = np.asarray(label_sets)
+    try:
+        sets = np.asarray(label_sets)
+    except ValueError:
+        raise ContractViolation("label sets must form a regular array") from None
     if sets.ndim != 3 or sets.shape[2] != 4 or sets.dtype.kind not in "iu":
         raise ContractViolation("label sets must be an integer array of shape (sets, size, 4)")
     if sets.size and (sets.min() < 0 or sets.max() > 2):

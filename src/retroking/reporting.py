@@ -5,7 +5,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import ContractViolation, _numeric_vector
+from .linalg import ContractViolation, _as_instance, _numeric_vector
 
 
 @dataclass(frozen=True)
@@ -27,4 +27,8 @@ class Check:
 
 
 def all_passed(checks: Iterable[Check]) -> bool:
-    return all(c.passed for c in checks)
+    try:
+        flags = [_as_instance(c, Check, "a check").passed for c in checks]
+    except TypeError:
+        raise ContractViolation("all_passed takes a sequence of Checks") from None
+    return all(flags)

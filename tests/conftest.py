@@ -42,6 +42,13 @@ def physicist():
     return build_physicist_basis()
 
 
+@pytest.fixture(scope="session")
+def same_ray():
+    """same_ray(a, b): the two normalized states differ by at most a
+    unit-modulus factor."""
+    return lambda a, b: abs(np.vdot(a.amps, b.amps)) >= 1.0 - 1e-10
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

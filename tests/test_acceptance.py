@@ -170,9 +170,8 @@ def test_basis_search():
         started = time.perf_counter()
         sets = search_bases()
         assert tuple(sorted(PHYSICIST_LABELS)) in sets
-        psi = build_psi_basis()
         for labels in sets:
-            grid = np.stack([bracket_state(lab, psi).amps for lab in labels], axis=1)
+            grid = np.stack([bracket_state(lab).amps for lab in labels], axis=1)
             assert np.abs(grid.conj().T @ grid - np.eye(9)).max() < 1e-10
         assert len(sets) == EXPECTED_BASIS_COUNT
         oracle = clique_oracle_sets()

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 import retroking
 from retroking import OMEGA, Check
-from retroking.cli import RunConfig, main
+from retroking.cli import COMMANDS, RunConfig, build_parser, main
 from retroking import protocol
 
 
@@ -41,6 +43,40 @@ class TestRunConfig:
             RunConfig(command="simulate", basis=5)
         with pytest.raises(ContractViolation):
             RunConfig(command="nope")
+
+
+def test_parser_offers_exactly_the_command_table():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_run_config_holds_the_only_defaults(command):
+    assert RunConfig(**vars(build_parser().parse_args([command]))) == RunConfig(command)
+
+
+# sha256 of stdout as first pinned: JSON without its timing field, text
+# without its elapsed: line
+PINNED_STDOUT = {
+    ("tables", "text"): "bdd7f5ed2c068bb318f19b63d90e24a7f6498223c1b64e3d4dde3389b8335fb4",
+    ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
+    ("search-bases", "text"): "89698a00b751c559e03f92e94b7ffe22189f1fa94e4f599163a8a8b2a6232956",
+    ("search-bases", "json"): "920797d03ec0df637355074515aa66a255d8283ddc0bcae07abb583e74ac5993",
+}
+
+
+@pytest.mark.parametrize(("command", "fmt"), list(PINNED_STDOUT))
+def test_stdout_is_pinned(capsys, command, fmt):
+    assert main([command, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        out = json.dumps(strip_timing(json.loads(out)), indent=2)
+    else:
+        out = "".join(
+            line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")
+        )
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, fmt]
 
 
 class TestVerify:

@@ -2,37 +2,56 @@
 projection onto nothing, ImpossibleOutcome), never a raw Python or numpy
 error."""
 
+import inspect
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import retroking
 from retroking import (
+    CertaintyReport,
     Check,
     ContractViolation,
+    DensityMatrix,
     ImpossibleOutcome,
     MubSet,
     OrthonormalBasis,
     PhysicistBasis,
+    ProbabilityTable,
+    RoundRecord,
     StateVector,
+    UnbiasednessReport,
+    all_passed,
     born_probabilities,
+    bracket_overlap,
     bracket_state,
     certify_unbiasedness,
-    equal_up_to_global_phase,
+    density_from_probabilities,
     exhaustive_verify,
     infer,
     inner_product,
     king_measure,
+    label_agreement,
+    partner_outcome,
     prepare_psi0,
     probabilities_from_density,
     probability_map_rank,
     project_and_normalize,
     random_density_matrix,
+    round_stream,
+    run_round,
     sample_outcome,
+    simulate_rounds,
     standard_basis,
     standard_basis_vector,
     tensor_product,
 )
+from retroking.linalg import MAX_DIM, MAX_DRAWS
+from retroking.mub import invariant_checks as mub_invariant_checks
+from retroking.protocol import label_set_deviations
 
 
 @pytest.mark.parametrize(
@@ -47,7 +66,6 @@ from retroking import (
         lambda: project_and_normalize(1, standard_basis_vector(3, 0)),
         lambda: OrthonormalBasis([1]),
         lambda: king_measure(1, 0, None, 0),
-        lambda: bracket_state((0, 0, 0, 0), standard_basis(3)),
         lambda: sample_outcome([1.0], None),
         lambda: sample_outcome("ab", np.random.default_rng(0)),
         lambda: random_density_matrix(None),
@@ -59,14 +77,27 @@ from retroking import (
         lambda: certify_unbiasedness(5),
         lambda: MubSet(3, 5),
         lambda: PhysicistBasis(1, 2),
+        lambda: partner_outcome("x", 0),
+        lambda: partner_outcome(0, "x"),
+        lambda: partner_outcome(7, 1),
+        lambda: standard_basis("x"),
+        lambda: all_passed([1]),
+        lambda: all_passed(5),
+        lambda: label_set_deviations([[(0, 0, 0, 0)], [(0, 0, 0, 0), (0, 1, 1, 1)]]),
+        lambda: mub_invariant_checks(None),
+        lambda: sample_outcome([1.0], np.random.default_rng(0), size=MAX_DRAWS + 1),
+        lambda: standard_basis_vector(MAX_DIM + 1, 0),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "inner-product-int", "tensor-product-none",
         "born-str-state", "born-list-basis", "project-int-state", "basis-of-int",
-        "king-measure-int-state", "bracket-qutrit-basis", "sample-no-generator",
+        "king-measure-int-state", "sample-no-generator",
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
         "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
         "certify-int", "mub-set-int-bases", "physicist-basis-ints",
+        "partner-outcome-str-basis", "partner-outcome-str-outcome", "partner-outcome-basis-7",
+        "standard-basis-str", "all-passed-int-list", "all-passed-int", "label-sets-ragged",
+        "mub-invariants-no-generator", "sample-size-over-max", "basis-vector-dim-over-max",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):
@@ -99,11 +130,12 @@ junk = st.one_of(
 )
 
 qutrit = standard_basis_vector(3, 0)
+# Each call's first global name is the entry point it fuzzes.  simulate_rounds
+# keeps one round: junk integers run to 2**70.
 ENTRY_POINTS = {
     "state": lambda a, b: StateVector(a),
     "inner-product": lambda a, b: inner_product(a, b),
     "inner-product-ket": lambda a, b: inner_product(qutrit, a),
-    "equal-up-to-phase": lambda a, b: equal_up_to_global_phase(qutrit, a),
     "tensor-product": lambda a, b: tensor_product(a, b),
     "born": lambda a, b: born_probabilities(a, b),
     "born-basis": lambda a, b: born_probabilities(prepare_psi0(), a),
@@ -113,10 +145,10 @@ ENTRY_POINTS = {
     "basis-of-two": lambda a, b: OrthonormalBasis([a, b]),
     "king-measure": lambda a, b: king_measure(a, 0, None, b),
     "king-measure-generator": lambda a, b: king_measure(prepare_psi0(), 0, a),
-    "bracket": lambda a, b: bracket_state(a, b),
-    "bracket-basis": lambda a, b: bracket_state((0, 1, 2, 0), a),
+    "bracket": lambda a, b: bracket_state(a),
     "sample": lambda a, b: sample_outcome(a, np.random.default_rng(0)),
     "sample-generator": lambda a, b: sample_outcome([0.5, 0.5], a),
+    "sample-size": lambda a, b: sample_outcome([0.5, 0.5], np.random.default_rng(0), a),
     "random-density": lambda a, b: random_density_matrix(a),
     "exhaustive-verify": lambda a, b: exhaustive_verify(a),
     "infer": lambda a, b: infer(a, b),
@@ -127,7 +159,46 @@ ENTRY_POINTS = {
     "mub-set": lambda a, b: MubSet(a, b),
     "mub-set-bases": lambda a, b: MubSet(3, a),
     "physicist-basis": lambda a, b: PhysicistBasis(a, b),
+    "partner-outcome": lambda a, b: partner_outcome(a, b),
+    "standard-basis": lambda a, b: standard_basis(a),
+    "standard-basis-vector": lambda a, b: standard_basis_vector(a, b),
+    "all-passed": lambda a, b: all_passed(a),
+    "label-set-deviations": lambda a, b: label_set_deviations(a),
+    "mub-invariants": lambda a, b: mub_invariant_checks(a, b),
+    "label-agreement": lambda a, b: label_agreement(a, b),
+    "bracket-overlap": lambda a, b: bracket_overlap(a, b),
+    "density": lambda a, b: DensityMatrix(a),
+    "table": lambda a, b: ProbabilityTable(a),
+    "density-from-table": lambda a, b: density_from_probabilities(a, b),
+    "round-stream": lambda a, b: round_stream(a, b),
+    "run-round": lambda a, b: run_round(a, b),
+    "simulate": lambda a, b: simulate_rounds(1, a, b),
+    # plain records of computed results: they check nothing, so any fields pass
+    "certainty-report": lambda a, b: CertaintyReport(a, b, 0, 0.0),
+    "round-record": lambda a, b: RoundRecord(a, b, 0, 0, True),
+    "unbiasedness-report": lambda a, b: UnbiasednessReport(3, a, b),
 }
+
+# Exports that take no arguments, so there is nothing to fuzz.
+ARGUMENT_FREE = {
+    "build_physicist_basis", "build_psi_basis", "build_qubit_mubs", "build_qutrit_mubs",
+    "entangled_forms", "fourier_matrix", "prepare_psi0", "qutrit_basis_matrices",
+    "search_bases", "trio_matrix",
+}
+
+
+def test_every_export_is_fuzzed_or_takes_no_arguments():
+    exports = {
+        name for name, value in vars(retroking).items()
+        if callable(value) and not name.startswith("_")
+        and not isinstance(value, types.GenericAlias)  # a type alias such as BracketLabel
+        and not (isinstance(value, type) and issubclass(value, Exception))
+    }
+    fuzzed = {call.__code__.co_names[0] for call in ENTRY_POINTS.values()}
+    assert exports - fuzzed - ARGUMENT_FREE == set()
+    assert ARGUMENT_FREE <= exports
+    for name in ARGUMENT_FREE:
+        assert not inspect.signature(getattr(retroking, name)).parameters, name
 
 
 @given(st.sampled_from(sorted(ENTRY_POINTS)), junk, junk)

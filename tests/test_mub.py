@@ -112,6 +112,15 @@ class TestCertification:
         with pytest.raises(ContractViolation):
             MubSet(3, (z, z, z, z))
 
+    def test_one_biased_pair_is_named_with_its_worst_deviation(self, qutrit_mubs):
+        bases = qutrit_mubs.bases[:3] + qutrit_mubs.bases[2:3]
+        message = "bases 2 and 3 are not unbiased: deviation 6.667e-01"
+        with pytest.raises(ContractViolation, match=message):
+            MubSet(3, bases)
+        report = certify_unbiasedness([list(basis) for basis in bases])
+        assert report.cross_basis_deviation == pytest.approx(2 / 3)
+        assert report.same_basis_deviation < 1e-12
+
 
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):

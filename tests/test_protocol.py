@@ -21,7 +21,6 @@ from retroking import (
     bracket_state,
     born_probabilities,
     entangled_forms,
-    equal_up_to_global_phase,
     exhaustive_verify,
     infer,
     inner_product,
@@ -141,21 +140,21 @@ class TestTrioTable:
 
 
 class TestKingMeasure:
-    def test_forced_collapse_reference_basis(self, trios):
+    def test_forced_collapse_reference_basis(self, trios, same_ray):
         k, collapsed = king_measure(prepare_psi0(), 0, None, force_outcome=1)
         assert k == 1
-        assert equal_up_to_global_phase(collapsed, trios(0, 1))
+        assert same_ray(collapsed, trios(0, 1))
 
-    def test_forced_collapse_fourth_basis(self, qutrit_mubs):
+    def test_forced_collapse_fourth_basis(self, qutrit_mubs, same_ray):
         _, collapsed = king_measure(prepare_psi0(), 3, None, force_outcome=2)
         expected = tensor_product(qutrit_mubs.bases[3][2], qutrit_mubs.bases[3][1])
-        assert equal_up_to_global_phase(collapsed, expected)
+        assert same_ray(collapsed, expected)
 
-    def test_all_collapses_land_on_trios(self, trios):
+    def test_all_collapses_land_on_trios(self, trios, same_ray):
         for m in range(4):
             for k in range(3):
                 _, collapsed = king_measure(prepare_psi0(), m, None, force_outcome=k)
-                assert equal_up_to_global_phase(collapsed, trios(m, k))
+                assert same_ray(collapsed, trios(m, k))
 
     def test_outcomes_uniform(self, rng):
         n = 3000
