@@ -11,8 +11,12 @@ except ``sample_outcome``, which advances only the random generator passed
 to it.
 """
 
+import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -99,9 +103,10 @@ class StateVector:
 
     def __post_init__(self):
         amps = _numeric_vector(self.amps, "biufc", "state amplitudes").astype(np.complex128)
-        if not np.all(np.isfinite(amps)):
+        # one reduction: it is NaN or infinite when an amplitude is (or on overflow)
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not math.isfinite(norm) and not np.isfinite(amps).all():
             raise ContractViolation("state amplitudes must be finite")
-        norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > TOL:
             raise ContractViolation(
                 f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
@@ -197,8 +202,9 @@ def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> S
     """
     grid = _as_instance(state, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
     v = _as_instance(subspace_vector, StateVector, "a single-atom vector", 3).amps
-    flat = (np.outer(v, v.conj()) @ grid).reshape(-1)
-    norm = np.linalg.norm(flat)
+    flat = ((v[:, None] * v.conj()) @ grid).reshape(-1)  # np.outer's product
+    re, im = flat.real, flat.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own sum, bit for bit
     if norm < TOL:
         raise ImpossibleOutcome("projection removed the whole state")
     return StateVector(flat / norm)
@@ -213,23 +219,42 @@ def born_probabilities(state: StateVector, basis: OrthonormalBasis) -> np.ndarra
     return np.abs(overlaps) ** 2
 
 
-def _prepare_distribution(probs) -> tuple[np.ndarray, np.ndarray]:
+def _array_sum(x: list[float]) -> float:
+    """The float64 ``ndarray.sum()`` of ``x``, bit for bit: numpy adds onto
+    0.0 one running sum below 8 entries, eight interleaved ones up to 128,
+    and halves (cut at a multiple of 8) above."""
+    n = len(x)
+    if n < 8:
+        return reduce(operator.add, x, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _array_sum(x[:half]) + _array_sum(x[half:])
+    m = n - n % 8
+    r = x[:8]
+    for i in range(8, m, 8):
+        r = list(map(operator.add, r, x[i : i + 8]))
+    pairs = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(operator.add, x[m:], pairs) + 0.0
+
+
+def _prepare_distribution(probs) -> tuple[list[int], list[float]]:
     """Validate a probability vector and return (outcome indices, cdf).
 
     Entries below TOL are clamped to exactly zero (and the rest
     renormalized), so an analytically impossible outcome can never be
-    drawn because of round-off.
+    drawn because of round-off.  The checks run on Python floats; the cdf
+    is bit for bit ``np.cumsum(w / w.sum())`` of the kept weights ``w``.
     """
-    p = _numeric_vector(probs, "biuf", "probabilities").astype(float)
-    if p.size == 0 or not np.all(np.isfinite(p)):
+    p = _numeric_vector(probs, "biuf", "probabilities").astype(float).tolist()
+    if not p or not all(map(math.isfinite, p)):
         raise ContractViolation("probabilities must be a finite non-empty sequence")
-    if p.min() < -TOL or abs(p.sum() - 1.0) > TOL:
-        raise ContractViolation(
-            f"malformed distribution: min {p.min():.3e}, sum {p.sum():.12f}"
-        )
-    keep = np.flatnonzero(p >= TOL)
-    weights = p[keep]
-    return keep, np.cumsum(weights / weights.sum())
+    if min(p) < -TOL or abs(_array_sum(p) - 1.0) > TOL:
+        a = np.array(p)
+        raise ContractViolation(f"malformed distribution: min {a.min():.3e}, sum {a.sum():.12f}")
+    keep = [i for i, x in enumerate(p) if x >= TOL]
+    weights = [p[i] for i in keep]
+    total = _array_sum(weights)
+    return keep, list(accumulate(w / total for w in weights))
 
 
 def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator, size: int | None = None):
@@ -242,6 +267,6 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
         size = _index(size, MAX_DRAWS + 1, "size")
     keep, cdf = _prepare_distribution(probs)
     draws = _as_generator(rng, "random").random(size)
-    picked = np.minimum(np.searchsorted(cdf, draws, side="right"), keep.size - 1)
-    outcome = keep[picked]
-    return int(outcome) if size is None else outcome
+    if size is None:
+        return keep[min(bisect_right(cdf, draws), len(keep) - 1)]
+    return np.array(keep)[np.minimum(np.searchsorted(cdf, draws, side="right"), len(keep) - 1)]

@@ -244,7 +244,10 @@ def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
 
 def king_outcome_probabilities(psi0: StateVector, m: int) -> np.ndarray:
     """Born probabilities for measuring basis m on the given atom alone."""
-    basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
+    return _king_born(psi0, build_qutrit_mubs().bases[_index(m, 4, "basis index")])
+
+
+def _king_born(psi0: StateVector, basis: OrthonormalBasis) -> np.ndarray:
     grid = _as_instance(psi0, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
     return (np.abs(basis.matrix.conj().T @ grid) ** 2).sum(axis=1)
 
@@ -262,14 +265,13 @@ def king_measure(
     so certainty can be checked for every outcome rather than sampled ones;
     the generator is unused in that case.
     """
-    m = _index(m, 4, "basis index")
+    basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
     if force_outcome is None:
         if rng is None:
             raise ContractViolation("sampling a king outcome needs a generator")
-        k = sample_outcome(king_outcome_probabilities(psi0, m), rng)
+        k = sample_outcome(_king_born(psi0, basis), rng)
     else:
         k = _index(force_outcome, 3, "forced outcome")
-    basis = build_qutrit_mubs().bases[m]
     return k, project_and_normalize(psi0, basis[k])
 
 
@@ -497,9 +499,13 @@ def label_set_deviations(label_sets) -> np.ndarray:
         raise ContractViolation("label sets must be an integer array of shape (sets, size, 4)")
     if sets.size and (sets.min() < 0 or sets.max() > 2):
         raise ContractViolation("label coordinates must lie in 0..2")
-    index = sets @ np.array([27, 9, 3, 1])  # position in ALL_LABELS
+    return _gram_deviations(sets @ np.array([27, 9, 3, 1]))
+
+
+def _gram_deviations(index: np.ndarray) -> np.ndarray:
+    """``label_set_deviations`` of sets given as rows of positions in ALL_LABELS."""
     gram = bracket_gram()[index[:, :, None], index[:, None, :]]
-    return np.abs(gram - np.eye(sets.shape[1])).max(axis=(1, 2), initial=0.0)
+    return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
 
 
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
@@ -517,28 +523,29 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     columns are permutations too.  Each returned set is sorted (its (a, b)
     run row-major) and the result is sorted, so the output is canonical;
     every set is re-certified at the state level (nine bracket states
-    forming an orthonormal basis) before being returned.
+    forming an orthonormal basis) before being returned.  A set's nine
+    label positions in ALL_LABELS, read as one base-81 integer, order the
+    sets as their nested tuples would.
     """
     perms = np.array(list(itertools.permutations(range(3))))
-    stacks = perms[np.array(list(itertools.product(range(6), repeat=3)))]
+    stacks = perms[np.indices((6, 6, 6)).reshape(3, -1).T]
     # bit v of a mask is set when the value v occurs: a column holding all
     # three values has mask 0b111, and 3f + g taking all nine has 0x1FF
-    squares = stacks[(np.bitwise_or.reduce(1 << stacks, axis=1) == 0b111).all(axis=1)]
-    codes = (3 * squares[:, None] + squares[None]).reshape(len(squares), len(squares), 9)
-    f, g = np.nonzero(np.bitwise_or.reduce(1 << codes, axis=-1) == 0x1FF)
-    a, b = np.divmod(np.arange(9), 3)
-    labels = np.stack(
-        np.broadcast_arrays(a, b, squares[f].reshape(-1, 9), squares[g].reshape(-1, 9)),
-        axis=-1,
-    )
-    deviations = label_set_deviations(labels)
+    bits = 1 << stacks
+    squares = stacks[((bits[:, 0] | bits[:, 1] | bits[:, 2]) == 0b111).all(axis=1)].reshape(-1, 9)
+    f, g = np.nonzero(np.bitwise_or.reduce(1 << (3 * squares[:, None] + squares), axis=-1) == 0x1FF)
+    # label (a, b, f[a, b], g[a, b]) sits at 27a + 9b + 3f + g, and 27a + 9b = 9(3a + b)
+    index = 9 * np.arange(9) + 3 * squares[f] + squares[g]
+    deviations = _gram_deviations(index)
     if deviations.max(initial=0.0) >= TOL:
         worst = int(deviations.argmax())
         raise RuntimeError(
-            f"label set {labels[worst].tolist()} fails state-level orthonormality: "
-            f"Gram deviation {deviations[worst]:.3e}"
+            f"label set {label_matrix()[index[worst]].tolist()} fails state-level "
+            f"orthonormality: Gram deviation {deviations[worst]:.3e}"
         )
-    return tuple(sorted(tuple(map(tuple, s)) for s in labels.tolist()))
+    keys = (index @ 81 ** np.arange(8, -1, -1)).tolist()
+    ordered = index[sorted(range(len(keys)), key=keys.__getitem__)].tolist()
+    return tuple(operator.itemgetter(*s)(ALL_LABELS) for s in ordered)
 
 
 # Rounds of seed 0 that ``invariant_checks`` plays through both the round

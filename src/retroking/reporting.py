@@ -21,7 +21,9 @@ class Check:
             raise ContractViolation(
                 f"a check takes a string name and a bool flag, got {self.name!r}, {self.passed!r}"
             )
-        (deviation,) = _numeric_vector([self.max_deviation], "biuf", "a check's deviation").tolist()
+        deviation = self.max_deviation
+        if not isinstance(deviation, (float, np.floating)):  # the common case needs no array
+            (deviation,) = _numeric_vector([deviation], "biuf", "a check's deviation").tolist()
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "max_deviation", float(deviation))
 

@@ -57,18 +57,23 @@ def test_run_config_holds_the_only_defaults(command):
 
 
 # sha256 of stdout as first pinned: JSON without its timing field, text
-# without its elapsed: line
+# without its elapsed: line.  A third key entry is the seed; verify's digests
+# lock every check's deviation.
 PINNED_STDOUT = {
     ("tables", "text"): "bdd7f5ed2c068bb318f19b63d90e24a7f6498223c1b64e3d4dde3389b8335fb4",
     ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
     ("search-bases", "text"): "89698a00b751c559e03f92e94b7ffe22189f1fa94e4f599163a8a8b2a6232956",
     ("search-bases", "json"): "920797d03ec0df637355074515aa66a255d8283ddc0bcae07abb583e74ac5993",
+    ("verify", "json", 0): "46fc5fda08e9906e72dd1d0c2e31dd3eff2b88a36bcea3b23a36047bcb70bdcf",
+    ("verify", "json", 2**64 - 1):
+        "18ac38154a0ab50d31097e536133f19956de25c0986fb882ef711a7dabe4d877",
 }
 
 
-@pytest.mark.parametrize(("command", "fmt"), list(PINNED_STDOUT))
-def test_stdout_is_pinned(capsys, command, fmt):
-    assert main([command, "--format", fmt]) == 0
+@pytest.mark.parametrize("key", list(PINNED_STDOUT), ids=lambda key: "-".join(map(str, key)))
+def test_stdout_is_pinned(capsys, key):
+    command, fmt, *seed = key
+    assert main([command, "--format", fmt] + [f"--seed={s}" for s in seed]) == 0
     out = capsys.readouterr().out
     if fmt == "json":
         out = json.dumps(strip_timing(json.loads(out)), indent=2)
@@ -76,7 +81,32 @@ def test_stdout_is_pinned(capsys, command, fmt):
         out = "".join(
             line for line in out.splitlines(keepends=True) if not line.startswith("elapsed:")
         )
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[key]
+
+
+def test_verify_reports_a_builder_that_raises(capsys):
+    def broken():
+        raise RuntimeError("trio 3 un-mixes to a shared column off psi_0")
+
+    cached = [f for f in vars(protocol).values() if hasattr(f, "cache_clear")]
+    original = protocol.build_psi_basis
+    protocol.build_psi_basis = broken
+    for f in cached:
+        f.cache_clear()
+    try:
+        code = main(["verify", "--format", "json"])
+    finally:
+        protocol.build_psi_basis = original
+        for f in cached:
+            f.cache_clear()
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert code == 1
+    assert report["pass"] is False
+    names = [c["name"] for c in report["checks"]]
+    assert "qutrit-unbiasedness" in names  # the mub suite still reports
+    assert report["checks"][-1] == {"name": "construction", "pass": False, "max_deviation": 1.0}
+    assert out.err == "error: trio 3 un-mixes to a shared column off psi_0\n"
 
 
 class TestVerify:

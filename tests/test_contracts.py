@@ -87,6 +87,9 @@ from retroking.protocol import label_set_deviations
         lambda: mub_invariant_checks(None),
         lambda: sample_outcome([1.0], np.random.default_rng(0), size=MAX_DRAWS + 1),
         lambda: standard_basis_vector(MAX_DIM + 1, 0),
+        lambda: Check("x", True, "0.1"),
+        lambda: Check("x", True, 1j),
+        lambda: Check("x", True, None),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "inner-product-int", "tensor-product-none",
@@ -98,6 +101,7 @@ from retroking.protocol import label_set_deviations
         "partner-outcome-str-basis", "partner-outcome-str-outcome", "partner-outcome-basis-7",
         "standard-basis-str", "all-passed-int-list", "all-passed-int", "label-sets-ragged",
         "mub-invariants-no-generator", "sample-size-over-max", "basis-vector-dim-over-max",
+        "check-str-deviation", "check-complex-deviation", "check-none-deviation",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):

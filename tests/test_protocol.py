@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -17,6 +19,7 @@ from retroking import (
     TOL,
     ContractViolation,
     PhysicistBasis,
+    all_passed,
     bracket_overlap,
     bracket_state,
     born_probabilities,
@@ -75,21 +78,25 @@ def exact_round(m, w1, w2):
     return [m, k, j, infer(m, j)]
 
 
-def former_thresholds():
-    """The words ceil(c * 2**53) << 11 at which sample_outcome, on a row's
-    float Born vector, passes its two cdf steps c: king rows m = 0..3, then
-    collapse rows 3*m + k."""
+def float_rows():
+    """The float Born vectors the explicit path samples from: king rows
+    m = 0..3, then collapse rows 3*m + k."""
     psi0 = prepare_psi0()
     physicist = protocol.build_physicist_basis().basis
     rows = [king_outcome_probabilities(psi0, m) for m in range(4)]
-    rows += [
+    return rows + [
         born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
         for m in range(4)
         for k in range(3)
     ]
+
+
+def former_thresholds():
+    """The words ceil(c * 2**53) << 11 at which sample_outcome, on a row's
+    float Born vector, passes its two cdf steps c."""
     return [
-        [math.ceil(c * 2.0**53) << 11 for c in linalg._prepare_distribution(p)[1][:2].tolist()]
-        for p in rows
+        [math.ceil(c * 2.0**53) << 11 for c in linalg._prepare_distribution(p)[1][:2]]
+        for p in float_rows()
     ]
 
 
@@ -803,6 +810,123 @@ class TestRoundEngineReplayCheck:
         check = self.replay_check()
         assert not check.passed
         assert check.max_deviation > 0
+
+    def test_replays_take_the_explicit_path(self, monkeypatch):
+        # 16 rounds, each one collapse, one physicist Born vector and two
+        # draws: a vectorised shortcut would change these counts
+        calls = collections.Counter()
+        for name in ("project_and_normalize", "born_probabilities", "sample_outcome"):
+            def counted(*args, _name=name, _original=getattr(protocol, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, counted)
+        assert all_passed(protocol.invariant_checks())
+        assert calls == {"project_and_normalize": 16, "born_probabilities": 16,
+                         "sample_outcome": 32}
+
+
+def numpy_distribution(probs):
+    """sample_outcome's distribution as numpy reductions used to find it:
+    (outcome indices, cdf), or the same ContractViolation."""
+    try:
+        v = np.asarray(probs)
+    except ValueError:
+        raise ContractViolation("probabilities must form a regular array") from None
+    if v.ndim != 1 or v.dtype.kind not in "biuf":
+        raise ContractViolation(
+            f"probabilities must be a 1-d array of numbers, got shape {v.shape} of dtype {v.dtype}"
+        )
+    p = v.astype(float)
+    if p.size == 0 or not np.all(np.isfinite(p)):
+        raise ContractViolation("probabilities must be a finite non-empty sequence")
+    if p.min() < -TOL or abs(p.sum() - 1.0) > TOL:
+        raise ContractViolation(f"malformed distribution: min {p.min():.3e}, sum {p.sum():.12f}")
+    keep = np.flatnonzero(p >= TOL)
+    weights = p[keep]
+    return keep, np.cumsum(weights / weights.sum())
+
+
+class Uniform:
+    """Stands in for a Generator whose random() returns the given floats."""
+
+    def __init__(self, *u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u[0] if size is None else np.array(self.u[:size])
+
+
+def assert_agrees_with_numpy(probs):
+    """The same ContractViolation message as numpy_distribution, or the
+    same draws."""
+    try:
+        numpy_distribution(probs)
+    except ContractViolation as want:
+        with pytest.raises(ContractViolation, match=re.escape(str(want))):
+            linalg._prepare_distribution(probs)
+    else:
+        assert_samples_as_numpy(probs)
+
+
+def assert_samples_as_numpy(probs):
+    keep, cdf = linalg._prepare_distribution(probs)
+    want_keep, want_cdf = numpy_distribution(probs)
+    assert keep == want_keep.tolist()
+    assert cdf == want_cdf.tolist()  # bit for bit
+    draws = [u for c in cdf for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)) if u < 1.0]
+    draws += [0.0, np.nextafter(1.0, 0.0)]
+    picked = want_keep[np.minimum(np.searchsorted(want_cdf, draws, side="right"), len(keep) - 1)]
+    assert [sample_outcome(probs, Uniform(u)) for u in draws] == picked.tolist()
+    assert sample_outcome(probs, Uniform(*draws), size=len(draws)).tolist() == picked.tolist()
+
+
+# mostly valid distributions: weights normalized, with entries within TOL of
+# zero (either sign) left as they are
+small_entries = st.one_of(st.floats(-TOL, TOL), st.just(0.0), st.just(-0.0))
+distributions = st.lists(st.one_of(st.floats(1e-3, 1.0), small_entries), min_size=1, max_size=9)
+
+
+class TestLeanSampling:
+    """sample_outcome checks and draws on Python floats; it must agree with
+    the numpy reductions it replaced, bit for bit and message for message."""
+
+    @pytest.mark.parametrize("row", range(16))
+    def test_engine_rows(self, row):
+        assert_samples_as_numpy(float_rows()[row])
+
+    @pytest.mark.parametrize("size", [8, 9])
+    def test_eight_and_nine_weights(self, size):
+        # numpy sums eight or more weights pairwise, not left to right
+        for seed in range(100):
+            weights = np.random.default_rng(seed).random(size)
+            assert_samples_as_numpy(weights / weights.sum())
+
+    @given(distributions)
+    def test_short_vectors(self, entries):
+        total = sum(x for x in entries if x >= TOL) or 1.0
+        assert_agrees_with_numpy([x / total if x >= TOL else x for x in entries])
+
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [-0.2, 1.2], [0.5, 0.6], [0.5, 0.4],
+        [], [[0.5, 0.5]], [[1.0], [0.5, 0.5]], np.array([0.5 + 0j, 0.5]), "ab", ["a", "b"],
+        [None, 1.0], [0.5, -0.0, 0.0] * 3, [-0.0] * 9, [0.0] * 2, [2, -1], [True, True],
+        [1e-11] * 9, [0.1] * 9 + [0.1 - 2e-10],
+        # numpy's pairwise sum is 1 + 1.0000001e-10, a left-to-right one 1 + 9.999978e-11
+        [0.13937792765628781, 0.05903386937565211, 0.008965695998011745,
+         0.00361652456219005, 0.1779572032968058, 0.1997262680921799,
+         0.13274210818469523, 0.1596261138671538, 0.11895428906702353],
+    ])
+    def test_bad_vectors_raise_the_same_message(self, probs):
+        with pytest.raises(ContractViolation) as want:
+            numpy_distribution(probs)
+        with pytest.raises(ContractViolation) as got:
+            sample_outcome(probs, Uniform(0.5))
+        assert str(got.value) == str(want.value)
+
+    @given(st.lists(st.one_of(st.floats(-2.0, 2.0), small_entries), min_size=1, max_size=9))
+    def test_raw_vectors_agree(self, probs):
+        assert_agrees_with_numpy(probs)
 
 
 class TestExhaustiveVerify:
