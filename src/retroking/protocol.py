@@ -17,6 +17,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -275,9 +276,8 @@ def king_measure(
     return k, project_and_normalize(psi0, basis[k])
 
 
-@dataclass(frozen=True, slots=True)
-class RoundRecord:
-    """One full protocol round."""
+class RoundRecord(NamedTuple):
+    """One full protocol round, as an immutable tuple of its fields."""
 
     king_basis: int
     king_outcome: int
@@ -392,7 +392,8 @@ class _PhiloxKey(ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
+        # Philox asks with the type np.uint64 itself, so test identity first
+        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise RuntimeError(
                 f"Philox asked its key for {n_words} words of {dtype}, expected 2 of uint64"
             )
@@ -404,11 +405,13 @@ def round_stream(seed: int, index: int) -> np.random.Generator:
     counter block ``index``.  It depends only on (seed, index), so rounds
     can run in any order (or in parallel) with identical results, and the
     stream of round 0 runs on through the blocks of rounds 1, 2, ..."""
-    # one Philox key word and one counter word: both 64-bit.  An int counter
-    # is split exactly; a list would pass through float64 and alias blocks.
+    # one Philox key word and one counter word, both 64-bit.  A uint64 array
+    # is exact for every block and skips numpy's Python loop that splits an
+    # int; a list without a dtype would pass through float64 and alias blocks.
     key = _index(seed, 2**64, "seed")
     block = _index(index, 2**64, "round index")
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=block))
+    counter = np.array((block, 0, 0, 0), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=counter))
 
 
 def _map_words(words: np.ndarray, basis: int | None) -> np.ndarray:
@@ -548,8 +551,8 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     return tuple(operator.itemgetter(*s)(ALL_LABELS) for s in ordered)
 
 
-# Rounds of seed 0 that ``invariant_checks`` plays through both the round
-# engine and the explicit measurement path; they cover all four king bases.
+# Rounds of seed 0 that ``invariant_checks`` plays in a batch, alone, and
+# through the explicit measurement path; they cover all four king bases.
 REPLAY_CHECK_ROUNDS = 16
 
 
@@ -614,6 +617,7 @@ def invariant_checks() -> list[Check]:
     records = simulate_rounds(REPLAY_CHECK_ROUNDS, 0)
     mismatches = sum(
         (r.king_basis, r.king_outcome, r.physicist_outcome) != _measured_round(0, i)
+        or r != run_round(None, round_stream(0, i), seed=0, round_index=i)
         for i, r in enumerate(records)
     )
     checks.append(Check("round-engine-replay", mismatches == 0, float(mismatches)))

@@ -1,8 +1,11 @@
 import collections
+import contextlib
+import inspect
 import itertools
 import math
 import pickle
 import re
+import textwrap
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,6 +22,7 @@ from retroking import (
     TOL,
     ContractViolation,
     PhysicistBasis,
+    RoundRecord,
     all_passed,
     bracket_overlap,
     bracket_state,
@@ -98,6 +102,21 @@ def former_thresholds():
         [math.ceil(c * 2.0**53) << 11 for c in linalg._prepare_distribution(p)[1][:2]]
         for p in float_rows()
     ]
+
+
+@contextlib.contextmanager
+def mutated(module, name, fragment, replacement):
+    """Run with ``module.name`` rebuilt from its source with ``fragment``
+    replaced, in the module's own namespace; the original is restored on
+    exit."""
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(fragment) == 1, (name, fragment)
+    try:
+        exec(source.replace(fragment, replacement), vars(module))
+        yield
+    finally:
+        setattr(module, name, original)
 
 
 def as_lists(records):
@@ -638,6 +657,47 @@ class TestRounds:
                 simulate_rounds(3, seed=1, basis=basis)
 
 
+class TestRoundRecordContract:
+    FIELDS = ("king_basis", "king_outcome", "physicist_outcome", "inferred", "success",
+              "seed", "round_index")
+    VALUES = (2, 1, 7, 1, True, 9, 4095)
+    RECORD = RoundRecord(*VALUES)
+
+    def test_fields_order_and_defaults(self):
+        params = inspect.signature(RoundRecord).parameters.values()
+        assert tuple(p.name for p in params) == self.FIELDS
+        assert [p.default for p in params] == [inspect.Parameter.empty] * 5 + [None, None]
+
+    def test_repr(self):
+        assert repr(self.RECORD) == (
+            "RoundRecord(king_basis=2, king_outcome=1, physicist_outcome=7, inferred=1, "
+            "success=True, seed=9, round_index=4095)"
+        )
+
+    def test_equality_and_hash_are_field_wise(self):
+        same = RoundRecord(2, 1, 7, 1, True, seed=9, round_index=4095)
+        assert same == self.RECORD and hash(same) == hash(self.RECORD)
+        assert len({same, self.RECORD}) == 1
+        assert RoundRecord(2, 1, 7, 1, True) == RoundRecord(2, 1, 7, 1, True, None, None)
+        for name, value in (("physicist_outcome", 6), ("seed", None), ("round_index", 4094)):
+            assert RoundRecord(**dict(zip(self.FIELDS, self.VALUES), **{name: value})) != self.RECORD
+
+    @pytest.mark.parametrize("name", ["king_outcome", "seed"])
+    def test_is_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(self.RECORD, name, 0)
+
+    def test_is_a_tuple_of_its_fields(self):
+        assert RoundRecord._fields == self.FIELDS
+        assert self.RECORD == self.VALUES and hash(self.RECORD) == hash(self.VALUES)
+        with pytest.raises(AttributeError):
+            self.RECORD.extra = 0
+
+    def test_pickles(self):
+        again = pickle.loads(pickle.dumps(self.RECORD))
+        assert type(again) is RoundRecord and again == self.RECORD
+
+
 class TestRoundChunks:
     ROUNDS = CHUNK_ROUNDS + 2
 
@@ -646,8 +706,10 @@ class TestRoundChunks:
         n, seed = self.ROUNDS, 99
         records = simulate_rounds(n, seed, basis)
         assert len(records) == n
-        for i in (0, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, n - 1):
+        # 4095 is the last round of the benchmark's replay batch
+        for i in (0, 4095, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, n - 1):
             lone = run_round(basis, round_stream(seed, i), seed=seed, round_index=i)
+            assert type(lone) is type(records[i]) is RoundRecord
             assert lone == records[i]
         king = np.zeros((4, 3), dtype=int)
         physicist = np.zeros(9, dtype=int)
@@ -810,6 +872,31 @@ class TestRoundEngineReplayCheck:
         check = self.replay_check()
         assert not check.passed
         assert check.max_deviation > 0
+
+    def test_catches_a_wrong_lone_round(self, monkeypatch):
+        original = protocol.run_round
+
+        def wrong(*args, **kwargs):
+            record = original(*args, **kwargs)
+            return record._replace(physicist_outcome=(record.physicist_outcome + 1) % 9)
+
+        monkeypatch.setattr(protocol, "run_round", wrong)
+        check = self.replay_check()
+        assert not check.passed
+        assert check.max_deviation == protocol.REPLAY_CHECK_ROUNDS
+
+    @pytest.mark.parametrize("name, fragment, replacement", [
+        # a lone round that reads the physicist's word as the king's
+        ("run_round", "9 * m + 3 * k + jb", "9 * m + 3 * jb + k"),
+        # round i on counter word 1 instead of word 0: block 0 is unchanged,
+        # so a batch still starts right
+        ("round_stream", "(block, 0, 0, 0)", "(0, block, 0, 0)"),
+    ])
+    def test_catches_a_mutated_lone_path(self, name, fragment, replacement):
+        with mutated(protocol, name, fragment, replacement):
+            check = self.replay_check()
+        assert not check.passed
+        assert self.replay_check().passed
 
     def test_replays_take_the_explicit_path(self, monkeypatch):
         # 16 rounds, each one collapse, one physicist Born vector and two
