@@ -21,7 +21,7 @@ import numpy as np
 from . import mub, protocol
 from .linalg import TOL, ContractViolation, _index
 from .mub import OMEGA
-from .reporting import Check, all_passed
+from .reporting import Check, all_passed, within
 
 TOMOGRAPHY_STATES = ("random", "mixed", "pure")
 
@@ -36,7 +36,7 @@ class RunConfig:
     state: str = "random"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if not isinstance(self.command, str) or self.command not in COMMANDS:
             raise ContractViolation(f"unknown command {self.command!r}")
         object.__setattr__(self, "rounds", _index(self.rounds, None, "rounds", start=1))
         object.__setattr__(self, "seed", _index(self.seed, 2**64, "seed"))
@@ -135,11 +135,10 @@ def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     # label digits are 0..2, so the sets pack into bytes in one pass
     digits = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(sets)))
     labels = np.frombuffer(digits, dtype=np.int8).reshape(-1, 9, 4)
-    worst = float(protocol.label_set_deviations(labels).max(initial=0.0))
     checks = [
         Check("search-reference-present", reference_index is not None,
               0.0 if reference_index is not None else 1.0),
-        Check("search-recertification", worst < TOL, worst),
+        within("search-recertification", protocol.label_set_deviations(labels)),
     ]
     data = {
         "count": len(sets),
@@ -160,7 +159,7 @@ def cmd_tomography(config: RunConfig) -> tuple[list[Check], dict]:
     table = mub.probabilities_from_density(rho, mubs)
     rebuilt = mub.density_from_probabilities(table, mubs)
     error = float(np.abs(rebuilt.entries - rho.entries).max())
-    checks = [Check("tomography-reconstruction", error < TOL, error)]
+    checks = [within("tomography-reconstruction", error)]
     data = {
         "source": config.state,
         "density": _matrix_json(rho.entries),

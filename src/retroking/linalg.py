@@ -95,6 +95,11 @@ def _numeric_vector(values, kinds: str, what: str) -> np.ndarray:
     return v
 
 
+def _orthonormality_deviation(matrix: np.ndarray) -> np.ndarray:
+    """|M^dagger M - I| entry by entry: zero when M's columns are orthonormal."""
+    return np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over a fixed ordered basis."""
@@ -153,7 +158,7 @@ class OrthonormalBasis:
                 f"got {len(vectors)}"
             )
         matrix = np.stack([v.amps for v in vectors], axis=1)
-        dev = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
+        dev = _orthonormality_deviation(matrix).max()
         if dev > TOL:
             raise ContractViolation(f"basis is not orthonormal: Gram deviation {dev:.3e}")
         object.__setattr__(self, "vectors", vectors)

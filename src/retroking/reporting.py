@@ -5,7 +5,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import ContractViolation, _as_instance, _numeric_vector
+from .linalg import TOL, ContractViolation, _as_instance, _numeric_vector
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,14 @@ class Check:
             (deviation,) = _numeric_vector([deviation], "biuf", "a check's deviation").tolist()
         object.__setattr__(self, "passed", bool(self.passed))
         object.__setattr__(self, "max_deviation", float(deviation))
+
+
+def within(name: str, deviation) -> Check:
+    """The tolerance check ``name``: it passes when the largest entry of
+    ``deviation`` (a float or a non-empty array) is below TOL, and a NaN
+    fails it; that entry is the reported deviation."""
+    worst = np.max(deviation)
+    return Check(name, worst < TOL, worst)
 
 
 def all_passed(checks: Iterable[Check]) -> bool:

@@ -43,6 +43,10 @@ class TestRunConfig:
             RunConfig(command="simulate", basis=5)
         with pytest.raises(ContractViolation):
             RunConfig(command="nope")
+        with pytest.raises(ContractViolation):
+            RunConfig(["verify"])
+        with pytest.raises(ContractViolation):
+            RunConfig({})
 
 
 def test_parser_offers_exactly_the_command_table():
@@ -67,6 +71,12 @@ PINNED_STDOUT = {
     ("verify", "json", 0): "46fc5fda08e9906e72dd1d0c2e31dd3eff2b88a36bcea3b23a36047bcb70bdcf",
     ("verify", "json", 2**64 - 1):
         "18ac38154a0ab50d31097e536133f19956de25c0986fb882ef711a7dabe4d877",
+    ("verify", "text", 0): "93bec9a423fea829a27c70403ae087d2fd7f249212e796a7f5b7131b5573c6ef",
+    ("simulate", "text", 0): "590b6d5bb5d1dd351a34e27002391a6df41e3bee381f455f308d5e2d8d8e674c",
+    ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
+    ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
+    ("tomography", "json", 0): "dcb1ab5145b8233bd4ee9f045d1500b78b07d943b6bc210f6a651abac0b4b378",
+    ("tomography", "json", 7): "d09579cc04ab0aaaf0fa31bb99dca85e1040922d9d1eb668ad76f29fc3796dff",
 }
 
 

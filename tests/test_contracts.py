@@ -49,6 +49,7 @@ from retroking import (
     standard_basis_vector,
     tensor_product,
 )
+from retroking.cli import RunConfig
 from retroking.linalg import MAX_DIM, MAX_DRAWS
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import label_set_deviations
@@ -75,8 +76,9 @@ from retroking.protocol import label_set_deviations
         lambda: probabilities_from_density(np.eye(3) / 3, 5),
         lambda: probability_map_rank(5),
         lambda: certify_unbiasedness(5),
-        lambda: MubSet(3, 5),
-        lambda: PhysicistBasis(1, 2),
+        lambda: MubSet(5),
+        lambda: MubSet(()),
+        lambda: PhysicistBasis(1),
         lambda: partner_outcome("x", 0),
         lambda: partner_outcome(0, "x"),
         lambda: partner_outcome(7, 1),
@@ -97,7 +99,7 @@ from retroking.protocol import label_set_deviations
         "king-measure-int-state", "sample-no-generator",
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
         "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
-        "certify-int", "mub-set-int-bases", "physicist-basis-ints",
+        "certify-int", "mub-set-int-bases", "mub-set-empty", "physicist-basis-ints",
         "partner-outcome-str-basis", "partner-outcome-str-outcome", "partner-outcome-basis-7",
         "standard-basis-str", "all-passed-int-list", "all-passed-int", "label-sets-ragged",
         "mub-invariants-no-generator", "sample-size-over-max", "basis-vector-dim-over-max",
@@ -160,15 +162,14 @@ ENTRY_POINTS = {
     "probabilities-mubs": lambda a, b: probabilities_from_density(np.eye(3) / 3, a),
     "map-rank": lambda a, b: probability_map_rank(a),
     "certify": lambda a, b: certify_unbiasedness(a),
-    "mub-set": lambda a, b: MubSet(a, b),
-    "mub-set-bases": lambda a, b: MubSet(3, a),
-    "physicist-basis": lambda a, b: PhysicistBasis(a, b),
+    "mub-set": lambda a, b: MubSet(a),
+    "physicist-basis": lambda a, b: PhysicistBasis(a),
     "partner-outcome": lambda a, b: partner_outcome(a, b),
     "standard-basis": lambda a, b: standard_basis(a),
     "standard-basis-vector": lambda a, b: standard_basis_vector(a, b),
     "all-passed": lambda a, b: all_passed(a),
     "label-set-deviations": lambda a, b: label_set_deviations(a),
-    "mub-invariants": lambda a, b: mub_invariant_checks(a, b),
+    "mub-invariants": lambda a, b: mub_invariant_checks(a),
     "label-agreement": lambda a, b: label_agreement(a, b),
     "bracket-overlap": lambda a, b: bracket_overlap(a, b),
     "density": lambda a, b: DensityMatrix(a),
@@ -177,6 +178,7 @@ ENTRY_POINTS = {
     "round-stream": lambda a, b: round_stream(a, b),
     "run-round": lambda a, b: run_round(a, b),
     "simulate": lambda a, b: simulate_rounds(1, a, b),
+    "run-config": lambda a, b: RunConfig(a, b),
     # plain records of computed results: they check nothing, so any fields pass
     "certainty-report": lambda a, b: CertaintyReport(a, b, 0, 0.0),
     "round-record": lambda a, b: RoundRecord(a, b, 0, 0, True),

@@ -110,13 +110,13 @@ class TestCertification:
     def test_mubset_rejects_biased_family(self):
         z = standard_basis(3)
         with pytest.raises(ContractViolation):
-            MubSet(3, (z, z, z, z))
+            MubSet((z, z, z, z))
 
     def test_one_biased_pair_is_named_with_its_worst_deviation(self, qutrit_mubs):
         bases = qutrit_mubs.bases[:3] + qutrit_mubs.bases[2:3]
         message = "bases 2 and 3 are not unbiased: deviation 6.667e-01"
         with pytest.raises(ContractViolation, match=message):
-            MubSet(3, bases)
+            MubSet(bases)
         report = certify_unbiasedness([list(basis) for basis in bases])
         assert report.cross_basis_deviation == pytest.approx(2 / 3)
         assert report.same_basis_deviation < 1e-12
@@ -250,18 +250,13 @@ class TestTomographyRoundTripCheck:
         # summing to 1.  A swap within one basis only relabels its outcomes,
         # which both maps undo alike, so the round trip cannot see it; the
         # projector-row test below can.
-        doctored = MubSet(3, qutrit_mubs.bases)
+        doctored = MubSet(qutrit_mubs.bases)
         projectors = qutrit_mubs.projectors.copy()
         projectors[[0, 3]] = projectors[[3, 0]]
         object.__setattr__(doctored, "projectors", projectors)
         monkeypatch.setattr(mub, "build_qutrit_mubs", lambda: doctored)
         with pytest.raises(ContractViolation, match="rows must sum to 1"):
             self.round_trip(np.random.default_rng(0))
-
-    @pytest.mark.parametrize("trials", [0, -3, 1.5, "100", None])
-    def test_rejects_bad_trial_counts(self, trials):
-        with pytest.raises(ContractViolation):
-            mub.invariant_checks(np.random.default_rng(0), trials=trials)
 
 
 class TestProbabilitiesFromDensity:

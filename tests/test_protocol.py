@@ -444,29 +444,31 @@ def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):
     assert not check.passed
 
 
+@pytest.fixture
+def doctored_trios(monkeypatch):
+    """A trio matrix whose rows of trio 1 come in the order (1, 1), (1, 2),
+    (1, 0)."""
+    protocol.build_psi_basis()  # cached from the true trios
+    trios = protocol.trio_matrix().copy()
+    trios[3:6] = np.roll(trios[3:6], -1, axis=0)
+    monkeypatch.setattr(protocol, "trio_matrix", lambda: trios)
+    protocol._round_engine.cache_clear()
+    yield
+    protocol._round_engine.cache_clear()
+
+
 class TestDoctoredTrioMatrix:
     """Certification must notice a trio matrix whose rows are not the
     collapses they stand for."""
 
-    @pytest.fixture
-    def doctored(self, monkeypatch):
-        protocol.build_psi_basis()  # cached from the true trios
-        # the rows of trio 1 in the order (1, 1), (1, 2), (1, 0)
-        trios = protocol.trio_matrix().copy()
-        trios[3:6] = np.roll(trios[3:6], -1, axis=0)
-        monkeypatch.setattr(protocol, "trio_matrix", lambda: trios)
-        protocol._round_engine.cache_clear()
-        yield
-        protocol._round_engine.cache_clear()
-
     @pytest.mark.parametrize(
         "name", ["trio-reconstruction", "retrodiction-certainty", "round-engine-replay"]
     )
-    def test_verify_check_fails(self, doctored, name):
+    def test_verify_check_fails(self, doctored_trios, name):
         check = next(c for c in protocol.invariant_checks() if c.name == name)
         assert not check.passed
 
-    def test_engine_rows_still_look_like_thirds(self, doctored):
+    def test_engine_rows_still_look_like_thirds(self, doctored_trios):
         # every collapse row keeps three outcomes of 1/3, so only the
         # explicit-path replay can tell that basis 1's rows moved
         engine = protocol._round_engine()
@@ -522,16 +524,16 @@ class TestPhysicistBasis:
             for b in range(a + 1, 9):
                 assert label_agreement(physicist.labels[a], physicist.labels[b]) == 1
 
-    def test_rejects_clashing_labels(self, physicist):
+    def test_rejects_clashing_labels(self):
         labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
         with pytest.raises(ContractViolation):
-            PhysicistBasis(physicist.basis, labels)
+            PhysicistBasis(labels)
 
-    def test_clash_message_names_the_first_pair(self, physicist):
+    def test_clash_message_names_the_first_pair(self):
         labels = PHYSICIST_LABELS[:7] + ((2, 1, 1, 1), PHYSICIST_LABELS[8])
         message = r"labels \(0, 0, 0, 0\) and \(2, 1, 1, 1\) agree in 0 coordinates"
         with pytest.raises(ContractViolation, match=message + ", want exactly 1"):
-            PhysicistBasis(physicist.basis, labels)
+            PhysicistBasis(labels)
 
 
 class TestInfer:
@@ -1025,14 +1027,26 @@ class TestExhaustiveVerify:
         assert report.max_probability_deviation < 1e-10
         assert report.failures == ()
 
-    def test_swapped_labels_fail_with_offending_tuple(self, physicist):
-        labels = list(physicist.labels)
-        labels[0], labels[1] = labels[1], labels[0]
-        broken = PhysicistBasis(physicist.basis, tuple(labels))
-        report = exhaustive_verify(broken)
+    def test_every_searched_set_retrodicts_with_certainty(self):
+        # Hayashi, Horibe and Hashimoto: each orthogonal-Latin-square label
+        # set is a physicist basis that names the king's outcome
+        for labels in search_bases():
+            report = exhaustive_verify(PhysicistBasis(labels))
+            assert report.passed, labels
+            assert (report.cases_checked, report.outcomes_checked) == (12, 36)
+            assert report.failures == ()
+
+    def test_swapped_labels_fail_with_offending_tuple(self, doctored_trios):
+        # trio 1's rows moved one place on: collapse (1, k) is the true
+        # (1, k + 1), so each of its outcomes names k + 1
+        report = exhaustive_verify()
         assert not report.passed
-        assert report.failures
-        assert any("m=" in f and "j=" in f for f in report.failures)
+        assert report.failures == tuple(
+            f"(m=1, k={k}, j={j}): inferred {(k + 1) % 3}"
+            for k in range(3)
+            for j in range(9)
+            if PHYSICIST_LABELS[j][1] == (k + 1) % 3
+        )
 
 
 class TestSearchBases:
