@@ -78,16 +78,24 @@ def _print_matrix(m: np.ndarray, symbolic: bool) -> None:
         print("  [ " + "  ".join(c.rjust(width) for c in row) + " ]")
 
 
+def _guarded(call, *args) -> tuple[list[Check], dict]:
+    """``call(*args)``, a (checks, data) pair.  A builder that raises inside it
+    is a failed construction, not a bad argument (RunConfig has checked
+    those): its message goes to stderr, and the pair is the one failing
+    ``construction`` check and no data."""
+    try:
+        return call(*args)
+    except (RuntimeError, ContractViolation) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return [Check("construction", False, 1.0)], {}
+
+
 def cmd_verify(config: RunConfig) -> tuple[list[Check], dict]:
     rng = np.random.default_rng(config.seed)
     checks = []
-    # a builder that raises fails its suite's report instead of ending it
+    # one guard per suite, so a suite that fails to build leaves the other's checks
     for suite in (lambda: mub.invariant_checks(rng), protocol.invariant_checks):
-        try:
-            checks += suite()
-        except (RuntimeError, ContractViolation) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            checks.append(Check("construction", False, 1.0))
+        checks += _guarded(lambda: (suite(), {}))[0]
     return checks, {"tolerance": TOL}
 
 
@@ -172,7 +180,7 @@ def cmd_tomography(config: RunConfig) -> tuple[list[Check], dict]:
 def run(config: RunConfig) -> dict:
     """Execute one command and assemble its report."""
     started = time.perf_counter()
-    checks, data = COMMANDS[config.command][0](config)
+    checks, data = _guarded(COMMANDS[config.command][0], config)
     elapsed = time.perf_counter() - started
     echo = {"rounds": config.rounds, "seed": config.seed, "basis": config.basis,
             "format": config.format}
@@ -258,7 +266,7 @@ def render_text(report: dict) -> None:
     print(f"retroking {report['command']}")
     print(f"config: {json.dumps(report['config'])}")
     renderer = COMMANDS[report["command"]][1]
-    if renderer is not None:
+    if renderer is not None and report["data"]:
         renderer(report["data"])
     for check in report["checks"]:
         flag = "PASS" if check["pass"] else "FAIL"
@@ -294,10 +302,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig(**vars(args))
-        report = run(config)
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = run(config)
     if config.format == "json":
         print(json.dumps(report, indent=2))
     else:

@@ -141,7 +141,8 @@ class UnbiasednessReport:
 
     @property
     def passed(self) -> bool:
-        return self.same_basis_deviation < TOL and self.cross_basis_deviation < TOL
+        deviations = [self.same_basis_deviation, self.cross_basis_deviation]
+        return within("unbiasedness", deviations).passed
 
 
 def certify_unbiasedness(

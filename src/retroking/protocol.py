@@ -487,7 +487,7 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
         if guessed != k:
             failures.append(f"(m={m}, k={k}, j={j}): inferred {guessed}")
     worst = float(np.abs(born[compatible] - 1.0 / 3.0).max(initial=0.0))
-    passed = not failures and worst < TOL
+    passed = not failures and within("retrodiction-certainty", worst).passed
     return CertaintyReport(passed, 12, int(compatible.sum()), worst, tuple(failures))
 
 
@@ -503,11 +503,7 @@ def label_set_deviations(label_sets) -> np.ndarray:
         raise ContractViolation("label sets must be an integer array of shape (sets, size, 4)")
     if sets.size and (sets.min() < 0 or sets.max() > 2):
         raise ContractViolation("label coordinates must lie in 0..2")
-    return _gram_deviations(sets @ np.array([27, 9, 3, 1]))
-
-
-def _gram_deviations(index: np.ndarray) -> np.ndarray:
-    """``label_set_deviations`` of sets given as rows of positions in ALL_LABELS."""
+    index = sets @ np.array([27, 9, 3, 1])
     gram = bracket_gram()[index[:, :, None], index[:, None, :]]
     return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
 
@@ -525,11 +521,11 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     and orthogonal to each other; conversely each such pair gives a valid
     set.  The squares are the stackings of three row permutations whose
     columns are permutations too.  Each returned set is sorted (its (a, b)
-    run row-major) and the result is sorted, so the output is canonical;
-    every set is re-certified at the state level (nine bracket states
-    forming an orthonormal basis) before being returned.  A set's nine
-    label positions in ALL_LABELS, read as one base-81 integer, order the
-    sets as their nested tuples would.
+    run row-major) and the result is sorted, so the output is canonical.
+    The search is purely combinatorial: ``label_set_deviations`` certifies
+    the sets at the state level, as the ``search-bases`` report does.  A
+    set's nine label positions in ALL_LABELS, read as one base-81 integer,
+    order the sets as their nested tuples would.
     """
     perms = np.array(list(itertools.permutations(range(3))))
     stacks = perms[np.indices((6, 6, 6)).reshape(3, -1).T]
@@ -540,13 +536,6 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     f, g = np.nonzero(np.bitwise_or.reduce(1 << (3 * squares[:, None] + squares), axis=-1) == 0x1FF)
     # label (a, b, f[a, b], g[a, b]) sits at 27a + 9b + 3f + g, and 27a + 9b = 9(3a + b)
     index = 9 * np.arange(9) + 3 * squares[f] + squares[g]
-    deviations = _gram_deviations(index)
-    if deviations.max(initial=0.0) >= TOL:
-        worst = int(deviations.argmax())
-        raise RuntimeError(
-            f"label set {label_matrix()[index[worst]].tolist()} fails state-level "
-            f"orthonormality: Gram deviation {deviations[worst]:.3e}"
-        )
     keys = (index @ 81 ** np.arange(8, -1, -1)).tolist()
     ordered = index[sorted(range(len(keys)), key=keys.__getitem__)].tolist()
     return tuple(operator.itemgetter(*s)(ALL_LABELS) for s in ordered)

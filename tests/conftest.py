@@ -1,7 +1,12 @@
+import contextlib
+import inspect
+import textwrap
+
 import hypothesis
 import numpy as np
 import pytest
 
+from retroking import linalg, mub, protocol
 from retroking import (
     StateVector,
     build_physicist_basis,
@@ -13,6 +18,31 @@ from retroking import (
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
+
+
+def _clear_caches():
+    for module in (linalg, mub, protocol):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@contextlib.contextmanager
+def mutated(module, name, fragment, replacement):
+    """Run with ``module.name`` rebuilt from its source with ``fragment``
+    replaced, in the module's own namespace, and every cached builder of
+    linalg, mub and protocol cleared; the original is restored, and the
+    caches cleared again, on exit."""
+    original = getattr(module, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(fragment) == 1, (name, fragment)
+    try:
+        exec(source.replace(fragment, replacement), vars(module))
+        _clear_caches()
+        yield
+    finally:
+        setattr(module, name, original)
+        _clear_caches()
 
 
 @pytest.fixture(scope="session")

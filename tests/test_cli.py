@@ -12,7 +12,9 @@ import pytest
 import retroking
 from retroking import OMEGA, Check
 from retroking.cli import COMMANDS, RunConfig, build_parser, main
-from retroking import protocol
+from retroking import mub, protocol
+
+from conftest import mutated
 
 
 def run_json(capsys, argv):
@@ -117,6 +119,44 @@ def test_verify_reports_a_builder_that_raises(capsys):
     assert "qutrit-unbiasedness" in names  # the mub suite still reports
     assert report["checks"][-1] == {"name": "construction", "pass": False, "max_deviation": 1.0}
     assert out.err == "error: trio 3 un-mixes to a shared column off psi_0\n"
+
+
+# Construction mutants: (module, function, source fragment, replacement).
+MUTANTS = {
+    "bracket-unconjugated": (protocol, "_bracket_coefficients", "coefficients[1::2].conj()",
+                             "coefficients[1::2]"),
+    "trio-unpartnered": (protocol, "trio_matrix", "partner_outcome(m, k)]", "k]"),
+    "bias-diagonal": (mub, "_bias", "np.fill_diagonal(bias, 0.0)", "pass"),
+    "collapse-unconjugated": (protocol, "_collapse_born", "trio_matrix().conj()",
+                              "trio_matrix()"),
+    "qutrit-basis-power": (mub, "qutrit_basis_matrices", "[1, x * x, 1]", "[1, x, 1]"),
+}
+MUTANT_RUNS = {
+    "verify": ["verify"],
+    "tables": ["tables"],
+    "simulate": ["simulate", "--rounds", "100"],
+    "search-bases": ["search-bases"],
+    "tomography": ["tomography"],
+}
+# Commands a mutant rightly leaves passing, because they never read what it
+# breaks: tomography reads only the qutrit bases, and the collapse table
+# feeds only the round engine and the certainty check.
+STILL_PASSING = {
+    "bracket-unconjugated": {"tomography"},
+    "trio-unpartnered": {"tomography"},
+    "collapse-unconjugated": {"tables", "search-bases", "tomography"},
+}
+
+
+@pytest.mark.parametrize("command", list(MUTANT_RUNS))
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_every_command_reports_under_a_mutant(capsys, mutant, command):
+    with mutated(*MUTANTS[mutant]):
+        code = main(MUTANT_RUNS[command] + ["--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"command", "config", "checks", "pass", "data", "timing"}
+    assert report["pass"] is (command in STILL_PASSING.get(mutant, ()))
+    assert code == (0 if report["pass"] else 1)
 
 
 class TestVerify:

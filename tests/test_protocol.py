@@ -1,11 +1,10 @@
 import collections
-import contextlib
 import inspect
 import itertools
+import json
 import math
 import pickle
 import re
-import textwrap
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -46,6 +45,8 @@ from retroking import (
 )
 from retroking import cli, linalg, protocol
 from retroking.protocol import CHUNK_ROUNDS, king_outcome_probabilities, round_chunks
+
+from conftest import mutated
 
 INV_SQRT3 = 3**-0.5
 
@@ -102,21 +103,6 @@ def former_thresholds():
         [math.ceil(c * 2.0**53) << 11 for c in linalg._prepare_distribution(p)[1][:2]]
         for p in float_rows()
     ]
-
-
-@contextlib.contextmanager
-def mutated(module, name, fragment, replacement):
-    """Run with ``module.name`` rebuilt from its source with ``fragment``
-    replaced, in the module's own namespace; the original is restored on
-    exit."""
-    original = getattr(module, name)
-    source = textwrap.dedent(inspect.getsource(original))
-    assert source.count(fragment) == 1, (name, fragment)
-    try:
-        exec(source.replace(fragment, replacement), vars(module))
-        yield
-    finally:
-        setattr(module, name, original)
 
 
 def as_lists(records):
@@ -430,9 +416,20 @@ class TestDoctoredBracketFamily:
         assert not check.passed
         assert check.max_deviation > 0.1
 
-    def test_search_raises(self, doctored):
-        with pytest.raises(RuntimeError, match="orthonormality"):
-            search_bases()
+    def test_search_finds_the_sets_and_its_report_fails(self, doctored, capsys):
+        # the search is combinatorial, so it still finds every set; the
+        # search-bases report is what certifies their states
+        sets = search_bases()
+        assert len(sets) == 72
+        # every set reads labels shifted by one, so each fails by 1/3 or 2/3
+        thirds = 3 * protocol.label_set_deviations(sets)
+        assert thirds == pytest.approx(np.rint(thirds))
+        assert np.bincount(np.rint(thirds).astype(int)).tolist() == [0, 36, 36]
+        assert cli.main(["search-bases", "--format", "json"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        recertification = checks["search-recertification"]
+        assert not recertification["pass"]
+        assert recertification["max_deviation"] == pytest.approx(2 / 3)
 
 
 def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):

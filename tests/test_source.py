@@ -43,3 +43,32 @@ def test_tolerance_verdicts_come_from_within():
     ]
     assert SOURCES
     assert found == []
+
+
+def _below_tol(node):
+    """``node`` is a comparison ``x < TOL`` with bare TOL on the right."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, ast.Lt) and isinstance(right, ast.Name) and right.id == "TOL"
+        for op, right in zip(node.ops, node.comparators)
+    )
+
+
+def test_verdicts_come_only_from_reporting():
+    # outside reporting, `x < TOL` is a pass rule unless it guards a raise
+    found = []
+    for path in SOURCES:
+        if path.name == "reporting.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        guards = {
+            id(node.test)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _below_tol(node) and id(node) not in guards
+        ]
+    assert SOURCES
+    assert found == []
