@@ -15,8 +15,6 @@ from .linalg import (
     inner_product,
     project_and_normalize,
     sample_outcome,
-    standard_basis,
-    standard_basis_vector,
     tensor_product,
 )
 from .mub import (
@@ -37,9 +35,7 @@ from .mub import (
 )
 from .protocol import (
     ALL_LABELS,
-    PARTNER_BASIS,
     PHYSICIST_LABELS,
-    BracketLabel,
     CertaintyReport,
     PhysicistBasis,
     RoundRecord,
@@ -51,8 +47,6 @@ from .protocol import (
     exhaustive_verify,
     infer,
     king_measure,
-    label_agreement,
-    partner_outcome,
     prepare_psi0,
     round_stream,
     run_round,
@@ -60,6 +54,6 @@ from .protocol import (
     simulate_rounds,
     trio_matrix,
 )
-from .reporting import Check, all_passed
+from .reporting import Check
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import numpy as np
 from . import mub, protocol
 from .linalg import TOL, ContractViolation, _index
 from .mub import OMEGA
-from .reporting import Check, all_passed, within
+from .reporting import Check, within
 
 TOMOGRAPHY_STATES = ("random", "mixed", "pure")
 
@@ -78,24 +78,26 @@ def _print_matrix(m: np.ndarray, symbolic: bool) -> None:
         print("  [ " + "  ".join(c.rjust(width) for c in row) + " ]")
 
 
-def _guarded(call, *args) -> tuple[list[Check], dict]:
+def _guarded(call, *args, name="construction") -> tuple[list[Check], dict]:
     """``call(*args)``, a (checks, data) pair.  A builder that raises inside it
     is a failed construction, not a bad argument (RunConfig has checked
     those): its message goes to stderr, and the pair is the one failing
-    ``construction`` check and no data."""
+    check ``name`` and no data."""
     try:
         return call(*args)
     except (RuntimeError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return [Check("construction", False, 1.0)], {}
+        return [Check(name, False, 1.0)], {}
 
 
 def cmd_verify(config: RunConfig) -> tuple[list[Check], dict]:
     rng = np.random.default_rng(config.seed)
     checks = []
-    # one guard per suite, so a suite that fails to build leaves the other's checks
-    for suite in (lambda: mub.invariant_checks(rng), protocol.invariant_checks):
-        checks += _guarded(lambda: (suite(), {}))[0]
+    # one guard per suite, so a suite that fails to build leaves the other's
+    # checks; each names its failure apart, so a report's check names are unique
+    suites = {"mub": lambda: mub.invariant_checks(rng), "protocol": protocol.invariant_checks}
+    for name, suite in suites.items():
+        checks += _guarded(lambda: (suite(), {}), name=f"{name}-construction")[0]
     return checks, {"tolerance": TOL}
 
 
@@ -193,7 +195,7 @@ def run(config: RunConfig) -> dict:
             {"name": c.name, "pass": c.passed, "max_deviation": c.max_deviation}
             for c in checks
         ],
-        "pass": all_passed(checks),
+        "pass": all(c.passed for c in checks),
         "data": data,
         "timing": {"elapsed_seconds": elapsed},
     }

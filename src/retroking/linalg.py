@@ -225,21 +225,12 @@ def born_probabilities(state: StateVector, basis: OrthonormalBasis) -> np.ndarra
 
 
 def _array_sum(x: list[float]) -> float:
-    """The float64 ``ndarray.sum()`` of ``x``, bit for bit: numpy adds onto
-    0.0 one running sum below 8 entries, eight interleaved ones up to 128,
-    and halves (cut at a multiple of 8) above."""
-    n = len(x)
-    if n < 8:
+    """The float64 ``ndarray.sum()`` of ``x``, bit for bit: below 8 entries
+    numpy adds one running sum onto 0.0, which is faster in Python; from 8
+    entries on, numpy sums them itself."""
+    if len(x) < 8:
         return reduce(operator.add, x, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _array_sum(x[:half]) + _array_sum(x[half:])
-    m = n - n % 8
-    r = x[:8]
-    for i in range(8, m, 8):
-        r = list(map(operator.add, r, x[i : i + 8]))
-    pairs = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(operator.add, x[m:], pairs) + 0.0
+    return float(np.array(x).sum())
 
 
 def _prepare_distribution(probs) -> tuple[list[int], list[float]]:

@@ -79,11 +79,6 @@ def _check_label(label) -> BracketLabel:
     return lab
 
 
-def label_agreement(a: BracketLabel, b: BracketLabel) -> int:
-    """Number of coordinates where two labels coincide."""
-    return sum(x == y for x, y in zip(_check_label(a), _check_label(b)))
-
-
 def _agreements(labels: np.ndarray) -> np.ndarray:
     """Pairwise label agreement counts of the rows of an n x 4 label array."""
     return (labels[:, None] == labels[None]).sum(axis=-1)
@@ -97,7 +92,8 @@ def label_matrix() -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def agreement_matrix() -> np.ndarray:
-    """81 x 81 read-only: entry (i, j) is label_agreement(ALL_LABELS[i], ALL_LABELS[j])."""
+    """81 x 81 read-only: entry (i, j) counts the coordinates where
+    ALL_LABELS[i] and ALL_LABELS[j] agree."""
     return _readonly(_agreements(label_matrix()))
 
 
@@ -192,8 +188,10 @@ def bracket_gram() -> np.ndarray:
 
 
 def bracket_overlap(a, b) -> float:
-    """Analytic inner product of two bracket states: (matches - 1) / 3."""
-    return (label_agreement(a, b) - 1) / 3.0
+    """Analytic inner product of two bracket states: (matches - 1) / 3, the
+    matches read off the agreement matrix at the labels' positions."""
+    i, j = (sum(map(operator.mul, _check_label(lab), (27, 9, 3, 1))) for lab in (a, b))
+    return (agreement_matrix()[i, j].item() - 1) / 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,17 +306,14 @@ ONE_THIRD = -(-(2**53) // 3) << _UNIFORM_SHIFT
 TWO_THIRDS = -(-(2**54) // 3) << _UNIFORM_SHIFT
 
 
-def _third_outcomes(probs, what: str) -> list[int]:
-    """The outcomes of a distribution that has exactly three, each of
-    probability 1/3 within TOL: the fact the word constants rest on."""
-    p = np.asarray(probs, dtype=float)
-    keep = np.flatnonzero(p >= TOL)
-    if keep.size != 3 or np.abs(p[keep] - 1.0 / 3.0).max() >= TOL:
-        raise RuntimeError(
-            f"{what} has outcome probabilities {p.tolist()}, expected three of 1/3 "
-            f"within {TOL:g}"
-        )
-    return keep.tolist()
+def _thirds(born: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thirds rule on rows of outcome probabilities: the mask of possible
+    outcomes (probability at least TOL), each row's count of them and each
+    row's worst |p - 1/3| among them.  A row keeps the rule when it has three
+    outcomes, all within TOL of 1/3: the fact the word constants rest on."""
+    possible = born >= TOL
+    worst = np.where(possible, np.abs(born - 1.0 / 3.0), 0.0).max(axis=1)
+    return possible, possible.sum(axis=1), worst
 
 
 def _collapse_born(pb: PhysicistBasis) -> np.ndarray:
@@ -333,16 +328,21 @@ def _round_engine() -> np.ndarray:
     holds (m, k, j, inferred) for the king's outcome k in basis m and the
     physicist's jb-th possible outcome j after that collapse.  Every king
     and collapse row is certified to have three outcomes of 1/3."""
-    psi0 = prepare_psi0()
-    pb = build_physicist_basis()
-    for m in range(4):
-        _third_outcomes(king_outcome_probabilities(psi0, m), f"king basis {m}")
-    outcomes = []
-    for row, probs in enumerate(_collapse_born(pb)):
-        m, k = divmod(row, 3)
-        keep = _third_outcomes(probs, f"collapse (m={m}, k={k})")
-        outcomes.extend((m, k, j, pb.labels[j][m]) for j in keep)
-    return _readonly(np.array(outcomes, dtype=np.int8))
+    psi0, pb = prepare_psi0(), build_physicist_basis()
+    king = np.array([king_outcome_probabilities(psi0, m) for m in range(4)])
+    # a bad row is named from (row, row // 3, row % 3)
+    for born, name in ((king, "king basis {0}"), (_collapse_born(pb), "collapse (m={1}, k={2})")):
+        possible, count, worst = _thirds(born)
+        bad = np.flatnonzero((count != 3) | (worst >= TOL)).tolist()
+        if bad:
+            raise RuntimeError(
+                f"{name.format(bad[0], *divmod(bad[0], 3))} has outcome probabilities "
+                f"{born[bad[0]].tolist()}, expected three of 1/3 within {TOL:g}"
+            )
+    rows, j = np.nonzero(possible)  # the last pass's mask: the collapse rows
+    m, k = np.divmod(rows, 3)
+    table = np.stack([m, k, j, np.array(pb.labels)[j, m]], axis=1)
+    return _readonly(table.astype(np.int8))
 
 
 def round_outcomes() -> np.ndarray:
@@ -474,11 +474,10 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
     """Check every collapse case (m, k): exactly three physicist outcomes
     are possible, each with probability 1/3, and all of them infer k."""
     pb = _as_physicist_basis(basis)
-    born = _collapse_born(pb)
-    compatible = born >= TOL
+    compatible, counts, worsts = _thirds(_collapse_born(pb))
     failures = [
         f"(m={row // 3}, k={row % 3}): {n} compatible outcomes, expected 3"
-        for row, n in enumerate(compatible.sum(axis=1).tolist())
+        for row, n in enumerate(counts.tolist())
         if n != 3
     ]
     for row, j in np.argwhere(compatible).tolist():
@@ -486,9 +485,9 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
         guessed = infer(m, j, pb)
         if guessed != k:
             failures.append(f"(m={m}, k={k}, j={j}): inferred {guessed}")
-    worst = float(np.abs(born[compatible] - 1.0 / 3.0).max(initial=0.0))
+    worst = float(worsts.max())
     passed = not failures and within("retrodiction-certainty", worst).passed
-    return CertaintyReport(passed, 12, int(compatible.sum()), worst, tuple(failures))
+    return CertaintyReport(passed, 12, int(counts.sum()), worst, tuple(failures))
 
 
 def label_set_deviations(label_sets) -> np.ndarray:

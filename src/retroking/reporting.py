@@ -1,11 +1,10 @@
 """Tiny shared vocabulary for named numerical checks."""
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
-from .linalg import TOL, ContractViolation, _as_instance, _numeric_vector
+from .linalg import TOL, ContractViolation, _numeric_vector
 
 
 @dataclass(frozen=True)
@@ -34,11 +33,3 @@ def within(name: str, deviation) -> Check:
     fails it; that entry is the reported deviation."""
     worst = np.max(deviation)
     return Check(name, worst < TOL, worst)
-
-
-def all_passed(checks: Iterable[Check]) -> bool:
-    try:
-        flags = [_as_instance(c, Check, "a check").passed for c in checks]
-    except TypeError:
-        raise ContractViolation("all_passed takes a sequence of Checks") from None
-    return all(flags)

@@ -12,7 +12,7 @@ import pytest
 import retroking
 from retroking import OMEGA, Check
 from retroking.cli import COMMANDS, RunConfig, build_parser, main
-from retroking import mub, protocol
+from retroking import linalg, mub, protocol
 
 from conftest import mutated
 
@@ -117,7 +117,9 @@ def test_verify_reports_a_builder_that_raises(capsys):
     assert report["pass"] is False
     names = [c["name"] for c in report["checks"]]
     assert "qutrit-unbiasedness" in names  # the mub suite still reports
-    assert report["checks"][-1] == {"name": "construction", "pass": False, "max_deviation": 1.0}
+    assert report["checks"][-1] == {
+        "name": "protocol-construction", "pass": False, "max_deviation": 1.0,
+    }
     assert out.err == "error: trio 3 un-mixes to a shared column off psi_0\n"
 
 
@@ -130,6 +132,8 @@ MUTANTS = {
     "collapse-unconjugated": (protocol, "_collapse_born", "trio_matrix().conj()",
                               "trio_matrix()"),
     "qutrit-basis-power": (mub, "qutrit_basis_matrices", "[1, x * x, 1]", "[1, x, 1]"),
+    "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
+    "sum-doubled": (linalg, "_array_sum", ".sum())", ".sum() * 2)"),
 }
 MUTANT_RUNS = {
     "verify": ["verify"],
@@ -140,11 +144,14 @@ MUTANT_RUNS = {
 }
 # Commands a mutant rightly leaves passing, because they never read what it
 # breaks: tomography reads only the qutrit bases, and the collapse table
-# feeds only the round engine and the certainty check.
+# feeds only the round engine and the certainty check, as does the thirds
+# rule; of the commands, only verify's replays sum nine Born entries.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
     "trio-unpartnered": {"tomography"},
     "collapse-unconjugated": {"tables", "search-bases", "tomography"},
+    "thirds-off": {"tables", "search-bases", "tomography"},
+    "sum-doubled": {"tables", "simulate", "search-bases", "tomography"},
 }
 
 
@@ -157,6 +164,8 @@ def test_every_command_reports_under_a_mutant(capsys, mutant, command):
     assert set(report) == {"command", "config", "checks", "pass", "data", "timing"}
     assert report["pass"] is (command in STILL_PASSING.get(mutant, ()))
     assert code == (0 if report["pass"] else 1)
+    names = [c["name"] for c in report["checks"]]
+    assert len(names) == len(set(names)), names
 
 
 class TestVerify:

@@ -13,11 +13,10 @@ from retroking import (
     prepare_psi0,
     project_and_normalize,
     sample_outcome,
-    standard_basis,
-    standard_basis_vector,
     tensor_product,
 )
 from retroking import linalg
+from retroking.linalg import standard_basis, standard_basis_vector
 from retroking.protocol import PHYSICIST_LABELS
 
 INV_SQRT3 = 3**-0.5
@@ -193,7 +192,7 @@ def test_array_sum_is_numpy_sum():
                 x[i] = special[rng.integers(5)]
             with np.errstate(all="ignore"):
                 want = float(np.array(x, dtype=float).sum())
-            got = linalg._array_sum(x)
+                got = linalg._array_sum(x)
             if np.isnan(want):
                 assert np.isnan(got)
             else:

@@ -16,10 +16,9 @@ from retroking import (
     probabilities_from_density,
     probability_map_rank,
     random_density_matrix,
-    standard_basis,
-    standard_basis_vector,
 )
 from retroking import mub
+from retroking.linalg import standard_basis, standard_basis_vector
 
 INV_SQRT3 = 3**-0.5
 

@@ -16,13 +16,11 @@ from hypothesis import given, strategies as st
 
 from retroking import (
     ALL_LABELS,
-    PARTNER_BASIS,
     PHYSICIST_LABELS,
     TOL,
     ContractViolation,
     PhysicistBasis,
     RoundRecord,
-    all_passed,
     bracket_overlap,
     bracket_state,
     born_probabilities,
@@ -31,20 +29,24 @@ from retroking import (
     infer,
     inner_product,
     king_measure,
-    label_agreement,
-    partner_outcome,
     prepare_psi0,
     round_stream,
     run_round,
     sample_outcome,
     search_bases,
     simulate_rounds,
-    standard_basis_vector,
     tensor_product,
     trio_matrix,
 )
 from retroking import cli, linalg, protocol
-from retroking.protocol import CHUNK_ROUNDS, king_outcome_probabilities, round_chunks
+from retroking.linalg import standard_basis_vector
+from retroking.protocol import (
+    CHUNK_ROUNDS,
+    PARTNER_BASIS,
+    king_outcome_probabilities,
+    partner_outcome,
+    round_chunks,
+)
 
 from conftest import mutated
 
@@ -346,7 +348,6 @@ class TestBracketStates:
     def test_rejects_non_integer_coordinates(self, label):
         for call in (
             lambda: bracket_state(label),
-            lambda: label_agreement(label, (0, 0, 0, 0)),
             lambda: bracket_overlap((0, 0, 0, 0), label),
         ):
             with pytest.raises(ContractViolation):
@@ -368,7 +369,9 @@ class TestBracketFamily:
         agreement = protocol.agreement_matrix()
         assert agreement.shape == (81, 81)
         for i, a in enumerate(ALL_LABELS):
-            assert agreement[i].tolist() == [label_agreement(a, b) for b in ALL_LABELS]
+            assert agreement[i].tolist() == [
+                sum(x == y for x, y in zip(a, b)) for b in ALL_LABELS
+            ]
 
     def test_cached_arrays_are_read_only(self):
         for array in (
@@ -519,7 +522,8 @@ class TestPhysicistBasis:
     def test_pairwise_agreement_exactly_one(self, physicist):
         for a in range(9):
             for b in range(a + 1, 9):
-                assert label_agreement(physicist.labels[a], physicist.labels[b]) == 1
+                pair = zip(physicist.labels[a], physicist.labels[b])
+                assert sum(x == y for x, y in pair) == 1
 
     def test_rejects_clashing_labels(self):
         labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
@@ -797,11 +801,18 @@ class TestRoundChunks:
 
     @pytest.mark.parametrize("probs", [[0.5, 0.5, 0.0], [0.25] * 4, [1.0], [0.3, 0.3, 0.4]])
     def test_engine_rows_need_three_outcomes(self, probs):
-        with pytest.raises(RuntimeError, match="expected three of 1/3"):
-            protocol._third_outcomes(probs, "row")
+        _, count, worst = protocol._thirds(np.array([probs]))
+        assert count[0] != 3 or worst[0] >= TOL
 
     def test_engine_rows_keep_the_outcomes_of_a_third(self):
-        assert protocol._third_outcomes([0, 1 / 3, 0, 1 / 3, 1 / 3], "row") == [1, 3, 4]
+        possible, count, worst = protocol._thirds(np.array([[0, 1 / 3, 0, 1 / 3, 1 / 3]]))
+        assert np.flatnonzero(possible[0]).tolist() == [1, 3, 4]
+        assert count.tolist() == [3] and worst[0] < TOL
+
+    def test_engine_build_certifies_the_collapse_rows(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_collapse_born", lambda pb: np.full((12, 9), 1 / 9))
+        with pytest.raises(RuntimeError, match=r"collapse \(m=0, k=0\) has outcome probabilities"):
+            protocol._round_engine.__wrapped__()
 
     def test_engine_build_certifies_the_king_rows(self, monkeypatch):
         monkeypatch.setattr(protocol, "king_outcome_probabilities",
@@ -907,7 +918,7 @@ class TestRoundEngineReplayCheck:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(protocol, name, counted)
-        assert all_passed(protocol.invariant_checks())
+        assert all(c.passed for c in protocol.invariant_checks())
         assert calls == {"project_and_normalize": 16, "born_probabilities": 16,
                          "sample_outcome": 32}
 
