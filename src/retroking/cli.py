@@ -70,9 +70,9 @@ def _format_symbolic(z: complex) -> str:
     return _format_complex(z)
 
 
-def _print_matrix(m: np.ndarray, symbolic: bool) -> None:
+def _print_matrix(rows: list[list[list[float]]], symbolic: bool) -> None:
     fmt = _format_symbolic if symbolic else _format_complex
-    cells = [[fmt(z) for z in row] for row in m]
+    cells = [[fmt(complex(re, im)) for re, im in row] for row in rows]
     width = max(len(c) for row in cells for c in row)
     for row in cells:
         print("  [ " + "  ".join(c.rjust(width) for c in row) + " ]")
@@ -110,7 +110,7 @@ def cmd_tables(config: RunConfig) -> tuple[list[Check], dict]:
         "inference_table": [
             [protocol.infer(m, j) for m in range(4)] for j in range(9)
         ],
-        "overlap_by_matches": {str(c): (c - 1) / 3.0 for c in range(5)},
+        "overlap_by_matches": {str(c): protocol.overlap_law(c) for c in range(5)},
     }
     return [], data
 
@@ -203,14 +203,12 @@ def run(config: RunConfig) -> dict:
 
 def _render_tables(data: dict) -> None:
     for i, matrix in enumerate(data["basis_matrices"], start=1):
-        m = np.array([[complex(re, im) for re, im in row] for row in matrix])
         print(f"basis {i} (columns are its kets in the reference basis):")
-        _print_matrix(m, symbolic=True)
-        _print_matrix(m, symbolic=False)
-    m = np.array([[complex(re, im) for re, im in row] for row in data["mixing_matrix"]])
+        _print_matrix(matrix, symbolic=True)
+        _print_matrix(matrix, symbolic=False)
     print("trio mixing matrix:")
-    _print_matrix(m, symbolic=True)
-    _print_matrix(m, symbolic=False)
+    _print_matrix(data["mixing_matrix"], symbolic=True)
+    _print_matrix(data["mixing_matrix"], symbolic=False)
     print("physicist basis labels and inference table (outcome j, king basis m):")
     print("   j  label    m=0 m=1 m=2 m=3")
     for j, (label, row) in enumerate(zip(data["physicist_labels"], data["inference_table"])):
@@ -242,9 +240,8 @@ def _render_search(data: dict) -> None:
 
 def _render_tomography(data: dict) -> None:
     print(f"source state: {data['source']}")
-    rho = np.array([[complex(re, im) for re, im in row] for row in data["density"]])
     print("density matrix:")
-    _print_matrix(rho, symbolic=False)
+    _print_matrix(data["density"], symbolic=False)
     print("probability table (rows: bases 0..3):")
     for row in data["probabilities"]:
         print("   " + "  ".join(f"{p:.6f}" for p in row))

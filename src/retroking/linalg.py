@@ -244,9 +244,11 @@ def _prepare_distribution(probs) -> tuple[list[int], list[float]]:
     p = _numeric_vector(probs, "biuf", "probabilities").astype(float).tolist()
     if not p or not all(map(math.isfinite, p)):
         raise ContractViolation("probabilities must be a finite non-empty sequence")
-    if min(p) < -TOL or abs(_array_sum(p) - 1.0) > TOL:
+    # an entry above 1 fails before the sum, which huge finite entries overflow
+    if min(p) < -TOL or max(p) > 1.0 + TOL or abs(_array_sum(p) - 1.0) > TOL:
         a = np.array(p)
-        raise ContractViolation(f"malformed distribution: min {a.min():.3e}, sum {a.sum():.12f}")
+        with np.errstate(over="ignore"):  # their sum here is inf
+            raise ContractViolation(f"malformed distribution: min {a.min():.3e}, sum {a.sum():.12f}")
     keep = [i for i, x in enumerate(p) if x >= TOL]
     weights = [p[i] for i in keep]
     total = _array_sum(weights)

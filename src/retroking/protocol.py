@@ -79,11 +79,6 @@ def _check_label(label) -> BracketLabel:
     return lab
 
 
-def _agreements(labels: np.ndarray) -> np.ndarray:
-    """Pairwise label agreement counts of the rows of an n x 4 label array."""
-    return (labels[:, None] == labels[None]).sum(axis=-1)
-
-
 @lru_cache(maxsize=None)
 def label_matrix() -> np.ndarray:
     """ALL_LABELS as a read-only 81 x 4 int8 array; row i is ALL_LABELS[i]."""
@@ -94,7 +89,8 @@ def label_matrix() -> np.ndarray:
 def agreement_matrix() -> np.ndarray:
     """81 x 81 read-only: entry (i, j) counts the coordinates where
     ALL_LABELS[i] and ALL_LABELS[j] agree."""
-    return _readonly(_agreements(label_matrix()))
+    labels = label_matrix()
+    return _readonly((labels[:, None] == labels[None]).sum(axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -151,47 +147,50 @@ def build_psi_basis() -> OrthonormalBasis:
     return OrthonormalBasis(tuple(StateVector(c) for c in columns))
 
 
-def _bracket_coefficients(labels: np.ndarray) -> np.ndarray:
-    """9 x n coefficients over the psi basis of the bracket states of the rows
-    of an n x 4 label array: row 0 is 1/3, rows 2m+1 and 2m+2 are
-    OMEGA**(+-k_m) / 3 (the two are conjugates)."""
-    coefficients = np.empty((9, len(labels)), dtype=np.complex128)
-    coefficients[0] = 1.0 / 3.0
-    coefficients[1::2] = OMEGA**labels.T / 3.0
-    coefficients[2::2] = coefficients[1::2].conj()
-    return coefficients
+def _label_index(labels) -> np.ndarray:
+    """ALL_LABELS positions of labels on the last axis; intp, as uint64 @ int64 is float."""
+    return np.asarray(labels, dtype=np.intp) @ (27, 9, 3, 1)
 
 
-def bracket_state(label) -> StateVector:
-    """The two-atom state |[k0 k1 k2 k3]>, over the reference psi basis.
-
-    It is orthogonal to every trio member except the one with outcome k_m
-    in each basis m, where the overlap has magnitude 3**-0.5.
-    """
-    coefficients = _bracket_coefficients(np.array([_check_label(label)]))[:, 0]
-    return StateVector(build_psi_basis().matrix @ coefficients)
+def overlap_law(matches):
+    """Inner product of two bracket states whose labels agree in ``matches`` places."""
+    return (matches - 1) / 3.0
 
 
 @lru_cache(maxsize=None)
 def bracket_matrix() -> np.ndarray:
-    """9 x 81 read-only: column i is bracket_state(ALL_LABELS[i]) in the
-    reference two-atom basis."""
-    return _readonly(build_psi_basis().matrix @ _bracket_coefficients(label_matrix()))
+    """9 x 81 read-only: column i is the bracket state of ALL_LABELS[i] in the
+    reference two-atom basis.  Over the psi basis it is 1/3 on psi_0 and the
+    conjugates OMEGA**(+-k_m) / 3 on psi_2m+1 and psi_2m+2."""
+    coefficients = np.empty((9, len(ALL_LABELS)), dtype=np.complex128)
+    coefficients[0] = 1.0 / 3.0
+    coefficients[1::2] = OMEGA**label_matrix().T / 3.0
+    coefficients[2::2] = coefficients[1::2].conj()
+    return _readonly(build_psi_basis().matrix @ coefficients)
+
+
+def bracket_state(label) -> StateVector:
+    """The two-atom state |[k0 k1 k2 k3]>: its column of ``bracket_matrix``.
+
+    It is orthogonal to every trio member except the one with outcome k_m
+    in each basis m, where the overlap has magnitude 3**-0.5.
+    """
+    return StateVector(bracket_matrix()[:, _label_index(_check_label(label))])
 
 
 @lru_cache(maxsize=None)
 def bracket_gram() -> np.ndarray:
     """81 x 81 read-only Gram matrix of the bracket family: by the overlap
-    law it equals (agreement_matrix() - 1) / 3."""
+    law it equals overlap_law(agreement_matrix())."""
     brackets = bracket_matrix()
     return _readonly(brackets.conj().T @ brackets)
 
 
 def bracket_overlap(a, b) -> float:
-    """Analytic inner product of two bracket states: (matches - 1) / 3, the
+    """Analytic inner product of two bracket states: the overlap law of the
     matches read off the agreement matrix at the labels' positions."""
-    i, j = (sum(map(operator.mul, _check_label(lab), (27, 9, 3, 1))) for lab in (a, b))
-    return (agreement_matrix()[i, j].item() - 1) / 3.0
+    i, j = (_label_index(_check_label(lab)) for lab in (a, b))
+    return overlap_law(agreement_matrix()[i, j].item())
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +208,8 @@ class PhysicistBasis:
             raise ContractViolation("a physicist basis takes a sequence of labels") from None
         if len(labels) != 9:
             raise ContractViolation("a physicist basis holds nine labelled dim-9 states")
-        agreement = _agreements(np.array(labels))
+        index = _label_index(labels)
+        agreement = agreement_matrix()[index[:, None], index]
         clashes = np.argwhere(np.triu(agreement != 1, 1))
         if clashes.size:
             a, b = clashes[0]
@@ -502,7 +502,7 @@ def label_set_deviations(label_sets) -> np.ndarray:
         raise ContractViolation("label sets must be an integer array of shape (sets, size, 4)")
     if sets.size and (sets.min() < 0 or sets.max() > 2):
         raise ContractViolation("label coordinates must lie in 0..2")
-    index = sets @ np.array([27, 9, 3, 1])
+    index = _label_index(sets)
     gram = bracket_gram()[index[:, :, None], index[:, None, :]]
     return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
 
@@ -585,7 +585,7 @@ def invariant_checks() -> list[Check]:
     dev = np.where(selected, np.abs(np.abs(overlaps) ** 2 - 1.0 / 3.0), np.abs(overlaps))
     checks.append(within("bracket-trio-selectivity", dev))
 
-    dev = np.abs(bracket_gram() - (agreement_matrix() - 1) / 3.0)
+    dev = np.abs(bracket_gram() - overlap_law(agreement_matrix()))
     checks.append(within("bracket-overlap-law", dev))
 
     pb = build_physicist_basis()

@@ -70,10 +70,10 @@ PINNED_STDOUT = {
     ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
     ("search-bases", "text"): "89698a00b751c559e03f92e94b7ffe22189f1fa94e4f599163a8a8b2a6232956",
     ("search-bases", "json"): "920797d03ec0df637355074515aa66a255d8283ddc0bcae07abb583e74ac5993",
-    ("verify", "json", 0): "46fc5fda08e9906e72dd1d0c2e31dd3eff2b88a36bcea3b23a36047bcb70bdcf",
+    ("verify", "json", 0): "b88d933754d1721300dedebc07a23bd5035f23c3b6ccfe91b6e0f0c98a46fe8c",
     ("verify", "json", 2**64 - 1):
-        "18ac38154a0ab50d31097e536133f19956de25c0986fb882ef711a7dabe4d877",
-    ("verify", "text", 0): "93bec9a423fea829a27c70403ae087d2fd7f249212e796a7f5b7131b5573c6ef",
+        "285962b0fc8b6709f7b2a9fd21ef5bb7972ceef5f0e2c9c1143d4668f5f04a93",
+    ("verify", "text", 0): "f39efae5353986c77dd9604b8bc0788087e752f62de44d632829a93b88ff06a8",
     ("simulate", "text", 0): "590b6d5bb5d1dd351a34e27002391a6df41e3bee381f455f308d5e2d8d8e674c",
     ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
     ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
@@ -125,8 +125,10 @@ def test_verify_reports_a_builder_that_raises(capsys):
 
 # Construction mutants: (module, function, source fragment, replacement).
 MUTANTS = {
-    "bracket-unconjugated": (protocol, "_bracket_coefficients", "coefficients[1::2].conj()",
+    "bracket-unconjugated": (protocol, "bracket_matrix", "coefficients[1::2].conj()",
                              "coefficients[1::2]"),
+    "overlap-law": (protocol, "overlap_law", "/ 3.0", "/ 3.1"),
+    "label-index": (protocol, "_label_index", "(27, 9, 3, 1)", "(27, 9, 1, 3)"),
     "trio-unpartnered": (protocol, "trio_matrix", "partner_outcome(m, k)]", "k]"),
     "bias-diagonal": (mub, "_bias", "np.fill_diagonal(bias, 0.0)", "pass"),
     "collapse-unconjugated": (protocol, "_collapse_born", "trio_matrix().conj()",
@@ -145,13 +147,18 @@ MUTANT_RUNS = {
 # Commands a mutant rightly leaves passing, because they never read what it
 # breaks: tomography reads only the qutrit bases, and the collapse table
 # feeds only the round engine and the certainty check, as does the thirds
-# rule; of the commands, only verify's replays sum nine Born entries.
+# rule; of the commands, only verify's replays sum nine Born entries.  A
+# wrong overlap law survives in tables, which prints it but has no check; a
+# label-position rule with two coordinates swapped still finds orthonormal
+# sets, but the physicist then measures states of the wrong labels.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
     "trio-unpartnered": {"tomography"},
     "collapse-unconjugated": {"tables", "search-bases", "tomography"},
     "thirds-off": {"tables", "search-bases", "tomography"},
     "sum-doubled": {"tables", "simulate", "search-bases", "tomography"},
+    "overlap-law": {"tables", "simulate", "search-bases", "tomography"},
+    "label-index": {"tables", "search-bases", "tomography"},
 }
 
 

@@ -230,6 +230,13 @@ class TestSampleOutcome:
         with pytest.raises(ContractViolation):
             sample_outcome([np.nan, 1.0], rng)
 
+    @pytest.mark.parametrize("size", [3, 9])
+    def test_rejects_huge_entries_without_overflow(self, rng, size):
+        # finite entries whose sum overflows: below 8 entries the message's
+        # numpy sum, from 8 on the sum check itself; warnings are errors here
+        with pytest.raises(ContractViolation, match="malformed distribution"):
+            sample_outcome([1e308] * size, rng)
+
     @given(seeds)
     def test_only_supported_outcomes(self, seed):
         gen = np.random.default_rng(seed)

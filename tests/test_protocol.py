@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import inspect
 import itertools
 import json
@@ -38,7 +39,7 @@ from retroking import (
     tensor_product,
     trio_matrix,
 )
-from retroking import cli, linalg, protocol
+from retroking import cli, linalg, mub, protocol
 from retroking.linalg import standard_basis_vector
 from retroking.protocol import (
     CHUNK_ROUNDS,
@@ -363,7 +364,19 @@ class TestBracketFamily:
         brackets = protocol.bracket_matrix()
         assert brackets.shape == (9, 81)
         for i, label in enumerate(ALL_LABELS):
-            assert np.abs(brackets[:, i] - bracket_state(label).amps).max() < 1e-14
+            assert np.array_equal(brackets[:, i], bracket_state(label).amps)
+
+    def test_every_searched_basis_measures_its_columns(self):
+        for labels in search_bases():
+            positions = [ALL_LABELS.index(lab) for lab in labels]
+            matrix = PhysicistBasis(labels).basis.matrix
+            assert np.array_equal(matrix, protocol.bracket_matrix()[:, positions])
+
+    @pytest.mark.parametrize("matches", range(5))
+    def test_tables_print_the_overlap_law(self, matches):
+        other = (0,) * matches + (1,) * (4 - matches)
+        printed = cli.run(cli.RunConfig("tables"))["data"]["overlap_by_matches"]
+        assert printed[str(matches)] == bracket_overlap((0, 0, 0, 0), other)
 
     def test_agreement_matrix_counts_matching_coordinates(self):
         agreement = protocol.agreement_matrix()
@@ -383,11 +396,52 @@ class TestBracketFamily:
             assert not array.flags.writeable
 
 
+def _handed_out_arrays(value, path):
+    """(path, array) for each array in a cached result: the result itself,
+    tuple members and the fields of returned containers, all the way down."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _handed_out_arrays(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _handed_out_arrays(getattr(value, f.name), f"{path}.{f.name}")
+
+
+CACHED_BUILDERS = {
+    f"{f.__module__}.{f.__qualname__}": f
+    for module in (mub, protocol)
+    for f in vars(module).values()
+    if hasattr(f, "cache_clear") and not inspect.signature(f).parameters
+}
+
+
+def test_cached_builders_are_all_listed():
+    names = {name.rpartition(".")[2] for name in CACHED_BUILDERS}
+    assert names >= {"fourier_matrix", "qutrit_basis_matrices", "_round_engine", "prepare_psi0",
+                     "build_psi_basis", "build_physicist_basis", "bracket_matrix"}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_BUILDERS))
+def test_cached_builders_hand_out_only_read_only_arrays(name):
+    # every caller shares a cached result: one writable array in it would let
+    # one caller change what all the others read
+    arrays = dict(_handed_out_arrays(CACHED_BUILDERS[name](), name))
+    assert arrays
+    assert [path for path, array in arrays.items() if array.flags.writeable] == []
+
+
 class TestLabelSetDeviations:
     def test_clashing_pair_reads_a_third(self):
         # (0,0,0,0) and (0,0,1,1) agree in 2 coordinates: overlap (2 - 1) / 3
         labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
         assert protocol.label_set_deviations([labels])[0] == pytest.approx(1 / 3, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint64])
+    def test_takes_any_integer_dtype(self, dtype):
+        labels = np.array([PHYSICIST_LABELS], dtype=dtype)
+        assert protocol.label_set_deviations(labels)[0] < TOL
 
     def test_every_searched_set_is_orthonormal(self):
         deviations = protocol.label_set_deviations(search_bases())
@@ -408,6 +462,9 @@ class TestDoctoredBracketFamily:
 
     @pytest.fixture
     def doctored(self, monkeypatch):
+        # the physicist basis reads its states off the bracket matrix: cached
+        # from the true one, so that only the family checks see the doctoring
+        protocol.build_physicist_basis()
         # column i holds the state of label i - 1
         brackets = np.roll(protocol.bracket_matrix(), 1, axis=1)
         monkeypatch.setattr(protocol, "bracket_matrix", lambda: brackets)
@@ -776,14 +833,13 @@ class TestRoundChunks:
                 if lo < hi:
                     assert bins(row, lo) == bins(row, hi - 1)
                     moved.append((*bins(row, lo), hi - lo))
-        # king basis 0's second step, then collapse rows 0, 1, 2, 3, 5, 5,
-        # 6, 6, 7, 8, 9, 10, 11: at most 2 * 2**11 words each
+        # king basis 0's second step, then collapse rows 1, 2, 3, 5, 6, 7,
+        # 7, 8, 9, 10, 11, 11: at most 2 * 2**11 words each
         assert moved == [
             (6, 3, 2048),
-            (2, 1, 2048), (5, 4, 2048), (8, 7, 2048), (9, 10, 2048),
-            (16, 15, 2048), (17, 16, 4096), (18, 19, 2048), (19, 20, 2048),
-            (21, 22, 2048), (26, 25, 2048), (27, 28, 4096), (31, 30, 4096),
-            (34, 33, 2048),
+            (5, 4, 2048), (8, 7, 2048), (9, 10, 4096), (17, 16, 2048),
+            (18, 19, 4096), (21, 22, 4096), (22, 23, 2048), (24, 25, 2048),
+            (27, 28, 4096), (31, 30, 2048), (34, 33, 2048), (35, 34, 4096),
         ]
 
     @given(*[st.one_of(
