@@ -78,26 +78,28 @@ def _print_matrix(rows: list[list[list[float]]], symbolic: bool) -> None:
         print("  [ " + "  ".join(c.rjust(width) for c in row) + " ]")
 
 
-def _guarded(call, *args, name="construction") -> tuple[list[Check], dict]:
+def _guarded(call, *args, name="construction", said: set[str]) -> tuple[list[Check], dict]:
     """``call(*args)``, a (checks, data) pair.  A builder that raises inside it
     is a failed construction, not a bad argument (RunConfig has checked
-    those): its message goes to stderr, and the pair is the one failing
-    check ``name`` and no data."""
+    those): its message goes to stderr unless ``said``, the messages the run
+    has printed, holds it, and the pair is the one failing check ``name`` and no data."""
     try:
         return call(*args)
     except (RuntimeError, ContractViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if str(exc) not in said:
+            said.add(str(exc))
+            print(f"error: {exc}", file=sys.stderr)
         return [Check(name, False, 1.0)], {}
 
 
 def cmd_verify(config: RunConfig) -> tuple[list[Check], dict]:
     rng = np.random.default_rng(config.seed)
-    checks = []
+    checks, said = [], set()
     # one guard per suite, so a suite that fails to build leaves the other's
     # checks; each names its failure apart, so a report's check names are unique
     suites = {"mub": lambda: mub.invariant_checks(rng), "protocol": protocol.invariant_checks}
     for name, suite in suites.items():
-        checks += _guarded(lambda: (suite(), {}), name=f"{name}-construction")[0]
+        checks += _guarded(lambda: (suite(), {}), name=f"{name}-construction", said=said)[0]
     return checks, {"tolerance": TOL}
 
 
@@ -182,7 +184,7 @@ def cmd_tomography(config: RunConfig) -> tuple[list[Check], dict]:
 def run(config: RunConfig) -> dict:
     """Execute one command and assemble its report."""
     started = time.perf_counter()
-    checks, data = _guarded(COMMANDS[config.command][0], config)
+    checks, data = _guarded(COMMANDS[config.command][0], config, said=set())
     elapsed = time.perf_counter() - started
     echo = {"rounds": config.rounds, "seed": config.seed, "basis": config.basis,
             "format": config.format}

@@ -29,6 +29,7 @@ from .linalg import (
     StateVector,
     _as_generator,
     _as_instance,
+    _orthonormality_deviation,
     _readonly,
     standard_basis,
 )
@@ -43,19 +44,17 @@ OMEGA = np.exp(2j * np.pi / 3)
 
 
 @lru_cache(maxsize=None)
-def fourier_matrix() -> np.ndarray:
-    """The 3x3 unitary with entries OMEGA**(j*k) / sqrt(3)."""
-    j, k = np.indices((3, 3))
-    return _readonly(OMEGA ** (j * k) / np.sqrt(3))
-
-
-@lru_cache(maxsize=None)
 def qutrit_basis_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns of matrix m-1 are the kets of basis m in the reference basis."""
-    x = OMEGA
-    first = np.array([[x, 1, 1], [1, x, 1], [1, 1, x]], dtype=complex) / np.sqrt(3)
-    second = np.array([[x * x, 1, 1], [1, x * x, 1], [1, 1, x * x]], dtype=complex) / np.sqrt(3)
-    return _readonly(first), _readonly(second), fourier_matrix()
+    """Columns of matrix m-1 are the kets of basis m in the reference basis:
+    OMEGA to the integer exponents [I, 2I, jk], over sqrt(3)."""
+    j, k = np.indices((3, 3))
+    powers = np.stack([j == k, 2 * (j == k), j * k])
+    return tuple(map(_readonly, OMEGA**powers / np.sqrt(3)))
+
+
+def fourier_matrix() -> np.ndarray:
+    """The 3x3 unitary with entries OMEGA**(j*k) / sqrt(3): basis 3's kets."""
+    return qutrit_basis_matrices()[2]
 
 
 def _overlaps(grids: np.ndarray) -> np.ndarray:
@@ -173,10 +172,8 @@ def certify_unbiasedness(
         if any(len(basis) != dim for basis in vectors):
             raise ContractViolation(f"each basis in dimension {dim} needs {dim} vectors")
         grids = np.array([np.stack(basis, axis=1) for basis in vectors])
-    count, dim = grids.shape[:2]
-    overlaps = _overlaps(grids)
-    same = np.abs(overlaps[np.eye(count, dtype=bool)] - np.eye(dim)).max()
-    return UnbiasednessReport(dim, float(same), float(_bias(overlaps).max()))
+    same = max(_orthonormality_deviation(grid).max() for grid in grids)
+    return UnbiasednessReport(grids.shape[1], float(same), float(_bias(_overlaps(grids)).max()))
 
 
 def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str) -> np.ndarray:

@@ -41,16 +41,6 @@ from .reporting import Check, within
 
 BracketLabel = tuple[int, int, int, int]
 
-# Auxiliary-atom basis paired with each given-atom basis in the entangled
-# preparation, and the paired outcome within that basis.
-PARTNER_BASIS = (0, 2, 1, 3)
-
-
-def partner_outcome(m: int, k: int) -> int:
-    m, k = _index(m, 4, "basis index"), _index(k, 3, "outcome")
-    return k if m < 3 else (-k) % 3
-
-
 # Labels of the reference physicist basis, P_0 .. P_8.  Any two agree in
 # exactly one coordinate, which is precisely the orthogonality criterion
 # for bracket states.
@@ -95,29 +85,24 @@ def agreement_matrix() -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def prepare_psi0() -> StateVector:
-    """The entangled two-atom preparation.
+    """The entangled two-atom preparation vec(I)/sqrt(3).
 
     Written in the reference basis it is 3**-0.5 times the sum of the three
     doubly-occupied kets (flat indices 0, 4, 8); summing any basis's trio
     reproduces the very same vector, see ``entangled_forms``.
     """
-    amps = np.zeros(9, dtype=np.complex128)
-    amps[[0, 4, 8]] = 3**-0.5
-    return StateVector(amps)
+    return StateVector(np.eye(3).reshape(9) * 3**-0.5)
 
 
-@lru_cache(maxsize=None)
 def trio_matrix() -> np.ndarray:
     """The 4 trios of possible two-atom states after the king's measurement,
-    as a 12 x 9 read-only array: row 3*m + k is the product of the given
-    atom's |m_k> with the auxiliary atom's partner ket.  Within fixed m the
+    as a 12 x 9 read-only array: the qutrit set's projector matrix.
+
+    In every basis m the preparation is sum_k |m_k>|m_k*>/sqrt(3), so the
+    king's outcome k leaves |m_k> (x) |m_k*>, whose amplitude at 3*i + j is
+    <i|m_k><m_k|j>: row 3*m + k is vec(|m_k><m_k|).  Within fixed m the
     three rows are orthonormal."""
-    kets = build_qutrit_mubs().matrices.transpose(0, 2, 1)  # kets[m, k] = |m_k>
-    partners = np.array(
-        [kets[PARTNER_BASIS[m], partner_outcome(m, k)] for m in range(4) for k in range(3)]
-    )
-    # the broadcast product is tensor_product's np.kron, bit for bit
-    return _readonly((kets.reshape(12, 3)[:, :, None] * partners[:, None, :]).reshape(12, 9))
+    return build_qutrit_mubs().projectors
 
 
 def entangled_forms() -> tuple[StateVector, StateVector, StateVector, StateVector]:

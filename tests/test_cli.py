@@ -70,10 +70,10 @@ PINNED_STDOUT = {
     ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
     ("search-bases", "text"): "89698a00b751c559e03f92e94b7ffe22189f1fa94e4f599163a8a8b2a6232956",
     ("search-bases", "json"): "920797d03ec0df637355074515aa66a255d8283ddc0bcae07abb583e74ac5993",
-    ("verify", "json", 0): "b88d933754d1721300dedebc07a23bd5035f23c3b6ccfe91b6e0f0c98a46fe8c",
+    ("verify", "json", 0): "a7f9031cfcca966c1225e536197e58745f83226ff9ee734d04ff61296fe001e1",
     ("verify", "json", 2**64 - 1):
-        "285962b0fc8b6709f7b2a9fd21ef5bb7972ceef5f0e2c9c1143d4668f5f04a93",
-    ("verify", "text", 0): "f39efae5353986c77dd9604b8bc0788087e752f62de44d632829a93b88ff06a8",
+        "6909f1198d04c2d22bbcf29e153329490b466778e4c92ff9fa0aa2c704d36708",
+    ("verify", "text", 0): "8a7ff7e7005874120872837589cff3b1b7914688e79b5806a2373a0f589a1307",
     ("simulate", "text", 0): "590b6d5bb5d1dd351a34e27002391a6df41e3bee381f455f308d5e2d8d8e674c",
     ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
     ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
@@ -129,11 +129,12 @@ MUTANTS = {
                              "coefficients[1::2]"),
     "overlap-law": (protocol, "overlap_law", "/ 3.0", "/ 3.1"),
     "label-index": (protocol, "_label_index", "(27, 9, 3, 1)", "(27, 9, 1, 3)"),
-    "trio-unpartnered": (protocol, "trio_matrix", "partner_outcome(m, k)]", "k]"),
+    "trio-conjugated": (protocol, "trio_matrix", ".projectors", ".projectors.conj()"),
     "bias-diagonal": (mub, "_bias", "np.fill_diagonal(bias, 0.0)", "pass"),
     "collapse-unconjugated": (protocol, "_collapse_born", "trio_matrix().conj()",
                               "trio_matrix()"),
-    "qutrit-basis-power": (mub, "qutrit_basis_matrices", "[1, x * x, 1]", "[1, x, 1]"),
+    "qutrit-basis-power": (mub, "qutrit_basis_matrices", "2 * (j == k)", "(j == k)"),
+    "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
     "sum-doubled": (linalg, "_array_sum", ".sum())", ".sum() * 2)"),
 }
@@ -151,9 +152,11 @@ MUTANT_RUNS = {
 # wrong overlap law survives in tables, which prints it but has no check; a
 # label-position rule with two coordinates swapped still finds orthonormal
 # sets, but the physicist then measures states of the wrong labels.
+# Atom-swapped trios form a self-consistent protocol whose labels name the
+# wrong bases: only verify's explicit replay collapses the given atom.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
-    "trio-unpartnered": {"tomography"},
+    "trio-conjugated": {"tables", "simulate", "search-bases", "tomography"},
     "collapse-unconjugated": {"tables", "search-bases", "tomography"},
     "thirds-off": {"tables", "search-bases", "tomography"},
     "sum-doubled": {"tables", "simulate", "search-bases", "tomography"},
@@ -173,6 +176,18 @@ def test_every_command_reports_under_a_mutant(capsys, mutant, command):
     assert code == (0 if report["pass"] else 1)
     names = [c["name"] for c in report["checks"]]
     assert len(names) == len(set(names)), names
+
+
+def test_every_survivor_names_a_mutant():
+    assert STILL_PASSING.keys() <= MUTANTS.keys()
+
+
+def test_verify_prints_each_error_once(capsys):
+    # both suites fail on the same broken mub construction
+    with mutated(*MUTANTS["bias-diagonal"]):
+        assert main(["verify", "--format", "json"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: bases 1 and 1 are not unbiased: deviation 6.667e-01"]
 
 
 class TestVerify:

@@ -47,7 +47,7 @@ from retroking import (
 from retroking.cli import RunConfig
 from retroking.linalg import MAX_DIM, MAX_DRAWS, standard_basis, standard_basis_vector
 from retroking.mub import invariant_checks as mub_invariant_checks
-from retroking.protocol import label_set_deviations, partner_outcome
+from retroking.protocol import label_set_deviations
 
 
 @pytest.mark.parametrize(
@@ -74,9 +74,6 @@ from retroking.protocol import label_set_deviations, partner_outcome
         lambda: MubSet(5),
         lambda: MubSet(()),
         lambda: PhysicistBasis(1),
-        lambda: partner_outcome("x", 0),
-        lambda: partner_outcome(0, "x"),
-        lambda: partner_outcome(7, 1),
         lambda: standard_basis("x"),
         lambda: label_set_deviations([[(0, 0, 0, 0)], [(0, 0, 0, 0), (0, 1, 1, 1)]]),
         lambda: mub_invariant_checks(None),
@@ -93,7 +90,6 @@ from retroking.protocol import label_set_deviations, partner_outcome
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
         "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
         "certify-int", "mub-set-int-bases", "mub-set-empty", "physicist-basis-ints",
-        "partner-outcome-str-basis", "partner-outcome-str-outcome", "partner-outcome-basis-7",
         "standard-basis-str", "label-sets-ragged",
         "mub-invariants-no-generator", "sample-size-over-max", "basis-vector-dim-over-max",
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
@@ -157,7 +153,6 @@ ENTRY_POINTS = {
     "certify": lambda a, b: certify_unbiasedness(a),
     "mub-set": lambda a, b: MubSet(a),
     "physicist-basis": lambda a, b: PhysicistBasis(a),
-    "partner-outcome": lambda a, b: partner_outcome(a, b),
     "standard-basis": lambda a, b: standard_basis(a),
     "standard-basis-vector": lambda a, b: standard_basis_vector(a, b),
     "label-set-deviations": lambda a, b: label_set_deviations(a),
