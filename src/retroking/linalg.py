@@ -112,7 +112,7 @@ class StateVector:
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm) and not np.isfinite(amps).all():
             raise ContractViolation("state amplitudes must be finite")
-        if abs(norm - 1.0) > TOL:
+        if not abs(norm - 1.0) <= TOL:  # a NaN norm fails too
             raise ContractViolation(
                 f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
             )

@@ -36,7 +36,7 @@ from .linalg import (
     project_and_normalize,
     sample_outcome,
 )
-from .mub import OMEGA, build_qutrit_mubs, fourier_matrix
+from .mub import build_qutrit_mubs, fourier_matrix
 from .reporting import Check, within
 
 BracketLabel = tuple[int, int, int, int]
@@ -70,17 +70,18 @@ def _check_label(label) -> BracketLabel:
 
 
 @lru_cache(maxsize=None)
-def label_matrix() -> np.ndarray:
-    """ALL_LABELS as a read-only 81 x 4 int8 array; row i is ALL_LABELS[i]."""
-    return _readonly(np.array(ALL_LABELS, dtype=np.int8))
+def selection_matrix() -> np.ndarray:
+    """12 x 81 read-only int8: entry (3*m + k, i) is 1 when ALL_LABELS[i] has
+    k_m = k, so that bracket i meets trio member (m, k), and 0 otherwise."""
+    labels = np.array(ALL_LABELS).T[:, None]  # labels[m, 0, i] = ALL_LABELS[i][m]
+    return _readonly((labels == np.arange(3)[:, None]).reshape(12, -1).astype(np.int8))
 
 
 @lru_cache(maxsize=None)
 def agreement_matrix() -> np.ndarray:
     """81 x 81 read-only: entry (i, j) counts the coordinates where
-    ALL_LABELS[i] and ALL_LABELS[j] agree."""
-    labels = label_matrix()
-    return _readonly((labels[:, None] == labels[None]).sum(axis=-1))
+    ALL_LABELS[i] and ALL_LABELS[j] agree: S^T S, S the selection matrix."""
+    return _readonly(selection_matrix().T @ selection_matrix())
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +115,7 @@ def entangled_forms() -> tuple[StateVector, StateVector, StateVector, StateVecto
 
 @lru_cache(maxsize=None)
 def build_psi_basis() -> OrthonormalBasis:
-    """Nine orthonormal two-atom states underlying the bracket construction.
+    """Nine orthonormal two-atom states that the trios mix; only invariant_checks reads them.
 
     Index 0 is the entangled preparation itself; indices 2m+1 and 2m+2 are
     obtained by undoing the Fourier-type mixing on the trio of basis m, so
@@ -144,22 +145,22 @@ def overlap_law(matches):
 
 @lru_cache(maxsize=None)
 def bracket_matrix() -> np.ndarray:
-    """9 x 81 read-only: column i is the bracket state of ALL_LABELS[i] in the
-    reference two-atom basis.  Over the psi basis it is 1/3 on psi_0 and the
-    conjugates OMEGA**(+-k_m) / 3 on psi_2m+1 and psi_2m+2."""
-    coefficients = np.empty((9, len(ALL_LABELS)), dtype=np.complex128)
-    coefficients[0] = 1.0 / 3.0
-    coefficients[1::2] = OMEGA**label_matrix().T / 3.0
-    coefficients[2::2] = coefficients[1::2].conj()
-    return _readonly(build_psi_basis().matrix @ coefficients)
+    """9 x 81 read-only: column i is the bracket state of ALL_LABELS[i], the
+    trio members its label selects summed, less the preparation:
+    B = (T^T S - vec(I) 1^T) / sqrt(3), T the trio and S the selection matrix.
+
+    Proof: the trio Gram G = T* T^T is delta within a basis and 1/3 across
+    bases (unbiasedness), and T* vec(I) = 1 (each row is a projector of trace
+    1).  So G S = S + J and T* B = S / sqrt(3), which is selectivity; and
+    S^T G S = agreement + 4J, so B^H B = (S^T G S - 5J) / 3 = (agreement - 1) / 3,
+    which is the overlap law."""
+    brackets = trio_matrix().T @ selection_matrix() * 3**-0.5 - prepare_psi0().amps[:, None]
+    return _readonly(brackets)
 
 
 def bracket_state(label) -> StateVector:
-    """The two-atom state |[k0 k1 k2 k3]>: its column of ``bracket_matrix``.
-
-    It is orthogonal to every trio member except the one with outcome k_m
-    in each basis m, where the overlap has magnitude 3**-0.5.
-    """
+    """The two-atom state |[k0 k1 k2 k3]>: its column of ``bracket_matrix``,
+    which meets trio member (m, k) only for k = k_m."""
     return StateVector(bracket_matrix()[:, _label_index(_check_label(label))])
 
 
@@ -549,25 +550,23 @@ def invariant_checks() -> list[Check]:
     checks.append(within("entangled-four-forms", [1.0 - abs(inner_product(psi0, f)) for f in forms]))
 
     psi = build_psi_basis()
-    checks.append(within("psi-basis-gram", _orthonormality_deviation(psi.matrix)))
+    gram = _orthonormality_deviation(psi.matrix)
+    checks.append(within("psi-basis-gram", gram))
 
     mixing = fourier_matrix()
     checks.append(within("mixing-unitarity", _orthonormality_deviation(mixing)))
 
-    kets = psi.matrix.T  # row i is psi_i
-    dev = np.abs((kets[1::2].conj() * kets[2::2]).sum(axis=1))
-    checks.append(within("paired-orthogonality", dev))
+    checks.append(within("paired-orthogonality", gram[1::2, 2::2].diagonal()))  # (2m+1, 2m+2)
 
-    trios = trio_matrix()
+    trios, kets = trio_matrix(), psi.matrix.T  # row i of kets is psi_i
     # row k of (mixing^T @ triples[m]) is column k of (psi_0, psi_2m+1, psi_2m+2) @ mixing
     triples = np.stack(np.broadcast_arrays(kets[0], kets[1::2], kets[2::2]), axis=1)
     checks.append(within("trio-reconstruction", np.abs(mixing.T @ triples - trios.reshape(4, 3, 9))))
 
-    # overlaps[m, k, i] = <trio (m, k)|bracket i>: magnitude 3**-0.5 where label i
-    # has k_m = k, zero elsewhere.
-    overlaps = (trios.conj() @ bracket_matrix()).reshape(4, 3, -1)
-    selected = label_matrix().T[:, None, :] == np.arange(3)[None, :, None]
-    dev = np.where(selected, np.abs(np.abs(overlaps) ** 2 - 1.0 / 3.0), np.abs(overlaps))
+    # overlaps[m, k, i] = |<trio (m, k)|bracket i>|: 3**-0.5 where label i
+    # selects (m, k), zero elsewhere.
+    overlaps = np.abs(trios.conj() @ bracket_matrix()).reshape(4, 3, -1)
+    dev = np.where(selection_matrix().reshape(4, 3, -1), np.abs(overlaps**2 - 1.0 / 3.0), overlaps)
     checks.append(within("bracket-trio-selectivity", dev))
 
     dev = np.abs(bracket_gram() - overlap_law(agreement_matrix()))

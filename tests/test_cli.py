@@ -14,7 +14,7 @@ from retroking import OMEGA, Check
 from retroking.cli import COMMANDS, RunConfig, build_parser, main
 from retroking import linalg, mub, protocol
 
-from conftest import mutated
+from conftest import _clear_caches, mutated
 
 
 def run_json(capsys, argv):
@@ -68,12 +68,12 @@ def test_run_config_holds_the_only_defaults(command):
 PINNED_STDOUT = {
     ("tables", "text"): "bdd7f5ed2c068bb318f19b63d90e24a7f6498223c1b64e3d4dde3389b8335fb4",
     ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
-    ("search-bases", "text"): "89698a00b751c559e03f92e94b7ffe22189f1fa94e4f599163a8a8b2a6232956",
-    ("search-bases", "json"): "920797d03ec0df637355074515aa66a255d8283ddc0bcae07abb583e74ac5993",
-    ("verify", "json", 0): "a7f9031cfcca966c1225e536197e58745f83226ff9ee734d04ff61296fe001e1",
+    ("search-bases", "text"): "28e451f0f5eb1e7b4d9dc568498538fb2028cf0ec73eee11768e3d1c9fbcffa3",
+    ("search-bases", "json"): "45048c0848a737b178f6992e7a8e98ee4af1488f5fa252db6debb54332520589",
+    ("verify", "json", 0): "33cc9ea8e7343729ab7171a7ed53b6b034f9ad61f05e36c2a19074b3c3d20bdf",
     ("verify", "json", 2**64 - 1):
-        "6909f1198d04c2d22bbcf29e153329490b466778e4c92ff9fa0aa2c704d36708",
-    ("verify", "text", 0): "8a7ff7e7005874120872837589cff3b1b7914688e79b5806a2373a0f589a1307",
+        "2d4671a6d9907594af64256c451160562a668e61b423e60f8e1ac1200c0fd0ff",
+    ("verify", "text", 0): "e45a7c70424320aa178bd839b05cfc00795defe96a3217728fde99668f0a4038",
     ("simulate", "text", 0): "590b6d5bb5d1dd351a34e27002391a6df41e3bee381f455f308d5e2d8d8e674c",
     ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
     ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
@@ -96,21 +96,19 @@ def test_stdout_is_pinned(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[key]
 
 
-def test_verify_reports_a_builder_that_raises(capsys):
+@pytest.fixture
+def psi_basis_raises(monkeypatch):
     def broken():
         raise RuntimeError("trio 3 un-mixes to a shared column off psi_0")
 
-    cached = [f for f in vars(protocol).values() if hasattr(f, "cache_clear")]
-    original = protocol.build_psi_basis
-    protocol.build_psi_basis = broken
-    for f in cached:
-        f.cache_clear()
-    try:
-        code = main(["verify", "--format", "json"])
-    finally:
-        protocol.build_psi_basis = original
-        for f in cached:
-            f.cache_clear()
+    monkeypatch.setattr(protocol, "build_psi_basis", broken)
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def test_verify_reports_a_builder_that_raises(capsys, psi_basis_raises):
+    code = main(["verify", "--format", "json"])
     out = capsys.readouterr()
     report = json.loads(out.out)
     assert code == 1
@@ -125,8 +123,8 @@ def test_verify_reports_a_builder_that_raises(capsys):
 
 # Construction mutants: (module, function, source fragment, replacement).
 MUTANTS = {
-    "bracket-unconjugated": (protocol, "bracket_matrix", "coefficients[1::2].conj()",
-                             "coefficients[1::2]"),
+    "bracket-unconjugated": (protocol, "bracket_matrix", " - prepare_psi0().amps[:, None]", ""),
+    "selection-reversed": (protocol, "selection_matrix", "np.arange(3)", "np.arange(3)[::-1]"),
     "overlap-law": (protocol, "overlap_law", "/ 3.0", "/ 3.1"),
     "label-index": (protocol, "_label_index", "(27, 9, 3, 1)", "(27, 9, 1, 3)"),
     "trio-conjugated": (protocol, "trio_matrix", ".projectors", ".projectors.conj()"),
@@ -153,9 +151,12 @@ MUTANT_RUNS = {
 # label-position rule with two coordinates swapped still finds orthonormal
 # sets, but the physicist then measures states of the wrong labels.
 # Atom-swapped trios form a self-consistent protocol whose labels name the
-# wrong bases: only verify's explicit replay collapses the given atom.
+# wrong bases: only verify's explicit replay collapses the given atom.  The
+# relabelling k -> 2 - k of a reversed selection is consistent, so agreement
+# counts and both bracket checks still hold: only the retrodiction sees it.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
+    "selection-reversed": {"tables", "search-bases", "tomography"},
     "trio-conjugated": {"tables", "simulate", "search-bases", "tomography"},
     "collapse-unconjugated": {"tables", "search-bases", "tomography"},
     "thirds-off": {"tables", "search-bases", "tomography"},
@@ -180,6 +181,13 @@ def test_every_command_reports_under_a_mutant(capsys, mutant, command):
 
 def test_every_survivor_names_a_mutant():
     assert STILL_PASSING.keys() <= MUTANTS.keys()
+
+
+@pytest.mark.parametrize("command", ["tables", "simulate", "search-bases", "tomography"])
+def test_only_verify_reads_the_psi_basis(capsys, psi_basis_raises, command):
+    # the bracket family is built from the trios alone
+    assert main(MUTANT_RUNS[command] + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_verify_prints_each_error_once(capsys):

@@ -55,6 +55,7 @@ from retroking.protocol import label_set_deviations
     [
         lambda: StateVector([[1, 0], [0, 0]]),
         lambda: StateVector("x"),
+        lambda: StateVector(np.array([1e200 + 1e200j, 0, 0])),
         lambda: inner_product(1, standard_basis_vector(3, 0)),
         lambda: tensor_product(standard_basis_vector(3, 0), None),
         lambda: born_probabilities("x", standard_basis(9)),
@@ -84,7 +85,8 @@ from retroking.protocol import label_set_deviations
         lambda: Check("x", True, None),
     ],
     ids=[
-        "state-from-matrix", "state-from-str", "inner-product-int", "tensor-product-none",
+        "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
+        "tensor-product-none",
         "born-str-state", "born-list-basis", "project-int-state", "basis-of-int",
         "king-measure-int-state", "sample-no-generator",
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",

@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from retroking import (
     ALL_LABELS,
+    OMEGA,
     PHYSICIST_LABELS,
     TOL,
     ContractViolation,
@@ -48,7 +49,7 @@ from retroking.protocol import (
     round_chunks,
 )
 
-from conftest import mutated
+from conftest import _clear_caches, mutated
 
 INV_SQRT3 = 3**-0.5
 
@@ -352,7 +353,7 @@ class TestBracketStates:
                 call()
 
     def test_accepts_numpy_integer_coordinates(self):
-        row = protocol.label_matrix()[5]
+        row = np.array(ALL_LABELS, dtype=np.int8)[5]
         assert np.array_equal(bracket_state(row).amps, bracket_state(ALL_LABELS[5]).amps)
 
 
@@ -374,6 +375,27 @@ class TestBracketFamily:
         other = (0,) * matches + (1,) * (4 - matches)
         printed = cli.run(cli.RunConfig("tables"))["data"]["overlap_by_matches"]
         assert printed[str(matches)] == bracket_overlap((0, 0, 0, 0), other)
+
+    def test_matches_the_psi_basis_construction(self):
+        # the former build: 1/3 on psi_0 and OMEGA**(+-k_m) / 3 on
+        # psi_2m+1, psi_2m+2, over the psi basis
+        coefficients = np.empty((9, 81), dtype=np.complex128)
+        coefficients[0] = 1 / 3
+        coefficients[1::2] = OMEGA ** np.array(ALL_LABELS).T / 3
+        coefficients[2::2] = coefficients[1::2].conj()
+        reference = protocol.build_psi_basis().matrix @ coefficients
+        assert np.abs(protocol.bracket_matrix() - reference).max() < 1e-15
+
+    def test_selection_matrix_marks_the_selected_trio_members(self):
+        selection = protocol.selection_matrix()
+        assert selection.shape == (12, 81) and selection.dtype == np.int8
+        for i, label in enumerate(ALL_LABELS):
+            assert selection[:, i].tolist() == [int(label[m] == k) for m in range(4) for k in range(3)]
+
+    def test_trios_meet_each_bracket_as_selected(self):
+        # T* B = S / sqrt(3), phases included
+        overlaps = protocol.trio_matrix().conj() @ protocol.bracket_matrix()
+        assert np.abs(overlaps - protocol.selection_matrix() * 3**-0.5).max() < 1e-15
 
     def test_agreement_matrix_counts_matching_coordinates(self):
         agreement = protocol.agreement_matrix()
@@ -408,7 +430,8 @@ CACHED_BUILDERS = {
 def test_cached_builders_are_all_listed():
     names = {name.rpartition(".")[2] for name in CACHED_BUILDERS}
     assert names >= {"qutrit_basis_matrices", "_round_engine", "prepare_psi0",
-                     "build_psi_basis", "build_physicist_basis", "bracket_matrix"}
+                     "build_psi_basis", "build_physicist_basis", "bracket_matrix",
+                     "selection_matrix"}
 
 
 @pytest.mark.parametrize("name", sorted(CACHED_BUILDERS))
@@ -451,7 +474,9 @@ class TestDoctoredBracketFamily:
     @pytest.fixture
     def doctored(self, monkeypatch):
         # the physicist basis reads its states off the bracket matrix: cached
-        # from the true one, so that only the family checks see the doctoring
+        # afresh from the true one, so that only the family checks see the
+        # doctoring, whatever ran before
+        _clear_caches()
         protocol.build_physicist_basis()
         # column i holds the state of label i - 1
         brackets = np.roll(protocol.bracket_matrix(), 1, axis=1)
@@ -481,7 +506,6 @@ class TestDoctoredBracketFamily:
 
 
 def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):
-    protocol.invariant_checks()  # every cache built from the true psi basis
     matrix = protocol.build_psi_basis().matrix.copy()
     matrix[:, 4] = matrix[:, 3]  # pair m = 1 made parallel
     monkeypatch.setattr(protocol, "build_psi_basis", lambda: SimpleNamespace(matrix=matrix))
@@ -493,13 +517,16 @@ def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):
 def doctored_trios(monkeypatch):
     """A trio matrix whose rows of trio 1 come in the order (1, 1), (1, 2),
     (1, 0)."""
-    protocol.build_psi_basis()  # cached from the true trios
+    # cached afresh from the true trios, whatever ran before: the bracket
+    # family, the physicist basis measuring it and the psi basis
+    _clear_caches()
+    protocol.build_physicist_basis()
+    protocol.build_psi_basis()
     trios = protocol.trio_matrix().copy()
     trios[3:6] = np.roll(trios[3:6], -1, axis=0)
     monkeypatch.setattr(protocol, "trio_matrix", lambda: trios)
-    protocol._round_engine.cache_clear()
     yield
-    protocol._round_engine.cache_clear()
+    _clear_caches()
 
 
 class TestDoctoredTrioMatrix:
@@ -821,13 +848,15 @@ class TestRoundChunks:
                 if lo < hi:
                     assert bins(row, lo) == bins(row, hi - 1)
                     moved.append((*bins(row, lo), hi - lo))
-        # king basis 0's second step, then collapse rows 1, 2, 3, 5, 7, 8,
-        # 9, 10, 11: at most 2 * 2**11 words each
+        # king basis 0's second step, then collapse rows 0 to 5, 6 (both
+        # steps), 8 (both), 9, 10 (both) and 11 (both): at most 2 * 2**11
+        # words each
         assert moved == [
             (6, 3, 2048),
-            (5, 4, 2048), (8, 7, 2048), (9, 10, 4096), (15, 16, 2048),
-            (22, 23, 2048), (26, 25, 2048), (27, 28, 2048), (31, 30, 4096),
-            (34, 33, 2048),
+            (2, 1, 2048), (5, 4, 2048), (8, 7, 2048), (11, 10, 2048), (14, 13, 2048),
+            (17, 16, 2048), (19, 18, 4096), (20, 19, 4096), (25, 24, 2048),
+            (26, 25, 4096), (29, 28, 2048), (31, 30, 4096), (32, 31, 4096),
+            (34, 33, 2048), (35, 34, 2048),
         ]
 
     @given(*[st.one_of(
