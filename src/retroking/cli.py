@@ -147,10 +147,17 @@ def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     # label digits are 0..2, so the sets pack into bytes in one pass
     digits = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(sets)))
     labels = np.frombuffer(digits, dtype=np.int8).reshape(-1, 9, 4)
+    # coverage: each label lies in 8 sets, each pair agreeing in one coordinate
+    # (only identical labels agree in 4) in 2, and every other pair in none
+    index = protocol._label_index(labels)
+    pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
+    agreement = protocol.agreement_matrix()
+    wrong = int((pairs.reshape(81, 81) != np.where(agreement == 4, 8, 2 * (agreement == 1))).sum())
     checks = [
         Check("search-reference-present", reference_index is not None,
               0.0 if reference_index is not None else 1.0),
         within("search-recertification", protocol.label_set_deviations(labels)),
+        Check("search-coverage", wrong == 0, float(wrong)),
     ]
     data = {
         "count": len(sets),

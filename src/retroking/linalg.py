@@ -26,9 +26,6 @@ import numpy as np
 # round-off at these dimensions sits many orders of magnitude below this.
 TOL = 1e-10
 
-# Largest dimension the standard-basis builders make: a two-atom state's.  It
-# bounds their memory, as standard_basis(d) holds d**2 amplitudes.
-MAX_DIM = 9
 # Most draws one ``sample_outcome`` call makes: a bound on the memory of one
 # call (8 MiB of uniforms), well above the 100,000 the largest caller takes.
 MAX_DRAWS = 2**20
@@ -96,8 +93,9 @@ def _numeric_vector(values, kinds: str, what: str) -> np.ndarray:
 
 
 def _orthonormality_deviation(matrix: np.ndarray) -> np.ndarray:
-    """|M^dagger M - I| entry by entry: zero when M's columns are orthonormal."""
-    return np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1]))
+    """|M^dagger M - I| entry by entry, for a matrix or each of a stack of
+    them: zero when M's columns are orthonormal."""
+    return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(matrix.shape[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,15 +119,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amps.shape[0]
-
-
-def standard_basis_vector(dim: int, index: int) -> StateVector:
-    """Unit vector e_index in the given dimension."""
-    dim = _index(dim, MAX_DIM + 1, "dimension", start=1)
-    index = _index(index, dim, "basis vector index")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +165,6 @@ class OrthonormalBasis:
 
     def __iter__(self):
         return iter(self.vectors)
-
-
-def standard_basis(dim: int) -> OrthonormalBasis:
-    dim = _index(dim, MAX_DIM + 1, "dimension", start=1)
-    return OrthonormalBasis(tuple(standard_basis_vector(dim, k) for k in range(dim)))
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

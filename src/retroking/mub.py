@@ -31,7 +31,6 @@ from .linalg import (
     _as_instance,
     _orthonormality_deviation,
     _readonly,
-    standard_basis,
 )
 from .reporting import Check, within
 
@@ -110,14 +109,15 @@ class MubSet:
         object.__setattr__(self, "projectors", _readonly(projectors))
 
 
+def _family(stack) -> MubSet:
+    """The MUB set whose basis m has the columns of stack[m] as its kets."""
+    return MubSet(tuple(OrthonormalBasis(tuple(map(StateVector, m.T))) for m in stack))
+
+
 @lru_cache(maxsize=None)
 def build_qutrit_mubs() -> MubSet:
     """The four complementary spin-1 eigenbases, reference basis first."""
-
-    def columns(matrix: np.ndarray) -> OrthonormalBasis:
-        return OrthonormalBasis(tuple(StateVector(col) for col in matrix.T))
-
-    return MubSet((standard_basis(3),) + tuple(columns(m) for m in qutrit_basis_matrices()))
+    return _family((np.eye(3), *qutrit_basis_matrices()))
 
 
 @lru_cache(maxsize=None)
@@ -125,9 +125,7 @@ def build_qubit_mubs() -> MubSet:
     """The three Pauli eigenbases: z first, then x = (|+> +- |->)/sqrt(2),
     then y = (|+> +- i|->)/sqrt(2), with the usual phase conventions."""
     s = 2**-0.5
-    x_basis = OrthonormalBasis((StateVector([s, s]), StateVector([s, -s])))
-    y_basis = OrthonormalBasis((StateVector([s, 1j * s]), StateVector([s, -1j * s])))
-    return MubSet((standard_basis(2), x_basis, y_basis))
+    return _family(np.array([np.eye(2), [[s, s], [s, -s]], [[s, s], [1j * s, -1j * s]]]))
 
 
 @dataclass(frozen=True)
@@ -172,7 +170,7 @@ def certify_unbiasedness(
         if any(len(basis) != dim for basis in vectors):
             raise ContractViolation(f"each basis in dimension {dim} needs {dim} vectors")
         grids = np.array([np.stack(basis, axis=1) for basis in vectors])
-    same = max(_orthonormality_deviation(grid).max() for grid in grids)
+    same = _orthonormality_deviation(grids).max()
     return UnbiasednessReport(grids.shape[1], float(same), float(_bias(_overlaps(grids)).max()))
 
 

@@ -228,14 +228,11 @@ def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
     return _as_physicist_basis(basis).labels[j][m]
 
 
-def king_outcome_probabilities(psi0: StateVector, m: int) -> np.ndarray:
-    """Born probabilities for measuring basis m on the given atom alone."""
-    return _king_born(psi0, build_qutrit_mubs().bases[_index(m, 4, "basis index")])
-
-
-def _king_born(psi0: StateVector, basis: OrthonormalBasis) -> np.ndarray:
+def _king_born(psi0: StateVector, matrices: np.ndarray) -> np.ndarray:
+    """Born probabilities for measuring, on the given atom alone, the basis
+    whose kets are the columns of ``matrices``, or each basis of a stack."""
     grid = _as_instance(psi0, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
-    return (np.abs(basis.matrix.conj().T @ grid) ** 2).sum(axis=1)
+    return (np.abs(matrices.conj().swapaxes(-1, -2) @ grid) ** 2).sum(axis=-1)
 
 
 def king_measure(
@@ -255,7 +252,7 @@ def king_measure(
     if force_outcome is None:
         if rng is None:
             raise ContractViolation("sampling a king outcome needs a generator")
-        k = sample_outcome(_king_born(psi0, basis), rng)
+        k = sample_outcome(_king_born(psi0, basis.matrix), rng)
     else:
         k = _index(force_outcome, 3, "forced outcome")
     return k, project_and_normalize(psi0, basis[k])
@@ -315,7 +312,7 @@ def _round_engine() -> np.ndarray:
     physicist's jb-th possible outcome j after that collapse.  Every king
     and collapse row is certified to have three outcomes of 1/3."""
     psi0, pb = prepare_psi0(), build_physicist_basis()
-    king = np.array([king_outcome_probabilities(psi0, m) for m in range(4)])
+    king = _king_born(psi0, build_qutrit_mubs().matrices)
     # a bad row is named from (row, row // 3, row % 3)
     for born, name in ((king, "king basis {0}"), (_collapse_born(pb), "collapse (m={1}, k={2})")):
         possible, count, worst = _thirds(born)
@@ -579,6 +576,14 @@ def invariant_checks() -> list[Check]:
     checks.append(
         Check("retrodiction-certainty", certainty.passed, certainty.max_probability_deviation)
     )
+
+    # the constants the engine reads, in integers: each of the three word
+    # intervals holds 2**64 / 3 words to within 2**11, one step of a uniform
+    edges = (0, ONE_THIRD, TWO_THIRDS, 2**64)
+    worst = max(abs(3 * (b - a) - 2**64) for a, b in zip(edges, edges[1:]))
+    on_grid = all(isinstance(c, int) and c % 2**_UNIFORM_SHIFT == 0 for c in edges[1:3])
+    passed = on_grid and worst <= 3 << _UNIFORM_SHIFT
+    checks.append(Check("engine-word-constants", passed, worst / (3 * 2**64)))
 
     records = simulate_rounds(REPLAY_CHECK_ROUNDS, 0)
     mismatches = sum(

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -68,12 +69,12 @@ def test_run_config_holds_the_only_defaults(command):
 PINNED_STDOUT = {
     ("tables", "text"): "bdd7f5ed2c068bb318f19b63d90e24a7f6498223c1b64e3d4dde3389b8335fb4",
     ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
-    ("search-bases", "text"): "28e451f0f5eb1e7b4d9dc568498538fb2028cf0ec73eee11768e3d1c9fbcffa3",
-    ("search-bases", "json"): "45048c0848a737b178f6992e7a8e98ee4af1488f5fa252db6debb54332520589",
-    ("verify", "json", 0): "33cc9ea8e7343729ab7171a7ed53b6b034f9ad61f05e36c2a19074b3c3d20bdf",
+    ("search-bases", "text"): "b182986eb755f9b3e8f337f8bd70f97c5098a5d3bf26c7d981b82bdae89f144b",
+    ("search-bases", "json"): "c2430e8fbeb767314af4c183a27f4ef8a15ed8f0d651b2e216b480930d785a1a",
+    ("verify", "json", 0): "fba775c9e830b097b0e0f2f9650eb1ef6d9fe5e575b69ca248797cef642a8b2f",
     ("verify", "json", 2**64 - 1):
-        "2d4671a6d9907594af64256c451160562a668e61b423e60f8e1ac1200c0fd0ff",
-    ("verify", "text", 0): "e45a7c70424320aa178bd839b05cfc00795defe96a3217728fde99668f0a4038",
+        "3c7471fafbd9920f85eb8d72c91740d6866223b37cd89844a028357ac196d669",
+    ("verify", "text", 0): "5d8829446e9bea2143f342aa28e6423091f73138c757d3b8ddbdd536986a6ce5",
     ("simulate", "text", 0): "590b6d5bb5d1dd351a34e27002391a6df41e3bee381f455f308d5e2d8d8e674c",
     ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
     ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
@@ -121,7 +122,10 @@ def test_verify_reports_a_builder_that_raises(capsys, psi_basis_raises):
     assert out.err == "error: trio 3 un-mixes to a shared column off psi_0\n"
 
 
-# Construction mutants: (module, function, source fragment, replacement).
+# Mutants: (module, function, source fragment, replacement) rebuilds a
+# function; (module, constant, value) replaces a module constant, which
+# ``mutated`` cannot rewrite.
+ONE_THIRD = protocol.ONE_THIRD
 MUTANTS = {
     "bracket-unconjugated": (protocol, "bracket_matrix", " - prepare_psi0().amps[:, None]", ""),
     "selection-reversed": (protocol, "selection_matrix", "np.arange(3)", "np.arange(3)[::-1]"),
@@ -135,6 +139,13 @@ MUTANTS = {
     "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
     "sum-doubled": (linalg, "_array_sum", ".sum())", ".sum() * 2)"),
+    "search-drops-last": (protocol, "search_bases", "for s in ordered)", "for s in ordered[:-1])"),
+    "search-every-other": (protocol, "search_bases", "for s in ordered)",
+                           "for s in ordered[::2])"),
+    "one-third-x1.01": (protocol, "ONE_THIRD", ONE_THIRD * 101 // 100),
+    "one-third-x1.2": (protocol, "ONE_THIRD", ONE_THIRD * 6 // 5),
+    "one-third-plus-1": (protocol, "ONE_THIRD", ONE_THIRD + 1),
+    "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
 }
 MUTANT_RUNS = {
     "verify": ["verify"],
@@ -154,6 +165,9 @@ MUTANT_RUNS = {
 # wrong bases: only verify's explicit replay collapses the given atom.  The
 # relabelling k -> 2 - k of a reversed selection is consistent, so agreement
 # counts and both bracket checks still hold: only the retrodiction sees it.
+# Only search-bases reads the search, and nothing but verify checks the word
+# constants: simulate tallies biased draws without complaint, as it has no
+# goodness-of-fit check yet.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
     "selection-reversed": {"tables", "search-bases", "tomography"},
@@ -163,13 +177,27 @@ STILL_PASSING = {
     "sum-doubled": {"tables", "simulate", "search-bases", "tomography"},
     "overlap-law": {"tables", "simulate", "search-bases", "tomography"},
     "label-index": {"tables", "search-bases", "tomography"},
+    "search-drops-last": {"verify", "tables", "simulate", "tomography"},
+    "search-every-other": {"verify", "tables", "simulate", "tomography"},
+    **dict.fromkeys(
+        ["one-third-x1.01", "one-third-x1.2", "one-third-plus-1", "one-third-float"],
+        {"tables", "simulate", "search-bases", "tomography"},
+    ),
 }
+
+
+@contextlib.contextmanager
+def replaced(module, name, value):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, name, value)
+        yield
 
 
 @pytest.mark.parametrize("command", list(MUTANT_RUNS))
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_every_command_reports_under_a_mutant(capsys, mutant, command):
-    with mutated(*MUTANTS[mutant]):
+    spec = MUTANTS[mutant]
+    with (mutated if len(spec) == 4 else replaced)(*spec):
         code = main(MUTANT_RUNS[command] + ["--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"command", "config", "checks", "pass", "data", "timing"}
@@ -242,7 +270,7 @@ VERIFY_CHECKS = [
     "tomography-round-trip", "probability-map-rank", "entangled-four-forms",
     "psi-basis-gram", "mixing-unitarity", "paired-orthogonality", "trio-reconstruction",
     "bracket-trio-selectivity", "bracket-overlap-law", "physicist-basis-gram",
-    "retrodiction-certainty", "round-engine-replay",
+    "retrodiction-certainty", "engine-word-constants", "round-engine-replay",
 ]
 
 

@@ -27,6 +27,7 @@ from retroking import (
     born_probabilities,
     bracket_overlap,
     bracket_state,
+    build_qutrit_mubs,
     certify_unbiasedness,
     density_from_probabilities,
     exhaustive_verify,
@@ -45,7 +46,7 @@ from retroking import (
     tensor_product,
 )
 from retroking.cli import RunConfig
-from retroking.linalg import MAX_DIM, MAX_DRAWS, standard_basis, standard_basis_vector
+from retroking.linalg import MAX_DRAWS
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import label_set_deviations
 
@@ -56,11 +57,11 @@ from retroking.protocol import label_set_deviations
         lambda: StateVector([[1, 0], [0, 0]]),
         lambda: StateVector("x"),
         lambda: StateVector(np.array([1e200 + 1e200j, 0, 0])),
-        lambda: inner_product(1, standard_basis_vector(3, 0)),
-        lambda: tensor_product(standard_basis_vector(3, 0), None),
-        lambda: born_probabilities("x", standard_basis(9)),
+        lambda: inner_product(1, qutrit),
+        lambda: tensor_product(qutrit, None),
+        lambda: born_probabilities("x", OrthonormalBasis(tuple(map(StateVector, np.eye(9))))),
         lambda: born_probabilities(prepare_psi0(), [1]),
-        lambda: project_and_normalize(1, standard_basis_vector(3, 0)),
+        lambda: project_and_normalize(1, qutrit),
         lambda: OrthonormalBasis([1]),
         lambda: king_measure(1, 0, None, 0),
         lambda: sample_outcome([1.0], None),
@@ -75,11 +76,9 @@ from retroking.protocol import label_set_deviations
         lambda: MubSet(5),
         lambda: MubSet(()),
         lambda: PhysicistBasis(1),
-        lambda: standard_basis("x"),
         lambda: label_set_deviations([[(0, 0, 0, 0)], [(0, 0, 0, 0), (0, 1, 1, 1)]]),
         lambda: mub_invariant_checks(None),
         lambda: sample_outcome([1.0], np.random.default_rng(0), size=MAX_DRAWS + 1),
-        lambda: standard_basis_vector(MAX_DIM + 1, 0),
         lambda: Check("x", True, "0.1"),
         lambda: Check("x", True, 1j),
         lambda: Check("x", True, None),
@@ -92,8 +91,7 @@ from retroking.protocol import label_set_deviations
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
         "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
         "certify-int", "mub-set-int-bases", "mub-set-empty", "physicist-basis-ints",
-        "standard-basis-str", "label-sets-ragged",
-        "mub-invariants-no-generator", "sample-size-over-max", "basis-vector-dim-over-max",
+        "label-sets-ragged", "mub-invariants-no-generator", "sample-size-over-max",
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
     ],
 )
@@ -126,7 +124,7 @@ junk = st.one_of(
                elements=st.complex_numbers(max_magnitude=10)),
 )
 
-qutrit = standard_basis_vector(3, 0)
+qutrit = build_qutrit_mubs().bases[0][0]
 # Each call's first global name is the entry point it fuzzes.  simulate_rounds
 # keeps one round: junk integers run to 2**70.
 ENTRY_POINTS = {
@@ -155,8 +153,6 @@ ENTRY_POINTS = {
     "certify": lambda a, b: certify_unbiasedness(a),
     "mub-set": lambda a, b: MubSet(a),
     "physicist-basis": lambda a, b: PhysicistBasis(a),
-    "standard-basis": lambda a, b: standard_basis(a),
-    "standard-basis-vector": lambda a, b: standard_basis_vector(a, b),
     "label-set-deviations": lambda a, b: label_set_deviations(a),
     "mub-invariants": lambda a, b: mub_invariant_checks(a),
     "bracket-overlap": lambda a, b: bracket_overlap(a, b),

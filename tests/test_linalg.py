@@ -15,11 +15,18 @@ from retroking import (
     sample_outcome,
     tensor_product,
 )
-from retroking import linalg
-from retroking.linalg import standard_basis, standard_basis_vector
+from retroking import build_physicist_basis, build_qubit_mubs, build_qutrit_mubs, linalg
 from retroking.protocol import PHYSICIST_LABELS
 
 INV_SQRT3 = 3**-0.5
+
+# an orthonormal basis per dimension the package uses: the qubit and qutrit
+# reference bases, whose ket k is e_k, and the physicist's
+BASES = {
+    2: build_qubit_mubs().bases[0],
+    3: build_qutrit_mubs().bases[0],
+    9: build_physicist_basis().basis,
+}
 
 
 def random_state(seed: int, dim: int) -> StateVector:
@@ -43,7 +50,7 @@ class TestStateVector:
             StateVector([np.inf + 0j, 0.0])
 
     def test_amps_are_read_only(self):
-        v = standard_basis_vector(3, 0)
+        v = BASES[3][0]
         with pytest.raises(ValueError):
             v.amps[0] = 0.0
 
@@ -59,24 +66,24 @@ class TestOrthonormalBasis:
             OrthonormalBasis((v, v, v))
 
     def test_rejects_wrong_count(self):
-        e0 = standard_basis_vector(3, 0)
-        e1 = standard_basis_vector(3, 1)
+        e0 = BASES[3][0]
+        e1 = BASES[3][1]
         with pytest.raises(ContractViolation):
             OrthonormalBasis((e0, e1))
 
     def test_matrix_columns_are_vectors(self):
-        basis = standard_basis(3)
+        basis = OrthonormalBasis(tuple(map(StateVector, np.eye(3))))
         assert np.array_equal(basis.matrix, np.eye(3))
 
 
 class TestInnerProduct:
     def test_identity_case(self):
-        e0 = standard_basis_vector(3, 0)
+        e0 = BASES[3][0]
         assert inner_product(e0, e0) == pytest.approx(1)
 
     def test_orthogonal_units(self):
-        e0 = standard_basis_vector(3, 0)
-        e1 = standard_basis_vector(3, 1)
+        e0 = BASES[3][0]
+        e1 = BASES[3][1]
         assert inner_product(e0, e1) == pytest.approx(0)
 
     def test_reference_to_first_basis_amplitude(self, qutrit_mubs):
@@ -86,7 +93,7 @@ class TestInnerProduct:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            inner_product(standard_basis_vector(2, 0), standard_basis_vector(3, 0))
+            inner_product(BASES[2][0], BASES[3][0])
 
     @given(seeds, seeds)
     def test_conjugate_symmetry(self, sa, sb):
@@ -96,21 +103,21 @@ class TestInnerProduct:
 
 class TestTensorProduct:
     def test_unit_vector_placement(self):
-        e0 = standard_basis_vector(3, 0)
+        e0 = BASES[3][0]
         assert np.argmax(np.abs(tensor_product(e0, e0).amps)) == 0
-        e1 = standard_basis_vector(3, 1)
-        e2 = standard_basis_vector(3, 2)
+        e1 = BASES[3][1]
+        e2 = BASES[3][2]
         assert np.argmax(np.abs(tensor_product(e1, e2).amps)) == 5
 
     def test_matches_entangled_component(self):
-        e0 = standard_basis_vector(3, 0)
+        e0 = BASES[3][0]
         product = tensor_product(e0, e0)
         # the (0,0)-component of the entangled preparation, before its 3**-0.5
         assert inner_product(product, prepare_psi0()) == pytest.approx(INV_SQRT3)
 
     def test_rejects_wrong_dimensions(self):
         with pytest.raises(ContractViolation):
-            tensor_product(standard_basis_vector(2, 0), standard_basis_vector(3, 0))
+            tensor_product(BASES[2][0], BASES[3][0])
 
     @given(seeds, seeds)
     def test_index_convention_and_norm(self, sa, sb):
@@ -135,15 +142,15 @@ class TestProjectAndNormalize:
         assert same_ray(collapsed, aux)
 
     def test_impossible_outcome(self):
-        two_atom = tensor_product(standard_basis_vector(3, 0), standard_basis_vector(3, 0))
+        two_atom = tensor_product(BASES[3][0], BASES[3][0])
         with pytest.raises(ImpossibleOutcome):
-            project_and_normalize(two_atom, standard_basis_vector(3, 1))
+            project_and_normalize(two_atom, BASES[3][1])
 
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ContractViolation):
-            project_and_normalize(standard_basis_vector(3, 0), standard_basis_vector(3, 0))
+            project_and_normalize(BASES[3][0], BASES[3][0])
         with pytest.raises(ContractViolation):
-            project_and_normalize(prepare_psi0(), standard_basis_vector(2, 0))
+            project_and_normalize(prepare_psi0(), BASES[2][0])
 
     @given(seeds, seeds)
     def test_output_normalized(self, sa, sb):
@@ -157,7 +164,7 @@ class TestProjectAndNormalize:
 
 class TestBornProbabilities:
     def test_unit_vector(self):
-        probs = born_probabilities(standard_basis_vector(3, 0), standard_basis(3))
+        probs = born_probabilities(BASES[3][0], BASES[3])
         assert probs == pytest.approx([1, 0, 0])
 
     def test_complementary_basis_is_uniform(self, qutrit_mubs):
@@ -172,11 +179,11 @@ class TestBornProbabilities:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            born_probabilities(standard_basis_vector(3, 0), standard_basis(2))
+            born_probabilities(BASES[3][0], BASES[2])
 
     @given(seeds, st.sampled_from([2, 3, 9]))
     def test_sums_to_one(self, seed, dim):
-        probs = born_probabilities(random_state(seed, dim), standard_basis(dim))
+        probs = born_probabilities(random_state(seed, dim), BASES[dim])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 

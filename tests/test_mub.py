@@ -9,6 +9,8 @@ from retroking import (
     DensityMatrix,
     MubSet,
     ProbabilityTable,
+    build_qubit_mubs,
+    build_qutrit_mubs,
     certify_unbiasedness,
     density_from_probabilities,
     fourier_matrix,
@@ -18,9 +20,10 @@ from retroking import (
     random_density_matrix,
 )
 from retroking import mub
-from retroking.linalg import standard_basis, standard_basis_vector
 
 INV_SQRT3 = 3**-0.5
+# the qubit and qutrit reference bases: ket k is e_k
+Z2, Z3 = build_qubit_mubs().bases[0], build_qutrit_mubs().bases[0]
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -76,7 +79,7 @@ class TestCertification:
 
     def test_broken_set_fails(self, qutrit_mubs):
         vectors = [list(basis.vectors) for basis in qutrit_mubs.bases]
-        vectors[1][0] = standard_basis_vector(3, 0)
+        vectors[1][0] = qutrit_mubs.bases[0][0]
         report = certify_unbiasedness(vectors)
         assert not report.passed
 
@@ -84,17 +87,10 @@ class TestCertification:
         "family",
         [
             pytest.param([], id="empty-family"),
-            pytest.param([list(standard_basis(3)), []], id="empty-basis"),
-            pytest.param(
-                [list(standard_basis(2)), list(standard_basis(3))], id="mixed-dimensions"
-            ),
-            pytest.param(
-                [[standard_basis_vector(d, k) for d, k in ((2, 0), (3, 1), (3, 2))]],
-                id="mixed-dimensions-in-one-basis",
-            ),
-            pytest.param(
-                [[standard_basis_vector(3, k) for k in range(2)]], id="non-square"
-            ),
+            pytest.param([list(Z3), []], id="empty-basis"),
+            pytest.param([list(Z2), list(Z3)], id="mixed-dimensions"),
+            pytest.param([[Z2[0], Z3[1], Z3[2]]], id="mixed-dimensions-in-one-basis"),
+            pytest.param([[Z3[0], Z3[1]]], id="non-square"),
         ],
     )
     def test_rejects_malformed_family(self, family):
@@ -102,14 +98,13 @@ class TestCertification:
             certify_unbiasedness(family)
 
     def test_single_basis_has_no_cross_deviation(self):
-        report = certify_unbiasedness([list(standard_basis(3))])
+        report = certify_unbiasedness([list(Z3)])
         assert report.passed
         assert report.cross_basis_deviation == 0.0
 
     def test_mubset_rejects_biased_family(self):
-        z = standard_basis(3)
         with pytest.raises(ContractViolation):
-            MubSet((z, z, z, z))
+            MubSet((Z3, Z3, Z3, Z3))
 
     def test_one_biased_pair_is_named_with_its_worst_deviation(self, qutrit_mubs):
         bases = qutrit_mubs.bases[:3] + qutrit_mubs.bases[2:3]

@@ -27,6 +27,7 @@ from retroking import (
     bracket_overlap,
     bracket_state,
     born_probabilities,
+    build_qutrit_mubs,
     entangled_forms,
     exhaustive_verify,
     infer,
@@ -42,12 +43,7 @@ from retroking import (
     trio_matrix,
 )
 from retroking import cli, linalg, mub, protocol
-from retroking.linalg import standard_basis_vector
-from retroking.protocol import (
-    CHUNK_ROUNDS,
-    king_outcome_probabilities,
-    round_chunks,
-)
+from retroking.protocol import CHUNK_ROUNDS, round_chunks
 
 from conftest import _clear_caches, mutated
 
@@ -91,7 +87,7 @@ def float_rows():
     m = 0..3, then collapse rows 3*m + k."""
     psi0 = prepare_psi0()
     physicist = protocol.build_physicist_basis().basis
-    rows = [king_outcome_probabilities(psi0, m) for m in range(4)]
+    rows = [protocol._king_born(psi0, matrix) for matrix in build_qutrit_mubs().matrices]
     return rows + [
         born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
         for m in range(4)
@@ -178,20 +174,27 @@ class TestKingMeasure:
         bound = 4 * np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.abs(counts - n / 3).max() < bound
 
-    def test_outcome_distribution_at_scale(self):
+    def test_outcome_distribution_at_scale(self, qutrit_mubs):
         # vectorized draws from the same distribution king_measure samples
         n = 100_000
         for m in range(4):
-            probs = king_outcome_probabilities(prepare_psi0(), m)
+            probs = protocol._king_born(prepare_psi0(), qutrit_mubs.matrices[m])
             draws = sample_outcome(probs, np.random.default_rng(8 + m), size=n)
             counts = np.bincount(draws, minlength=3)
             bound = 4 * np.sqrt(n * (1 / 3) * (2 / 3))
             assert np.abs(counts - n / 3).max() < bound
 
-    def test_probabilities_are_exact_thirds(self):
-        for m in range(4):
-            probs = king_outcome_probabilities(prepare_psi0(), m)
-            assert probs == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
+    def test_probabilities_are_exact_thirds(self, qutrit_mubs):
+        probs = protocol._king_born(prepare_psi0(), qutrit_mubs.matrices)
+        assert probs == pytest.approx(np.full((4, 3), 1 / 3), abs=1e-12)
+
+    def test_stacks_give_the_per_matrix_results_bit_for_bit(self, qutrit_mubs, qubit_mubs):
+        psi0 = prepare_psi0()
+        king = protocol._king_born(psi0, qutrit_mubs.matrices)
+        assert np.array_equal(king, [protocol._king_born(psi0, m) for m in qutrit_mubs.matrices])
+        for stack in (qutrit_mubs.matrices, qubit_mubs.matrices):
+            deviations = linalg._orthonormality_deviation(stack)
+            assert np.array_equal(deviations, [linalg._orthonormality_deviation(m) for m in stack])
 
     def test_requires_generator_or_forced_outcome(self):
         with pytest.raises(ContractViolation):
@@ -214,13 +217,10 @@ class TestKingMeasure:
         lambda: infer(1.5, 0),
         lambda: infer(0, 2.5),
         lambda: infer(np.float64(1), 0),
-        lambda: king_outcome_probabilities(prepare_psi0(), 1.5),
         lambda: run_round(1.0, np.random.default_rng(0)),
         lambda: simulate_rounds(3, seed=1, basis=2.0),
         lambda: simulate_rounds(1.5, seed=1),
         lambda: simulate_rounds("3", seed=1),
-        lambda: standard_basis_vector(3, 1.5),
-        lambda: standard_basis_vector(1.5, 0),
         lambda: cli.RunConfig("verify", seed="a"),
         lambda: cli.RunConfig("simulate", rounds=1.5),
         lambda: cli.RunConfig("simulate", basis=1.0),
@@ -233,13 +233,10 @@ class TestKingMeasure:
         "infer-basis-1.5",
         "infer-outcome-2.5",
         "infer-basis-float64",
-        "king-probabilities-basis-1.5",
         "run-round-basis-1.0",
         "simulate-basis-2.0",
         "simulate-rounds-1.5",
         "simulate-rounds-str",
-        "basis-vector-index-1.5",
-        "basis-vector-dim-1.5",
         "config-seed-str",
         "config-rounds-1.5",
         "config-basis-1.0",
@@ -823,13 +820,13 @@ class TestRoundChunks:
         # (float bin, engine bin, window width in words).
         word = np.random.Philox(key=3).random_raw()
         assert Draw(word).random() == np.random.Generator(np.random.Philox(key=3)).random()
-        psi0 = prepare_psi0()
+        psi0, kets = prepare_psi0(), build_qutrit_mubs().matrices
         physicist = protocol.build_physicist_basis().basis
         outcomes = [tuple(row) for row in protocol.round_outcomes()[:, :3].tolist()]
         middle = [(2 * i + 1) * 2**64 // 6 for i in range(3)]
 
         def float_bin(m, w1, w2):
-            k = sample_outcome(king_outcome_probabilities(psi0, m), Draw(w1))
+            k = sample_outcome(protocol._king_born(psi0, kets[m]), Draw(w1))
             born = born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
             return outcomes.index((m, k, sample_outcome(born, Draw(w2))))
 
@@ -888,8 +885,8 @@ class TestRoundChunks:
             protocol._round_engine.__wrapped__()
 
     def test_engine_build_certifies_the_king_rows(self, monkeypatch):
-        monkeypatch.setattr(protocol, "king_outcome_probabilities",
-                            lambda psi0, m: np.array([0.3, 0.3, 0.4]))
+        monkeypatch.setattr(protocol, "_king_born",
+                            lambda psi0, matrices: np.tile([0.3, 0.3, 0.4], (4, 1)))
         with pytest.raises(RuntimeError, match="king basis 0 has outcome probabilities"):
             protocol._round_engine.__wrapped__()
 

@@ -72,3 +72,39 @@ def test_verdicts_come_only_from_reporting():
         ]
     assert SOURCES
     assert found == []
+
+
+def _top_level_names(tree):
+    """The functions, classes and constants a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_every_definition_is_used_or_exported():
+    # a top-level name that no source loads and the package does not export
+    # is code that nothing needs
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    } | {
+        alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    orphans = [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _top_level_names(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in used
+    ]
+    assert len(trees) > 1
+    assert orphans == []
