@@ -42,9 +42,9 @@ class RunConfig:
         object.__setattr__(self, "seed", _index(self.seed, 2**64, "seed"))
         if self.basis is not None:
             object.__setattr__(self, "basis", _index(self.basis, 4, "basis"))
-        if self.format not in ("text", "json"):
+        if not isinstance(self.format, str) or self.format not in ("text", "json"):
             raise ContractViolation(f"unknown format {self.format!r}")
-        if self.state not in TOMOGRAPHY_STATES:
+        if not isinstance(self.state, str) or self.state not in TOMOGRAPHY_STATES:
             raise ContractViolation(f"unknown tomography state {self.state!r}")
 
 
@@ -149,7 +149,7 @@ def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     labels = np.frombuffer(digits, dtype=np.int8).reshape(-1, 9, 4)
     # coverage: each label lies in 8 sets, each pair agreeing in one coordinate
     # (only identical labels agree in 4) in 2, and every other pair in none
-    index = protocol._label_index(labels)
+    index = protocol._label_index(labels, 2)
     pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
     agreement = protocol.agreement_matrix()
     wrong = int((pairs.reshape(81, 81) != np.where(agreement == 4, 8, 2 * (agreement == 1))).sum())

@@ -59,16 +59,6 @@ PHYSICIST_LABELS: tuple[BracketLabel, ...] = (
 ALL_LABELS: tuple[BracketLabel, ...] = tuple(itertools.product((0, 1, 2), repeat=4))
 
 
-def _check_label(label) -> BracketLabel:
-    try:
-        lab = tuple(map(operator.index, label))
-    except TypeError:
-        raise ContractViolation(f"bad bracket label {label!r}") from None
-    if len(lab) != 4 or any(k not in (0, 1, 2) for k in lab):
-        raise ContractViolation(f"bad bracket label {label!r}")
-    return lab
-
-
 @lru_cache(maxsize=None)
 def selection_matrix() -> np.ndarray:
     """12 x 81 read-only int8: entry (3*m + k, i) is 1 when ALL_LABELS[i] has
@@ -133,9 +123,19 @@ def build_psi_basis() -> OrthonormalBasis:
     return OrthonormalBasis(tuple(StateVector(c) for c in columns))
 
 
-def _label_index(labels) -> np.ndarray:
-    """ALL_LABELS positions of labels on the last axis; intp, as uint64 @ int64 is float."""
-    return np.asarray(labels, dtype=np.intp) @ (27, 9, 3, 1)
+def _label_index(labels, ndim: int) -> np.ndarray:
+    """ALL_LABELS positions of bracket labels, and the one rule for what a label
+    is: an integer array holds ``ndim`` axes of labels, then a last axis of four
+    digits 0..2.  intp, as uint64 @ int64 is float."""
+    try:
+        array = np.asarray(labels)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ContractViolation("bracket labels must form a regular array") from None
+    shaped = array.dtype.kind in "iu" and array.shape[ndim:] == (4,)
+    if not (shaped and ((array >= 0) & (array <= 2)).all()):
+        raise ContractViolation(f"bracket labels: want {ndim + 1}-d integers, a last axis of 4 "
+                                f"digits 0..2; got {array.dtype} of shape {array.shape}")
+    return array.astype(np.intp) @ (27, 9, 3, 1)
 
 
 def overlap_law(matches):
@@ -161,7 +161,7 @@ def bracket_matrix() -> np.ndarray:
 def bracket_state(label) -> StateVector:
     """The two-atom state |[k0 k1 k2 k3]>: its column of ``bracket_matrix``,
     which meets trio member (m, k) only for k = k_m."""
-    return StateVector(bracket_matrix()[:, _label_index(_check_label(label))])
+    return StateVector(bracket_matrix()[:, _label_index(label, 0)])
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +175,7 @@ def bracket_gram() -> np.ndarray:
 def bracket_overlap(a, b) -> float:
     """Analytic inner product of two bracket states: the overlap law of the
     matches read off the agreement matrix at the labels' positions."""
-    i, j = (_label_index(_check_label(lab)) for lab in (a, b))
+    i, j = (_label_index(lab, 0) for lab in (a, b))
     return overlap_law(agreement_matrix()[i, j].item())
 
 
@@ -188,13 +188,10 @@ class PhysicistBasis:
     basis: OrthonormalBasis = field(init=False)
 
     def __post_init__(self):
-        try:
-            labels = tuple(_check_label(lab) for lab in self.labels)
-        except TypeError:
-            raise ContractViolation("a physicist basis takes a sequence of labels") from None
-        if len(labels) != 9:
+        index = _label_index(self.labels, 1)
+        if len(index) != 9:
             raise ContractViolation("a physicist basis holds nine labelled dim-9 states")
-        index = _label_index(labels)
+        labels = tuple(ALL_LABELS[i] for i in index.tolist())
         agreement = agreement_matrix()[index[:, None], index]
         clashes = np.argwhere(np.triu(agreement != 1, 1))
         if clashes.size:
@@ -477,15 +474,7 @@ def label_set_deviations(label_sets) -> np.ndarray:
     """For each set of labels, the worst entry of |Gram - I| over its bracket
     states, read off the cached bracket Gram matrix.  Zero (to round-off)
     exactly when the set's bracket states are orthonormal."""
-    try:
-        sets = np.asarray(label_sets)
-    except ValueError:
-        raise ContractViolation("label sets must form a regular array") from None
-    if sets.ndim != 3 or sets.shape[2] != 4 or sets.dtype.kind not in "iu":
-        raise ContractViolation("label sets must be an integer array of shape (sets, size, 4)")
-    if sets.size and (sets.min() < 0 or sets.max() > 2):
-        raise ContractViolation("label coordinates must lie in 0..2")
-    index = _label_index(sets)
+    index = _label_index(label_sets, 2)
     gram = bracket_gram()[index[:, :, None], index[:, None, :]]
     return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
 

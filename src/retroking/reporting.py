@@ -29,7 +29,11 @@ class Check:
 
 def within(name: str, deviation) -> Check:
     """The tolerance check ``name``: it passes when the largest entry of
-    ``deviation`` (a float or a non-empty array) is below TOL, and a NaN
-    fails it; that entry is the reported deviation."""
-    worst = np.max(deviation)
+    ``deviation`` (a float or an array) is below TOL, and a NaN fails it;
+    that entry is the reported deviation.  An empty deviation measured
+    nothing, so it fails with deviation 0."""
+    deviation = np.asarray(deviation)
+    if not deviation.size:
+        return Check(name, False, 0.0)
+    worst = deviation.max()
     return Check(name, worst < TOL, worst)

@@ -6,7 +6,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from retroking import linalg, mub, protocol
+from retroking import cli, linalg, mub, protocol, reporting
 from retroking import (
     StateVector,
     build_physicist_basis,
@@ -30,18 +30,23 @@ def _clear_caches():
 @contextlib.contextmanager
 def mutated(module, name, fragment, replacement):
     """Run with ``module.name`` rebuilt from its source with ``fragment``
-    replaced, in the module's own namespace, and every cached builder of
+    replaced, in the module's own namespace, bound in its place in every
+    package module that imported it by name, and every cached builder of
     linalg, mub and protocol cleared; the original is restored, and the
     caches cleared again, on exit."""
     original = getattr(module, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(fragment) == 1, (name, fragment)
+    holders = [m for m in (linalg, reporting, mub, protocol, cli) if vars(m).get(name) is original]
     try:
         exec(source.replace(fragment, replacement), vars(module))
+        for holder in holders:
+            setattr(holder, name, getattr(module, name))
         _clear_caches()
         yield
     finally:
-        setattr(module, name, original)
+        for holder in holders:
+            setattr(holder, name, original)
         _clear_caches()
 
 

@@ -13,7 +13,7 @@ import pytest
 import retroking
 from retroking import OMEGA, Check
 from retroking.cli import COMMANDS, RunConfig, build_parser, main
-from retroking import linalg, mub, protocol
+from retroking import linalg, mub, protocol, reporting
 
 from conftest import _clear_caches, mutated
 
@@ -146,6 +146,13 @@ MUTANTS = {
     "one-third-x1.2": (protocol, "ONE_THIRD", ONE_THIRD * 6 // 5),
     "one-third-plus-1": (protocol, "ONE_THIRD", ONE_THIRD + 1),
     "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
+    "search-finds-nothing": (protocol, "search_bases", "for s in ordered)",
+                             "for s in ordered[:0])"),
+    "infer-coordinate": (protocol, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
+    "map-words-basis": (protocol, "_map_words", "words[:, 0] >> 62", "words[:, 3] >> 62"),
+    "run-round-basis": (protocol, "run_round", "m = w0 >> 62", "m = w2 >> 62"),
+    "chunks-block-1": (protocol, "round_chunks", "round_stream(seed, 0)", "round_stream(seed, 1)"),
+    "tomography-quarter": (mub, "_densities", "- 0.25", "- 0.2"),
 }
 MUTANT_RUNS = {
     "verify": ["verify"],
@@ -167,7 +174,12 @@ MUTANT_RUNS = {
 # counts and both bracket checks still hold: only the retrodiction sees it.
 # Only search-bases reads the search, and nothing but verify checks the word
 # constants: simulate tallies biased draws without complaint, as it has no
-# goodness-of-fit check yet.
+# goodness-of-fit check yet.  For the same reason simulate cannot tell a
+# round's basis read off the wrong word, or the stream started one block
+# late; verify's replays can.  A wrong inference coordinate is a known
+# survivor in tables, which prints the wrong inference table but has no
+# check; the engine reads the labels itself, so only verify's certainty
+# check sees it.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
     "selection-reversed": {"tables", "search-bases", "tomography"},
@@ -179,6 +191,12 @@ STILL_PASSING = {
     "label-index": {"tables", "search-bases", "tomography"},
     "search-drops-last": {"verify", "tables", "simulate", "tomography"},
     "search-every-other": {"verify", "tables", "simulate", "tomography"},
+    "search-finds-nothing": {"verify", "tables", "simulate", "tomography"},
+    "infer-coordinate": {"tables", "simulate", "search-bases", "tomography"},
+    "map-words-basis": {"tables", "simulate", "search-bases", "tomography"},
+    "run-round-basis": {"tables", "simulate", "search-bases", "tomography"},
+    "chunks-block-1": {"tables", "simulate", "search-bases", "tomography"},
+    "tomography-quarter": {"tables", "simulate", "search-bases"},
     **dict.fromkeys(
         ["one-third-x1.01", "one-third-x1.2", "one-third-plus-1", "one-third-float"],
         {"tables", "simulate", "search-bases", "tomography"},
@@ -209,6 +227,33 @@ def test_every_command_reports_under_a_mutant(capsys, mutant, command):
 
 def test_every_survivor_names_a_mutant():
     assert STILL_PASSING.keys() <= MUTANTS.keys()
+
+
+# Equivalent mutants: rewrites that change no report, each with the reason.
+EQUIVALENT = {
+    # no deviation lands exactly on TOL
+    "within-le": (reporting, "within", "worst < TOL", "worst <= TOL"),
+    # every collapse of the reference basis infers its outcome, so the
+    # inference loop of exhaustive_verify adds no failure
+    "certainty-no-inference": (protocol, "exhaustive_verify",
+                               "for row, j in np.argwhere(compatible).tolist():",
+                               "for row, j in []:"),
+}
+
+
+def _json_reports(capsys):
+    reports = []
+    for argv in MUTANT_RUNS.values():
+        main(argv + ["--format", "json"])
+        reports.append(strip_timing(json.loads(capsys.readouterr().out)))
+    return reports
+
+
+@pytest.mark.parametrize("mutant", list(EQUIVALENT))
+def test_equivalent_mutants_change_no_report(capsys, mutant):
+    expected = _json_reports(capsys)
+    with mutated(*EQUIVALENT[mutant]):
+        assert _json_reports(capsys) == expected
 
 
 @pytest.mark.parametrize("command", ["tables", "simulate", "search-bases", "tomography"])

@@ -18,6 +18,7 @@ from retroking import (
     DensityMatrix,
     ImpossibleOutcome,
     MubSet,
+    PHYSICIST_LABELS,
     OrthonormalBasis,
     PhysicistBasis,
     ProbabilityTable,
@@ -49,6 +50,7 @@ from retroking.cli import RunConfig
 from retroking.linalg import MAX_DRAWS
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import label_set_deviations
+from retroking.reporting import within
 
 
 @pytest.mark.parametrize(
@@ -82,6 +84,8 @@ from retroking.protocol import label_set_deviations
         lambda: Check("x", True, "0.1"),
         lambda: Check("x", True, 1j),
         lambda: Check("x", True, None),
+        lambda: RunConfig("verify", format=np.array(["a", "b"])),
+        lambda: RunConfig("verify", state=np.array(["a", "b"])),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
@@ -93,11 +97,59 @@ from retroking.protocol import label_set_deviations
         "certify-int", "mub-set-int-bases", "mub-set-empty", "physicist-basis-ints",
         "label-sets-ragged", "mub-invariants-no-generator", "sample-size-over-max",
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
+        "run-config-array-format", "run-config-array-state",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):
     with pytest.raises(ContractViolation):
         call()
+
+
+def test_within_fails_an_empty_deviation():
+    # an empty deviation measured nothing
+    assert within("x", np.zeros(0)) == Check("x", False, 0.0)
+    assert within("x", []) == Check("x", False, 0.0)
+
+
+# Candidate bracket labels and whether they are labels.
+LABELS = {
+    "tuple": ((0, 1, 2, 0), True),
+    "list": ([0, 1, 2, 0], True),
+    "uint8": (np.array([0, 1, 2, 0], dtype=np.uint8), True),
+    "uint64": (np.array([0, 1, 2, 0], dtype=np.uint64), True),
+    "bools": ((True, False, True, False), False),
+    "bytes": (b"\x00\x01\x02\x00", False),
+    "object-ints": (np.array([0, 1, 2, 0], dtype=object), False),
+    "floats": ((0.0, 1.0, 2.0, 0.0), False),
+    "string": ("0120", False),
+    "digit-3": ((0, 1, 2, 3), False),
+    "digit-minus-1": ((0, -1, 2, 0), False),
+    "three-digits": ((0, 1, 2), False),
+    "ragged": ([0, [1, 2], 0, 0], False),
+    "bare-int": (7, False),
+}
+
+
+@pytest.mark.parametrize("name", list(LABELS))
+def test_every_label_entry_point_gives_the_same_verdict(name):
+    label, valid = LABELS[name]
+    verdicts = []
+    for call in (
+        lambda: bracket_state(label),
+        lambda: bracket_overlap(label, label),
+        lambda: label_set_deviations([[label]]),
+    ):
+        try:
+            call()
+            verdicts.append(True)
+        except ContractViolation:
+            verdicts.append(False)
+    assert verdicts == [valid] * 3
+
+
+def test_physicist_basis_rejects_a_one_shot_iterator():
+    with pytest.raises(ContractViolation):
+        PhysicistBasis(iter(PHYSICIST_LABELS))
 
 
 def test_state_vector_keeps_one_dimensional_numbers():
@@ -113,6 +165,10 @@ numbers = st.one_of(
     st.sampled_from([float("nan"), float("inf")]),
     st.complex_numbers(max_magnitude=10),
 )
+label_shapes = st.one_of(
+    st.sampled_from([(4,), (9, 4)]),
+    st.integers(0, 3).map(lambda n: (n, 9, 4)),
+)
 junk = st.one_of(
     numbers,
     st.integers(-(2**70), 2**70),
@@ -122,6 +178,9 @@ junk = st.one_of(
     st.just([[1, 0], [0]]),
     hnp.arrays(np.complex128, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
                elements=st.complex_numbers(max_magnitude=10)),
+    # near-valid bracket labels: one label, a basis, a stack of sets
+    hnp.arrays(st.sampled_from([np.int8, np.int64]), label_shapes, elements=st.integers(-1, 3)),
+    hnp.arrays(np.bool_, label_shapes),
 )
 
 qutrit = build_qutrit_mubs().bases[0][0]
@@ -163,6 +222,8 @@ ENTRY_POINTS = {
     "run-round": lambda a, b: run_round(a, b),
     "simulate": lambda a, b: simulate_rounds(1, a, b),
     "run-config": lambda a, b: RunConfig(a, b),
+    "run-config-format": lambda a, b: RunConfig("verify", format=a),
+    "run-config-state": lambda a, b: RunConfig("verify", state=a),
     # plain records of computed results: they check nothing, so any fields pass
     "certainty-report": lambda a, b: CertaintyReport(a, b, 0, 0.0),
     "round-record": lambda a, b: RoundRecord(a, b, 0, 0, True),

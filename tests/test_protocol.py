@@ -594,6 +594,11 @@ class TestPhysicistBasis:
                 pair = zip(physicist.labels[a], physicist.labels[b])
                 assert sum(x == y for x, y in pair) == 1
 
+    def test_stores_label_tuples_of_any_integer_array(self):
+        labels = PhysicistBasis(np.array(PHYSICIST_LABELS, dtype=np.uint8)).labels
+        assert labels == PHYSICIST_LABELS
+        assert all(type(k) is int for label in labels for k in label)
+
     def test_rejects_clashing_labels(self):
         labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
         with pytest.raises(ContractViolation):

@@ -6,6 +6,20 @@ from pathlib import Path
 import retroking
 
 SOURCES = sorted(Path(retroking.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml promises requires-python >= 3.10: no except*, no PEP 695
+    # generics, nothing newer in the library, its tests or the bench harness
+    paths = [
+        *SOURCES,
+        *sorted((ROOT / "tests").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
+    assert len(paths) > len(SOURCES)
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_library_holds_no_assert():
