@@ -252,3 +252,18 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     if size is None:
         return keep[min(bisect_right(cdf, draws), len(keep) - 1)]
     return np.array(keep)[np.minimum(np.searchsorted(cdf, draws, side="right"), len(keep) - 1)]
+
+
+def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``sample_outcome``'s outcome for each row of trusted probabilities,
+    drawn with its uniform, bit for bit: a dropped entry weighs 0.0, which
+    leaves every running sum as it was, so a row's cdf holds the kept cdf at
+    the kept entries and the first entry above the uniform is a kept one."""
+    kept = probs >= TOL
+    weights = np.where(kept, probs, 0.0)
+    total = weights.cumsum(axis=1)[:, -1]  # _array_sum's running sum
+    for i in np.flatnonzero(kept.sum(axis=1) >= 8).tolist():  # and its pairwise one
+        total[i] = probs[i, kept[i]].sum()
+    cdf = (weights / total[:, None]).cumsum(axis=1)
+    last = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
+    return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), last)

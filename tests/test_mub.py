@@ -207,6 +207,30 @@ class TestStackValidators:
         with pytest.raises(ContractViolation, match=message):
             mub._check_densities(stack)
 
+    @pytest.mark.parametrize("skewed", [False, True])
+    @pytest.mark.parametrize("smallest", [-0.5, -2e-10, -1.01e-10, -0.99e-10, -5e-11, 0.0])
+    def test_positivity_gate_agrees_with_eigvalsh(self, smallest, skewed):
+        # member 37 has eigenvalues (smallest, 0.4, 0.6 - smallest) in a
+        # random basis; skewed, its upper triangle is off by 0.9 TOL, which
+        # the Hermitian check lets through
+        rng = np.random.default_rng(37)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        stack = self.stack()
+        stack[37] = q @ np.diag([smallest, 0.4, 0.6 - smallest]) @ q.conj().T
+        stack[37, 0, 1] += 0.9 * TOL * skewed
+        # the rule it replaced: one batched eigvalsh, the first offender named
+        eigenvalues = np.linalg.eigvalsh(stack)[:, 0]
+        bad = np.flatnonzero(eigenvalues < -TOL).tolist()
+        assert bad == ([37] if smallest < -TOL else [])
+        if bad:
+            want = (f"density matrix must be positive, smallest eigenvalue "
+                    f"{eigenvalues[37]:.3e} (stack index 37)")
+            with pytest.raises(ContractViolation) as got:
+                mub._check_densities(stack)
+            assert str(got.value) == want
+        else:
+            assert np.array_equal(mub._check_densities(stack), stack)
+
     def test_bad_table_row_is_named(self):
         tables = np.full((10, 4, 3), 1 / 3)
         tables[4, 2] = [0.5, 0.5, 0.5]

@@ -984,8 +984,9 @@ class TestRoundEngineReplayCheck:
         assert self.replay_check().passed
 
     def test_replays_take_the_explicit_path(self, monkeypatch):
-        # 16 rounds, each one collapse, one physicist Born vector and two
-        # draws: a vectorised shortcut would change these counts
+        # round 0 on the public lone path: one collapse, one physicist Born
+        # vector and two draws.  The other rounds are measured all at once,
+        # by a stack that reads none of the engine (see test_source.py)
         calls = collections.Counter()
         for name in ("project_and_normalize", "born_probabilities", "sample_outcome"):
             def counted(*args, _name=name, _original=getattr(protocol, name), **kwargs):
@@ -994,8 +995,72 @@ class TestRoundEngineReplayCheck:
 
             monkeypatch.setattr(protocol, name, counted)
         assert all(c.passed for c in protocol.invariant_checks())
-        assert calls == {"project_and_normalize": 16, "born_probabilities": 16,
-                         "sample_outcome": 32}
+        assert calls == {"project_and_normalize": 1, "born_probabilities": 1,
+                         "sample_outcome": 2}
+
+    def test_replayed_rounds_cover_every_king_basis(self):
+        # the fact REPLAY_CHECK_ROUNDS states, on the measured stack and on
+        # the engine: 4 bases, 9 of the 12 collapses and 14 of the 36 bins
+        measured = protocol._measured_rounds(0, protocol.REPLAY_CHECK_ROUNDS)
+        engine = as_lists(simulate_rounds(protocol.REPLAY_CHECK_ROUNDS, 0))
+        assert measured.tolist() == [row[:3] for row in engine]
+        assert set(measured[:, 0].tolist()) == {0, 1, 2, 3}
+        assert len({(m, k) for m, k, _ in measured.tolist()}) == 9
+        assert len(set(map(tuple, measured.tolist()))) == 14
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
+    def test_measured_stack_equals_the_lone_path(self, seed):
+        rounds = 4096
+        lone = [list(protocol._measured_round(seed, i)) for i in range(rounds)]
+        assert protocol._measured_rounds(seed, rounds).tolist() == lone
+
+
+def assert_rows_sample_as_lone(rows):
+    """linalg._sample_rows on a stack of equal-length probability rows picks
+    sample_outcome's outcome at draws just below, at and just above every
+    cdf step of each row, and at 0 and the largest uniform."""
+    for row in rows:
+        _, cdf = linalg._prepare_distribution(row)
+        draws = [u for c in cdf for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
+                 if u < 1.0] + [0.0, np.nextafter(1.0, 0.0)]
+        stack = np.tile(np.asarray(row, dtype=float), (len(draws), 1))
+        picked = linalg._sample_rows(stack, np.array(draws)).tolist()
+        assert picked == [sample_outcome(row, Uniform(u)) for u in draws]
+    # every row of one stack with one draw each, too
+    draws = np.random.default_rng(len(rows)).random(len(rows))
+    want = [sample_outcome(row, Uniform(u)) for row, u in zip(rows, draws)]
+    assert linalg._sample_rows(np.array(rows, dtype=float), draws).tolist() == want
+
+
+class TestStackedSampling:
+    """The measured stack's sampler keeps sample_outcome's rule on the
+    vectors TestLeanSampling checks that rule on."""
+
+    def test_engine_rows(self):
+        rows = float_rows()
+        assert_rows_sample_as_lone(rows[:4])  # the king's rows
+        assert_rows_sample_as_lone(rows[4:])  # the physicist's, after each collapse
+
+    @pytest.mark.parametrize("size", [8, 9])
+    def test_eight_and_nine_weights(self, size):
+        # eight or more kept weights are summed pairwise, as _array_sum does
+        rows = []
+        for seed in range(100):
+            weights = np.random.default_rng(seed).random(size)
+            rows.append(weights / weights.sum())
+        assert_rows_sample_as_lone(rows)
+
+    def test_dropped_entries_weigh_nothing(self):
+        # entries below TOL, of either sign, anywhere in the row
+        rows = [[0.0, 0.5, -1e-11, 0.5], [0.25, 5e-11, 0.75, 0.0], [1e-11, 0.0, -0.0, 1.0]]
+        assert_rows_sample_as_lone(rows)
+
+    def test_three_kept_of_nine_sum_left_to_right(self):
+        # a pairwise sum over the nine entries adds 0.1 + (0.2 + 0.7), one ulp
+        # below the running sum (0.1 + 0.2) + 0.7 that sample_outcome takes
+        row = [0.0, 0.0, 0.0, 0.1, 0.2, 0.7, 0.0, 0.0, 0.0]
+        assert np.sum(row) != (0.1 + 0.2) + 0.7
+        assert_rows_sample_as_lone([row])
 
 
 def numpy_distribution(probs):

@@ -122,3 +122,29 @@ def test_every_definition_is_used_or_exported():
     ]
     assert len(trees) > 1
     assert orphans == []
+
+
+
+def _names_read(module, function):
+    """Every name and attribute that a top-level function of ``module`` spells."""
+    path = Path(retroking.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_measured_stack_reads_none_of_the_engine():
+    # verify's replay checks the round engine against rounds measured and
+    # collapsed at once: that stack and its sampler must not reach the
+    # engine's word constants, its tables or the trio matrix they come from
+    engine = {"ONE_THIRD", "TWO_THIRDS", "_round_engine", "round_outcomes", "_map_words",
+              "round_chunks", "_thirds", "_collapse_born", "trio_matrix"}
+    found = {
+        f"{module}.{function}": sorted(_names_read(module, function) & engine)
+        for module, function in (("protocol", "_measured_rounds"), ("linalg", "_sample_rows"))
+    }
+    assert found == {"protocol._measured_rounds": [], "linalg._sample_rows": []}
