@@ -114,7 +114,16 @@ def cmd_tables(config: RunConfig) -> tuple[list[Check], dict]:
         ],
         "overlap_by_matches": {str(c): protocol.overlap_law(c) for c in range(5)},
     }
-    return [], data
+    # the printed tables, against the round engine's bins and the bracket Gram
+    wrong = sum(inferred != k or k != protocol.infer(m, j)
+                for m, k, j, inferred in protocol.round_outcomes().tolist())
+    printed = np.array([data["overlap_by_matches"][str(c)] for c in range(5)])
+    checks = [
+        Check("tables-inference", wrong == 0, float(wrong)),
+        within("tables-overlap-law",
+               np.abs(protocol.bracket_gram() - printed[protocol.agreement_matrix()])),
+    ]
+    return checks, data
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:

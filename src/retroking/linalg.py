@@ -13,10 +13,7 @@ to it.
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import reduce
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -46,8 +43,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def _index(value, stop: int | None, what: str, start: int = 0) -> int:
     """``value`` as an int in [start, stop) (no upper end when stop is None);
-    a non-integer, such as 1.5 or 1.0, or one out of range is a ContractViolation."""
+    a non-integer, such as 1.5, 1.0 or True, or one out of range is a ContractViolation."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         v = operator.index(value)
     except TypeError:
         raise ContractViolation(f"{what} must be an integer, got {value!r}") from None
@@ -208,35 +207,20 @@ def born_probabilities(state: StateVector, basis: OrthonormalBasis) -> np.ndarra
     return np.abs(overlaps) ** 2
 
 
-def _array_sum(x: list[float]) -> float:
-    """The float64 ``ndarray.sum()`` of ``x``, bit for bit: below 8 entries
-    numpy adds one running sum onto 0.0, which is faster in Python; from 8
-    entries on, numpy sums them itself."""
-    if len(x) < 8:
-        return reduce(operator.add, x, 0.0)
-    return float(np.array(x).sum())
-
-
-def _prepare_distribution(probs) -> tuple[list[int], list[float]]:
-    """Validate a probability vector and return (outcome indices, cdf).
-
-    Entries below TOL are clamped to exactly zero (and the rest
-    renormalized), so an analytically impossible outcome can never be
-    drawn because of round-off.  The checks run on Python floats; the cdf
-    is bit for bit ``np.cumsum(w / w.sum())`` of the kept weights ``w``.
-    """
-    p = _numeric_vector(probs, "biuf", "probabilities").astype(float).tolist()
-    if not p or not all(map(math.isfinite, p)):
-        raise ContractViolation("probabilities must be a finite non-empty sequence")
-    # an entry above 1 fails before the sum, which huge finite entries overflow
-    if min(p) < -TOL or max(p) > 1.0 + TOL or abs(_array_sum(p) - 1.0) > TOL:
-        a = np.array(p)
-        with np.errstate(over="ignore"):  # their sum here is inf
-            raise ContractViolation(f"malformed distribution: min {a.min():.3e}, sum {a.sum():.12f}")
-    keep = [i for i, x in enumerate(p) if x >= TOL]
-    weights = [p[i] for i in keep]
-    total = _array_sum(weights)
-    return keep, list(accumulate(w / total for w in weights))
+def _cdf_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one sampling rule, on each row of trusted probabilities: (cdf, index
+    of the last kept entry).  Entries below TOL weigh 0.0, so an analytically
+    impossible outcome is never drawn because of round-off; a dropped entry
+    leaves every running sum as it was.  A row's total is numpy's ``.sum()``
+    of its kept weights ``w`` (a running sum below 8), so its cdf holds
+    ``np.cumsum(w / w.sum())`` at the kept entries, bit for bit."""
+    kept = probs >= TOL
+    weights = np.where(kept, probs, 0.0)
+    total = weights.cumsum(axis=1)[:, -1]
+    for i in np.flatnonzero(kept.sum(axis=1) >= 8).tolist():
+        total[i] = probs[i, kept[i]].sum()
+    cdf = (weights / total[:, None]).cumsum(axis=1)
+    return cdf, kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
 
 
 def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator, size: int | None = None):
@@ -247,23 +231,21 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     """
     if size is not None:
         size = _index(size, MAX_DRAWS + 1, "size")
-    keep, cdf = _prepare_distribution(probs)
+    p = _numeric_vector(probs, "biuf", "probabilities").astype(float)
+    if not p.size or not np.isfinite(p).all():
+        raise ContractViolation("probabilities must be a finite non-empty sequence")
+    # an entry above 1 fails before the sum, which huge finite entries overflow
+    if p.min() < -TOL or p.max() > 1.0 + TOL or abs(p.sum() - 1.0) > TOL:
+        with np.errstate(over="ignore"):  # their sum here is inf
+            raise ContractViolation(f"malformed distribution: min {p.min():.3e}, sum {p.sum():.12f}")
+    (cdf,), (last,) = _cdf_rows(p[None])
     draws = _as_generator(rng, "random").random(size)
-    if size is None:
-        return keep[min(bisect_right(cdf, draws), len(keep) - 1)]
-    return np.array(keep)[np.minimum(np.searchsorted(cdf, draws, side="right"), len(keep) - 1)]
+    picked = np.minimum(np.searchsorted(cdf, draws, side="right"), last)
+    return int(picked) if size is None else picked
 
 
 def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """``sample_outcome``'s outcome for each row of trusted probabilities,
-    drawn with its uniform, bit for bit: a dropped entry weighs 0.0, which
-    leaves every running sum as it was, so a row's cdf holds the kept cdf at
-    the kept entries and the first entry above the uniform is a kept one."""
-    kept = probs >= TOL
-    weights = np.where(kept, probs, 0.0)
-    total = weights.cumsum(axis=1)[:, -1]  # _array_sum's running sum
-    for i in np.flatnonzero(kept.sum(axis=1) >= 8).tolist():  # and its pairwise one
-        total[i] = probs[i, kept[i]].sum()
-    cdf = (weights / total[:, None]).cumsum(axis=1)
-    last = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
+    drawn with its uniform: the count of cdf entries at or below it."""
+    cdf, last = _cdf_rows(probs)
     return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), last)

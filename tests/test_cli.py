@@ -67,8 +67,8 @@ def test_run_config_holds_the_only_defaults(command):
 # without its elapsed: line.  A third key entry is the seed; verify's digests
 # lock every check's deviation.
 PINNED_STDOUT = {
-    ("tables", "text"): "bdd7f5ed2c068bb318f19b63d90e24a7f6498223c1b64e3d4dde3389b8335fb4",
-    ("tables", "json"): "d87eeb501a2653e1a8cd6a079c9bd307c1757acf2887def2086fd457da53da29",
+    ("tables", "text"): "4fb70fd5a2ecc6334f1f3c3437e29cfff5f67627a94d19b32038edfe066baa63",
+    ("tables", "json"): "285adeef13604c8d1875949b4620183ee9f3fcfb143eddb26e29a9a6c60b329b",
     ("search-bases", "text"): "b182986eb755f9b3e8f337f8bd70f97c5098a5d3bf26c7d981b82bdae89f144b",
     ("search-bases", "json"): "c2430e8fbeb767314af4c183a27f4ef8a15ed8f0d651b2e216b480930d785a1a",
     ("verify", "json", 0): "fba775c9e830b097b0e0f2f9650eb1ef6d9fe5e575b69ca248797cef642a8b2f",
@@ -138,7 +138,7 @@ MUTANTS = {
     "qutrit-basis-power": (mub, "qutrit_basis_matrices", "2 * (j == k)", "(j == k)"),
     "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
-    "sum-doubled": (linalg, "_array_sum", ".sum())", ".sum() * 2)"),
+    "sum-doubled": (linalg, "sample_outcome", "abs(p.sum()", "abs(p.sum() * 2"),
     "search-drops-last": (protocol, "search_bases", "for s in ordered)", "for s in ordered[:-1])"),
     "search-every-other": (protocol, "search_bases", "for s in ordered)",
                            "for s in ordered[::2])"),
@@ -162,37 +162,39 @@ MUTANT_RUNS = {
     "tomography": ["tomography"],
 }
 # Commands a mutant rightly leaves passing, because they never read what it
-# breaks: tomography reads only the qutrit bases, and the collapse table
-# feeds only the round engine and the certainty check, as does the thirds
-# rule; of the commands, only verify's replays sum nine Born entries.  A
-# wrong overlap law survives in tables, which prints it but has no check; a
-# label-position rule with two coordinates swapped still finds orthonormal
-# sets, but the physicist then measures states of the wrong labels.
-# Atom-swapped trios form a self-consistent protocol whose labels name the
-# wrong bases: only verify's explicit replay collapses the given atom.  The
-# relabelling k -> 2 - k of a reversed selection is consistent, so agreement
-# counts and both bracket checks still hold: only the retrodiction sees it.
-# Only search-bases reads the search, and nothing but verify checks the word
-# constants: simulate tallies biased draws without complaint, as it has no
-# goodness-of-fit check yet.  For the same reason simulate cannot tell a
-# round's basis read off the wrong word, or the stream started one block
-# late; verify's replays can.  A wrong inference coordinate is a known
-# survivor in tables, which prints the wrong inference table but has no
-# check; the engine reads the labels itself, so only verify's certainty
-# check sees it.
+# breaks: tomography reads only the qutrit bases, and of the commands only
+# verify's replays draw through sample_outcome's sum check.  tables checks
+# what it prints: its inference table against the round engine's bins, and
+# its overlap law against the bracket Gram, so it fails under a wrong law, a
+# wrong inference coordinate, a label-position rule with two coordinates
+# swapped, a reversed selection or an unconjugated collapse table (each
+# gives the engine bins whose inference is wrong), and a thirds rule the
+# engine refuses to build.  A swapped label-position rule still finds
+# orthonormal sets, but the physicist then measures states of the wrong
+# labels.  Atom-swapped trios form a self-consistent protocol whose labels
+# name the wrong bases: only verify's explicit replay collapses the given
+# atom.  The relabelling k -> 2 - k of a reversed selection is consistent,
+# so agreement counts and both bracket checks still hold: only the
+# retrodiction and the engine's bins see it.  Only search-bases reads the
+# search, and nothing but verify checks the word constants: simulate tallies
+# biased draws without complaint, as it has no goodness-of-fit check yet.
+# For the same reason simulate cannot tell a round's basis read off the
+# wrong word, or the stream started one block late; verify's replays can.
+# The engine reads the labels itself, so simulate passes under a wrong
+# inference coordinate.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
-    "selection-reversed": {"tables", "search-bases", "tomography"},
+    "selection-reversed": {"search-bases", "tomography"},
     "trio-conjugated": {"tables", "simulate", "search-bases", "tomography"},
-    "collapse-unconjugated": {"tables", "search-bases", "tomography"},
-    "thirds-off": {"tables", "search-bases", "tomography"},
+    "collapse-unconjugated": {"search-bases", "tomography"},
+    "thirds-off": {"search-bases", "tomography"},
     "sum-doubled": {"tables", "simulate", "search-bases", "tomography"},
-    "overlap-law": {"tables", "simulate", "search-bases", "tomography"},
-    "label-index": {"tables", "search-bases", "tomography"},
+    "overlap-law": {"simulate", "search-bases", "tomography"},
+    "label-index": {"search-bases", "tomography"},
     "search-drops-last": {"verify", "tables", "simulate", "tomography"},
     "search-every-other": {"verify", "tables", "simulate", "tomography"},
     "search-finds-nothing": {"verify", "tables", "simulate", "tomography"},
-    "infer-coordinate": {"tables", "simulate", "search-bases", "tomography"},
+    "infer-coordinate": {"simulate", "search-bases", "tomography"},
     "map-words-basis": {"tables", "simulate", "search-bases", "tomography"},
     "run-round-basis": {"tables", "simulate", "search-bases", "tomography"},
     "chunks-block-1": {"tables", "simulate", "search-bases", "tomography"},

@@ -86,6 +86,10 @@ from retroking.reporting import within
         lambda: Check("x", True, None),
         lambda: RunConfig("verify", format=np.array(["a", "b"])),
         lambda: RunConfig("verify", state=np.array(["a", "b"])),
+        # a bool is not an index, though operator.index takes it
+        lambda: infer(True, 0),
+        lambda: RunConfig("simulate", rounds=True),
+        lambda: sample_outcome([0.5, 0.5], np.random.default_rng(0), size=True),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
@@ -98,6 +102,7 @@ from retroking.reporting import within
         "label-sets-ragged", "mub-invariants-no-generator", "sample-size-over-max",
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
         "run-config-array-format", "run-config-array-state",
+        "infer-bool-basis", "run-config-bool-rounds", "sample-bool-size",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):

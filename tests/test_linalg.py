@@ -15,7 +15,7 @@ from retroking import (
     sample_outcome,
     tensor_product,
 )
-from retroking import build_physicist_basis, build_qubit_mubs, build_qutrit_mubs, linalg
+from retroking import build_physicist_basis, build_qubit_mubs, build_qutrit_mubs
 from retroking.protocol import PHYSICIST_LABELS
 
 INV_SQRT3 = 3**-0.5
@@ -185,25 +185,6 @@ class TestBornProbabilities:
     def test_sums_to_one(self, seed, dim):
         probs = born_probabilities(random_state(seed, dim), BASES[dim])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_array_sum_is_numpy_sum():
-    # every summation regime (running, eight-lane, halved) with zeros of
-    # both signs, infinities and NaNs among the entries
-    rng = np.random.default_rng(11)
-    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
-    for n in list(range(20)) + [127, 128, 129, 136, 257, 300]:
-        for _ in range(20):
-            x = (rng.random(n) * 10.0 ** rng.integers(-20, 20, n) * rng.choice([-1, 1], n)).tolist()
-            for i in np.flatnonzero(rng.random(n) < 0.05).tolist():
-                x[i] = special[rng.integers(5)]
-            with np.errstate(all="ignore"):
-                want = float(np.array(x, dtype=float).sum())
-                got = linalg._array_sum(x)
-            if np.isnan(want):
-                assert np.isnan(got)
-            else:
-                assert (got, np.signbit(got)) == (want, np.signbit(want))
 
 
 class TestSampleOutcome:

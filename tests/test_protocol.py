@@ -99,7 +99,7 @@ def former_thresholds():
     """The words ceil(c * 2**53) << 11 at which sample_outcome, on a row's
     float Born vector, passes its two cdf steps c."""
     return [
-        [math.ceil(c * 2.0**53) << 11 for c in linalg._prepare_distribution(p)[1][:2]]
+        [math.ceil(c * 2.0**53) << 11 for c in numpy_distribution(p)[1][:2]]
         for p in float_rows()
     ]
 
@@ -1020,7 +1020,7 @@ def assert_rows_sample_as_lone(rows):
     sample_outcome's outcome at draws just below, at and just above every
     cdf step of each row, and at 0 and the largest uniform."""
     for row in rows:
-        _, cdf = linalg._prepare_distribution(row)
+        _, cdf = numpy_distribution(row)
         draws = [u for c in cdf for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0))
                  if u < 1.0] + [0.0, np.nextafter(1.0, 0.0)]
         stack = np.tile(np.asarray(row, dtype=float), (len(draws), 1))
@@ -1033,8 +1033,8 @@ def assert_rows_sample_as_lone(rows):
 
 
 class TestStackedSampling:
-    """The measured stack's sampler keeps sample_outcome's rule on the
-    vectors TestLeanSampling checks that rule on."""
+    """linalg._sample_rows draws each row of a stack as sample_outcome draws
+    it alone, on the vectors TestLeanSampling checks against numpy."""
 
     def test_engine_rows(self):
         rows = float_rows()
@@ -1043,7 +1043,7 @@ class TestStackedSampling:
 
     @pytest.mark.parametrize("size", [8, 9])
     def test_eight_and_nine_weights(self, size):
-        # eight or more kept weights are summed pairwise, as _array_sum does
+        # eight or more kept weights are summed pairwise, as numpy's .sum() does
         rows = []
         for seed in range(100):
             weights = np.random.default_rng(seed).random(size)
@@ -1101,21 +1101,22 @@ def assert_agrees_with_numpy(probs):
         numpy_distribution(probs)
     except ContractViolation as want:
         with pytest.raises(ContractViolation, match=re.escape(str(want))):
-            linalg._prepare_distribution(probs)
+            sample_outcome(probs, Uniform(0.5))
     else:
         assert_samples_as_numpy(probs)
 
 
 def assert_samples_as_numpy(probs):
-    keep, cdf = linalg._prepare_distribution(probs)
-    want_keep, want_cdf = numpy_distribution(probs)
-    assert keep == want_keep.tolist()
-    assert cdf == want_cdf.tolist()  # bit for bit
+    """sample_outcome picks numpy_distribution's outcome at draws just below,
+    at and just above every cdf step, so a cdf one ulp off shows, and at 0
+    and the largest uniform; a lone draw is a Python int."""
+    keep, cdf = numpy_distribution(probs)
     draws = [u for c in cdf for u in (np.nextafter(c, -1.0), c, np.nextafter(c, 2.0)) if u < 1.0]
     draws += [0.0, np.nextafter(1.0, 0.0)]
-    picked = want_keep[np.minimum(np.searchsorted(want_cdf, draws, side="right"), len(keep) - 1)]
-    assert [sample_outcome(probs, Uniform(u)) for u in draws] == picked.tolist()
-    assert sample_outcome(probs, Uniform(*draws), size=len(draws)).tolist() == picked.tolist()
+    picked = keep[np.minimum(np.searchsorted(cdf, draws, side="right"), len(keep) - 1)].tolist()
+    lone = [sample_outcome(probs, Uniform(u)) for u in draws]
+    assert lone == picked and {type(k) for k in lone} == {int}
+    assert sample_outcome(probs, Uniform(*draws), size=len(draws)).tolist() == picked
 
 
 # mostly valid distributions: weights normalized, with entries within TOL of
@@ -1125,8 +1126,8 @@ distributions = st.lists(st.one_of(st.floats(1e-3, 1.0), small_entries), min_siz
 
 
 class TestLeanSampling:
-    """sample_outcome checks and draws on Python floats; it must agree with
-    the numpy reductions it replaced, bit for bit and message for message."""
+    """sample_outcome, one vector at a time, must agree with the numpy
+    reference numpy_distribution, bit for bit and message for message."""
 
     @pytest.mark.parametrize("row", range(16))
     def test_engine_rows(self, row):

@@ -148,3 +148,40 @@ def test_measured_stack_reads_none_of_the_engine():
         for module, function in (("protocol", "_measured_rounds"), ("linalg", "_sample_rows"))
     }
     assert found == {"protocol._measured_rounds": [], "linalg._sample_rows": []}
+
+
+def _spelled(node):
+    """The names a node spells: a name, an attribute, or an imported module or name."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {*node.name.split("."), node.asname}
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def test_the_sampling_rule_is_stated_once():
+    # linalg._cdf_rows is the one cdf of a probability vector: no other
+    # source may build a running sum or bisect one, so no second copy of the
+    # rule can drift from it
+    rule = {"cumsum", "accumulate", "bisect", "bisect_right"}
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(n)
+            for f in tree.body
+            if path.name == "linalg.py" and isinstance(f, ast.FunctionDef) and f.name == "_cdf_rows"
+            for n in ast.walk(f)
+        }
+        found += [
+            f"{path.name}:{node.lineno}:{name}"
+            for node in ast.walk(tree)
+            if id(node) not in inside
+            for name in sorted(_spelled(node) & rule)
+        ]
+    assert any(path.name == "linalg.py" for path in SOURCES)
+    assert found == []
