@@ -47,6 +47,7 @@ from .protocol import (
     exhaustive_verify,
     infer,
     king_measure,
+    label_set_deviations,
     prepare_psi0,
     round_stream,
     run_round,

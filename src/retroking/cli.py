@@ -136,8 +136,10 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
     physicist = np.zeros(9, dtype=np.int64)
     np.add.at(physicist, j, counts)
     successes = int(counts[inferred == k].sum())
+    failures = config.rounds - successes
     checks = [
-        Check("retrodiction-success", successes == config.rounds, float(config.rounds - successes))
+        Check("retrodiction-success", failures == 0, float(failures)),
+        protocol.word_constants_check(),
     ]
     data = {
         "rounds": config.rounds,
@@ -165,7 +167,7 @@ def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     checks = [
         Check("search-reference-present", reference_index is not None,
               0.0 if reference_index is not None else 1.0),
-        within("search-recertification", protocol.label_set_deviations(labels)),
+        within("search-recertification", protocol._set_deviations(index)),
         Check("search-coverage", wrong == 0, float(wrong)),
     ]
     data = {

@@ -23,10 +23,6 @@ import numpy as np
 # round-off at these dimensions sits many orders of magnitude below this.
 TOL = 1e-10
 
-# Most draws one ``sample_outcome`` call makes: a bound on the memory of one
-# call (8 MiB of uniforms), well above the 100,000 the largest caller takes.
-MAX_DRAWS = 2**20
-
 
 class ContractViolation(ValueError):
     """An argument broke an operation's precondition."""
@@ -223,14 +219,16 @@ def _cdf_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cdf, kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
 
 
-def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator, size: int | None = None):
-    """Draw an outcome index from a probability vector.
+def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The one draw: for each row of trusted probabilities, the outcome its
+    uniform picks, the count of cdf entries at or below it."""
+    cdf, last = _cdf_rows(probs)
+    return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), last)
 
-    Deterministic given the generator state.  With ``size`` given, returns
-    that many independent draws (at most MAX_DRAWS) as an integer array.
-    """
-    if size is not None:
-        size = _index(size, MAX_DRAWS + 1, "size")
+
+def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an outcome index from a probability vector by ``_sample_rows``'s
+    rule on one uniform.  Deterministic given the generator state."""
     p = _numeric_vector(probs, "biuf", "probabilities").astype(float)
     if not p.size or not np.isfinite(p).all():
         raise ContractViolation("probabilities must be a finite non-empty sequence")
@@ -238,14 +236,4 @@ def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator
     if p.min() < -TOL or p.max() > 1.0 + TOL or abs(p.sum() - 1.0) > TOL:
         with np.errstate(over="ignore"):  # their sum here is inf
             raise ContractViolation(f"malformed distribution: min {p.min():.3e}, sum {p.sum():.12f}")
-    (cdf,), (last,) = _cdf_rows(p[None])
-    draws = _as_generator(rng, "random").random(size)
-    picked = np.minimum(np.searchsorted(cdf, draws, side="right"), last)
-    return int(picked) if size is None else picked
-
-
-def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``sample_outcome``'s outcome for each row of trusted probabilities,
-    drawn with its uniform: the count of cdf entries at or below it."""
-    cdf, last = _cdf_rows(probs)
-    return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), last)
+    return int(_sample_rows(p[None], _as_generator(rng, "random").random(1))[0])

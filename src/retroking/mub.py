@@ -18,7 +18,6 @@ implemented in ``density_from_probabilities``.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -142,34 +141,11 @@ class UnbiasednessReport:
         return within("unbiasedness", deviations).passed
 
 
-def certify_unbiasedness(
-    bases: MubSet | Sequence[Sequence[StateVector]],
-) -> UnbiasednessReport:
-    """Measure how far a family of bases is from being mutually unbiased.
-
-    Accepts a MubSet or a raw sequence of vector sequences, so deliberately
-    broken fixtures can be certified too (a MubSet cannot be constructed in
-    a broken state).
-    """
-    if isinstance(bases, MubSet):
-        grids = bases.matrices
-    else:
-        try:
-            vectors = [
-                [_as_instance(v, StateVector, "a basis vector").amps for v in basis]
-                for basis in bases
-            ]
-        except TypeError:
-            raise ContractViolation("a family takes a MubSet or sequences of vectors") from None
-        if not vectors or not all(vectors):
-            raise ContractViolation("a family needs bases, and each basis needs vectors")
-        dims = {a.shape[0] for basis in vectors for a in basis}
-        if len(dims) != 1:
-            raise ContractViolation(f"mixed vector dimensions {sorted(dims)}")
-        dim = dims.pop()
-        if any(len(basis) != dim for basis in vectors):
-            raise ContractViolation(f"each basis in dimension {dim} needs {dim} vectors")
-        grids = np.array([np.stack(basis, axis=1) for basis in vectors])
+def certify_unbiasedness(mubs: MubSet) -> UnbiasednessReport:
+    """Measure how far a MUB set is from orthonormal and unbiased.  A set is
+    built only within TOL of both (``MubSet`` names a broken family's worst
+    pair), so this reports the round-off its construction let through."""
+    grids = _as_instance(mubs, MubSet, "mubs").matrices
     same = _orthonormality_deviation(grids).max()
     return UnbiasednessReport(grids.shape[1], float(same), float(_bias(_overlaps(grids)).max()))
 

@@ -233,26 +233,11 @@ def _king_born(psi0: StateVector, matrices: np.ndarray) -> np.ndarray:
     return (np.abs(matrices.conj().swapaxes(-1, -2) @ grid) ** 2).sum(axis=-1)
 
 
-def king_measure(
-    psi0: StateVector,
-    m: int,
-    rng: np.random.Generator | None,
-    force_outcome: int | None = None,
-) -> tuple[int, StateVector]:
-    """Measure basis m on the given atom; return the outcome and the
-    collapsed two-atom state.
-
-    ``force_outcome`` bypasses sampling (the collapse is still projective),
-    so certainty can be checked for every outcome rather than sampled ones;
-    the generator is unused in that case.
-    """
+def king_measure(psi0: StateVector, m: int, rng: np.random.Generator) -> tuple[int, StateVector]:
+    """Measure basis m on the given atom; return the drawn outcome and the
+    collapsed two-atom state."""
     basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
-    if force_outcome is None:
-        if rng is None:
-            raise ContractViolation("sampling a king outcome needs a generator")
-        k = sample_outcome(_king_born(psi0, basis.matrix), rng)
-    else:
-        k = _index(force_outcome, 3, "forced outcome")
+    k = sample_outcome(_king_born(psi0, basis.matrix), rng)
     return k, project_and_normalize(psi0, basis[k])
 
 
@@ -285,6 +270,17 @@ WORDS_PER_ROUND = 4
 _UNIFORM_SHIFT = 11
 ONE_THIRD = -(-(2**53) // 3) << _UNIFORM_SHIFT
 TWO_THIRDS = -(-(2**54) // 3) << _UNIFORM_SHIFT
+
+
+def word_constants_check() -> Check:
+    """``engine-word-constants``: the constants the engine reads, in integers.
+    Each is an int on the grid of uniforms, and each of the three word
+    intervals holds 2**64 / 3 words to within 2**11, one step of a uniform."""
+    edges = (0, ONE_THIRD, TWO_THIRDS, 2**64)
+    worst = max(abs(3 * (b - a) - 2**64) for a, b in zip(edges, edges[1:]))
+    on_grid = all(isinstance(c, int) and c % 2**_UNIFORM_SHIFT == 0 for c in edges[1:3])
+    passed = on_grid and worst <= 3 << _UNIFORM_SHIFT
+    return Check("engine-word-constants", passed, worst / (3 * 2**64))
 
 
 def _thirds(born: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,13 +467,17 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
     return CertaintyReport(passed, 12, int(counts.sum()), worst, tuple(failures))
 
 
+def _set_deviations(index: np.ndarray) -> np.ndarray:
+    """``label_set_deviations`` of sets given as rows of ALL_LABELS positions."""
+    gram = bracket_gram()[index[:, :, None], index[:, None, :]]
+    return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
+
+
 def label_set_deviations(label_sets) -> np.ndarray:
     """For each set of labels, the worst entry of |Gram - I| over its bracket
     states, read off the cached bracket Gram matrix.  Zero (to round-off)
     exactly when the set's bracket states are orthonormal."""
-    index = _label_index(label_sets, 2)
-    gram = bracket_gram()[index[:, :, None], index[:, None, :]]
-    return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
+    return _set_deviations(_label_index(label_sets, 2))
 
 
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
@@ -586,13 +586,7 @@ def invariant_checks() -> list[Check]:
         Check("retrodiction-certainty", certainty.passed, certainty.max_probability_deviation)
     )
 
-    # the constants the engine reads, in integers: each of the three word
-    # intervals holds 2**64 / 3 words to within 2**11, one step of a uniform
-    edges = (0, ONE_THIRD, TWO_THIRDS, 2**64)
-    worst = max(abs(3 * (b - a) - 2**64) for a, b in zip(edges, edges[1:]))
-    on_grid = all(isinstance(c, int) and c % 2**_UNIFORM_SHIFT == 0 for c in edges[1:3])
-    passed = on_grid and worst <= 3 << _UNIFORM_SHIFT
-    checks.append(Check("engine-word-constants", passed, worst / (3 * 2**64)))
+    checks.append(word_constants_check())
 
     records = simulate_rounds(REPLAY_CHECK_ROUNDS, 0)
     measured = [tuple(row) for row in _measured_rounds(0, REPLAY_CHECK_ROUNDS).tolist()]

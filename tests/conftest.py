@@ -13,6 +13,8 @@ from retroking import (
     build_psi_basis,
     build_qubit_mubs,
     build_qutrit_mubs,
+    king_measure,
+    prepare_psi0,
     trio_matrix,
 )
 
@@ -48,6 +50,30 @@ def mutated(module, name, fragment, replacement):
         for holder in holders:
             setattr(holder, name, original)
         _clear_caches()
+
+
+class Uniform:
+    """Stands in for a Generator whose random() returns the given floats."""
+
+    def __init__(self, *u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u[0] if size is None else np.array(self.u[:size])
+
+
+def forced_collapse(m, k):
+    """king_measure of the preparation in basis m, drawn at the middle of
+    outcome k's third: every king basis gives three outcomes of 1/3, so the
+    real draw picks k.  Returns (outcome, collapsed state)."""
+    return king_measure(prepare_psi0(), m, Uniform((2 * k + 1) / 6))
+
+
+def sample_many(probs, rng, n):
+    """n draws from one distribution by the rule sample_outcome draws with:
+    linalg._sample_rows on n copies of the vector, with n uniforms of rng."""
+    p = np.asarray(probs, dtype=float)
+    return linalg._sample_rows(np.broadcast_to(p, (n, len(p))), rng.random(n))
 
 
 @pytest.fixture(scope="session")

@@ -28,16 +28,16 @@ from retroking import (
     exhaustive_verify,
     infer,
     inner_product,
-    king_measure,
     prepare_psi0,
     probabilities_from_density,
     random_density_matrix,
-    sample_outcome,
     search_bases,
     simulate_rounds,
     trio_matrix,
 )
 from retroking.cli import main
+
+from conftest import forced_collapse, sample_many
 
 EXPECTED_BASIS_COUNT = 72  # frozen from the independent clique oracle
 
@@ -135,15 +135,15 @@ def test_protocol_certainty():
 def test_physicist_outcome_statistics():
     with criterion("physicist-outcome-statistics"):
         physicist = build_physicist_basis()
-        psi0 = prepare_psi0()
         rng = np.random.default_rng(1618)
         rounds = 100_000
         bound = 4 * np.sqrt(rounds * (1 / 3) * (2 / 3))
         for m in range(4):
             for k in range(3):
-                _, collapsed = king_measure(psi0, m, None, force_outcome=k)
+                drawn, collapsed = forced_collapse(m, k)
+                assert drawn == k
                 probs = born_probabilities(collapsed, physicist.basis)
-                outcomes = sample_outcome(probs, rng, size=rounds)
+                outcomes = sample_many(probs, rng, rounds)
                 counts = np.bincount(outcomes, minlength=9)
                 compatible = [j for j in range(9) if physicist.labels[j][m] == k]
                 assert counts[[j for j in range(9) if j not in compatible]].sum() == 0

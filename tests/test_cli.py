@@ -75,7 +75,7 @@ PINNED_STDOUT = {
     ("verify", "json", 2**64 - 1):
         "3c7471fafbd9920f85eb8d72c91740d6866223b37cd89844a028357ac196d669",
     ("verify", "text", 0): "5d8829446e9bea2143f342aa28e6423091f73138c757d3b8ddbdd536986a6ce5",
-    ("simulate", "text", 0): "590b6d5bb5d1dd351a34e27002391a6df41e3bee381f455f308d5e2d8d8e674c",
+    ("simulate", "text", 0): "3df046f65ab725d9befb5d4e04109e76feb949c1626a0b1843684c299b8217ba",
     ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
     ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
     ("tomography", "json", 0): "dcb1ab5145b8233bd4ee9f045d1500b78b07d943b6bc210f6a651abac0b4b378",
@@ -176,10 +176,10 @@ MUTANT_RUNS = {
 # atom.  The relabelling k -> 2 - k of a reversed selection is consistent,
 # so agreement counts and both bracket checks still hold: only the
 # retrodiction and the engine's bins see it.  Only search-bases reads the
-# search, and nothing but verify checks the word constants: simulate tallies
-# biased draws without complaint, as it has no goodness-of-fit check yet.
-# For the same reason simulate cannot tell a round's basis read off the
-# wrong word, or the stream started one block late; verify's replays can.
+# search.  verify and simulate certify the word constants they run on, so a
+# wrong one fails both; tables and search-bases never read them.  simulate
+# has no goodness-of-fit check yet, so it cannot tell a round's basis read
+# off the wrong word, or the stream started one block late; verify's replays can.
 # The engine reads the labels itself, so simulate passes under a wrong
 # inference coordinate.
 STILL_PASSING = {
@@ -201,7 +201,7 @@ STILL_PASSING = {
     "tomography-quarter": {"tables", "simulate", "search-bases"},
     **dict.fromkeys(
         ["one-third-x1.01", "one-third-x1.2", "one-third-plus-1", "one-third-float"],
-        {"tables", "simulate", "search-bases", "tomography"},
+        {"tables", "search-bases", "tomography"},
     ),
 }
 
@@ -479,6 +479,22 @@ class TestSearchBases:
         names = {c["name"]: c["pass"] for c in report["checks"]}
         assert names["search-reference-present"]
         assert names["search-recertification"]
+
+    def test_label_positions_are_read_once(self, monkeypatch):
+        # search-coverage and search-recertification share one position array
+        calls = []
+        original = protocol._label_index
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(protocol, "_label_index", counted)
+        checks, data = COMMANDS["search-bases"][0](RunConfig("search-bases"))
+        assert [c.name for c in checks if c.passed] == [
+            "search-reference-present", "search-recertification", "search-coverage",
+        ]
+        assert calls == [2] and data["count"] == 72
 
 
 class TestTomography:

@@ -47,10 +47,11 @@ from retroking import (
     tensor_product,
 )
 from retroking.cli import RunConfig
-from retroking.linalg import MAX_DRAWS
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import label_set_deviations
 from retroking.reporting import within
+
+from conftest import Uniform
 
 
 @pytest.mark.parametrize(
@@ -65,7 +66,7 @@ from retroking.reporting import within
         lambda: born_probabilities(prepare_psi0(), [1]),
         lambda: project_and_normalize(1, qutrit),
         lambda: OrthonormalBasis([1]),
-        lambda: king_measure(1, 0, None, 0),
+        lambda: king_measure(1, 0, Uniform(0.5)),
         lambda: sample_outcome([1.0], None),
         lambda: sample_outcome("ab", np.random.default_rng(0)),
         lambda: random_density_matrix(None),
@@ -80,7 +81,6 @@ from retroking.reporting import within
         lambda: PhysicistBasis(1),
         lambda: label_set_deviations([[(0, 0, 0, 0)], [(0, 0, 0, 0), (0, 1, 1, 1)]]),
         lambda: mub_invariant_checks(None),
-        lambda: sample_outcome([1.0], np.random.default_rng(0), size=MAX_DRAWS + 1),
         lambda: Check("x", True, "0.1"),
         lambda: Check("x", True, 1j),
         lambda: Check("x", True, None),
@@ -89,7 +89,6 @@ from retroking.reporting import within
         # a bool is not an index, though operator.index takes it
         lambda: infer(True, 0),
         lambda: RunConfig("simulate", rounds=True),
-        lambda: sample_outcome([0.5, 0.5], np.random.default_rng(0), size=True),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
@@ -99,10 +98,10 @@ from retroking.reporting import within
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
         "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
         "certify-int", "mub-set-int-bases", "mub-set-empty", "physicist-basis-ints",
-        "label-sets-ragged", "mub-invariants-no-generator", "sample-size-over-max",
+        "label-sets-ragged", "mub-invariants-no-generator",
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
         "run-config-array-format", "run-config-array-state",
-        "infer-bool-basis", "run-config-bool-rounds", "sample-bool-size",
+        "infer-bool-basis", "run-config-bool-rounds",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):
@@ -202,12 +201,11 @@ ENTRY_POINTS = {
     "project-vector": lambda a, b: project_and_normalize(prepare_psi0(), a),
     "basis": lambda a, b: OrthonormalBasis(a),
     "basis-of-two": lambda a, b: OrthonormalBasis([a, b]),
-    "king-measure": lambda a, b: king_measure(a, 0, None, b),
+    "king-measure": lambda a, b: king_measure(a, b, Uniform(0.5)),
     "king-measure-generator": lambda a, b: king_measure(prepare_psi0(), 0, a),
     "bracket": lambda a, b: bracket_state(a),
     "sample": lambda a, b: sample_outcome(a, np.random.default_rng(0)),
     "sample-generator": lambda a, b: sample_outcome([0.5, 0.5], a),
-    "sample-size": lambda a, b: sample_outcome([0.5, 0.5], np.random.default_rng(0), a),
     "random-density": lambda a, b: random_density_matrix(a),
     "exhaustive-verify": lambda a, b: exhaustive_verify(a),
     "infer": lambda a, b: infer(a, b),
@@ -253,8 +251,9 @@ EXPORTS = [
     "build_physicist_basis", "build_psi_basis", "build_qubit_mubs", "build_qutrit_mubs",
     "certify_unbiasedness", "density_from_probabilities", "entangled_forms",
     "exhaustive_verify", "fourier_matrix", "infer", "inner_product", "king_measure",
-    "prepare_psi0", "probabilities_from_density", "probability_map_rank",
-    "project_and_normalize", "qutrit_basis_matrices", "random_density_matrix",
+    "label_set_deviations", "prepare_psi0", "probabilities_from_density",
+    "probability_map_rank", "project_and_normalize", "qutrit_basis_matrices",
+    "random_density_matrix",
     "round_stream", "run_round", "sample_outcome", "search_bases", "simulate_rounds",
     "tensor_product", "trio_matrix",
 ]

@@ -18,6 +18,8 @@ from retroking import (
 from retroking import build_physicist_basis, build_qubit_mubs, build_qutrit_mubs
 from retroking.protocol import PHYSICIST_LABELS
 
+from conftest import sample_many
+
 INV_SQRT3 = 3**-0.5
 
 # an orthonormal basis per dimension the package uses: the qubit and qutrit
@@ -194,20 +196,20 @@ class TestSampleOutcome:
 
     def test_uniform_frequencies_within_four_sigma(self):
         n = 100_000
-        draws = sample_outcome([1 / 3, 1 / 3, 1 / 3], np.random.default_rng(5), size=n)
+        draws = sample_many([1 / 3, 1 / 3, 1 / 3], np.random.default_rng(5), n)
         counts = np.bincount(draws, minlength=3)
         bound = 4 * np.sqrt(n * (1 / 3) * (2 / 3))
         assert np.abs(counts - n / 3).max() < bound
 
     def test_same_seed_same_draws(self):
         p = [0.2, 0.5, 0.3]
-        a = sample_outcome(p, np.random.default_rng(99), size=50)
-        b = sample_outcome(p, np.random.default_rng(99), size=50)
-        assert np.array_equal(a, b)
+        draws = [[sample_outcome(p, rng) for _ in range(50)]
+                 for rng in (np.random.default_rng(99), np.random.default_rng(99))]
+        assert draws[0] == draws[1]
 
     def test_tiny_probabilities_never_sampled(self):
         p = [1e-13, 1.0 - 1e-13, 0.0]
-        draws = sample_outcome(p, np.random.default_rng(3), size=2000)
+        draws = sample_many(p, np.random.default_rng(3), 2000)
         assert np.all(draws == 1)
 
     def test_rejects_malformed(self, rng):
@@ -230,5 +232,5 @@ class TestSampleOutcome:
         gen = np.random.default_rng(seed)
         weights = gen.random(4)
         p = weights / weights.sum()
-        draws = sample_outcome(p, gen, size=100)
+        draws = sample_many(p, gen, 100)
         assert set(np.unique(draws)) <= set(np.flatnonzero(p > 0))

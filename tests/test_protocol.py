@@ -45,7 +45,7 @@ from retroking import (
 from retroking import cli, linalg, mub, protocol
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
 
-from conftest import _clear_caches, mutated
+from conftest import Uniform, _clear_caches, forced_collapse, mutated, sample_many
 
 INV_SQRT3 = 3**-0.5
 
@@ -64,7 +64,8 @@ class Draw:
         return self.words[:n]
 
     def random(self, size=None):
-        return (int(self.words[0]) >> 11) * 2.0**-53
+        u = (int(self.words[0]) >> 11) * 2.0**-53
+        return u if size is None else np.full(size, u)
 
 
 def exact_round(m, w1, w2):
@@ -89,7 +90,7 @@ def float_rows():
     physicist = protocol.build_physicist_basis().basis
     rows = [protocol._king_born(psi0, matrix) for matrix in build_qutrit_mubs().matrices]
     return rows + [
-        born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
+        born_probabilities(forced_collapse(m, k)[1], physicist)
         for m in range(4)
         for k in range(3)
     ]
@@ -150,19 +151,21 @@ class TestTrioTable:
 
 class TestKingMeasure:
     def test_forced_collapse_reference_basis(self, trios, same_ray):
-        k, collapsed = king_measure(prepare_psi0(), 0, None, force_outcome=1)
+        k, collapsed = forced_collapse(0, 1)
         assert k == 1
         assert same_ray(collapsed, trios(0, 1))
 
     def test_forced_collapse_fourth_basis(self, qutrit_mubs, same_ray):
-        _, collapsed = king_measure(prepare_psi0(), 3, None, force_outcome=2)
+        k, collapsed = forced_collapse(3, 2)
+        assert k == 2
         expected = tensor_product(qutrit_mubs.bases[3][2], qutrit_mubs.bases[3][1])
         assert same_ray(collapsed, expected)
 
     def test_all_collapses_land_on_trios(self, trios, same_ray):
         for m in range(4):
             for k in range(3):
-                _, collapsed = king_measure(prepare_psi0(), m, None, force_outcome=k)
+                drawn, collapsed = forced_collapse(m, k)
+                assert drawn == k
                 assert same_ray(collapsed, trios(m, k))
 
     def test_outcomes_uniform(self, rng):
@@ -175,11 +178,11 @@ class TestKingMeasure:
         assert np.abs(counts - n / 3).max() < bound
 
     def test_outcome_distribution_at_scale(self, qutrit_mubs):
-        # vectorized draws from the same distribution king_measure samples
+        # stacked draws by the rule king_measure draws with, on its distribution
         n = 100_000
         for m in range(4):
             probs = protocol._king_born(prepare_psi0(), qutrit_mubs.matrices[m])
-            draws = sample_outcome(probs, np.random.default_rng(8 + m), size=n)
+            draws = sample_many(probs, np.random.default_rng(8 + m), n)
             counts = np.bincount(draws, minlength=3)
             bound = 4 * np.sqrt(n * (1 / 3) * (2 / 3))
             assert np.abs(counts - n / 3).max() < bound
@@ -203,17 +206,13 @@ class TestKingMeasure:
     def test_rejects_bad_indices(self, rng):
         with pytest.raises(ContractViolation):
             king_measure(prepare_psi0(), 4, rng)
-        with pytest.raises(ContractViolation):
-            king_measure(prepare_psi0(), 0, None, force_outcome=3)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: king_measure(prepare_psi0(), 0, None, force_outcome=1.5),
-        lambda: king_measure(prepare_psi0(), 1.5, None, force_outcome=0),
-        lambda: king_measure(prepare_psi0(), 1.0, None, force_outcome=0),
-        lambda: king_measure(prepare_psi0(), 0, None, force_outcome="1"),
+        lambda: king_measure(prepare_psi0(), 1.5, Uniform(1 / 6)),
+        lambda: king_measure(prepare_psi0(), 1.0, Uniform(1 / 6)),
         lambda: infer(1.5, 0),
         lambda: infer(0, 2.5),
         lambda: infer(np.float64(1), 0),
@@ -226,10 +225,8 @@ class TestKingMeasure:
         lambda: cli.RunConfig("simulate", basis=1.0),
     ],
     ids=[
-        "forced-outcome-1.5",
         "king-basis-1.5",
         "king-basis-1.0",
-        "forced-outcome-str",
         "infer-basis-1.5",
         "infer-outcome-2.5",
         "infer-basis-float64",
@@ -252,12 +249,9 @@ def test_non_integer_arguments_are_contract_violations(call):
     [
         lambda: run_round(None, "x"),
         lambda: run_round(None, None),
-        lambda: sample_outcome([0.5, 0.5], np.random.default_rng(0), size=-1),
-        lambda: sample_outcome([0.5, 0.5], np.random.default_rng(0), size=1.5),
         lambda: infer(0, 0, basis="x"),
     ],
-    ids=["run-round-str-rng", "run-round-no-rng", "sample-size--1", "sample-size-1.5",
-         "infer-str-basis"],
+    ids=["run-round-str-rng", "run-round-no-rng", "infer-str-basis"],
 )
 def test_bad_sampling_arguments_are_contract_violations(call):
     with pytest.raises(ContractViolation):
@@ -266,7 +260,7 @@ def test_bad_sampling_arguments_are_contract_violations(call):
 
 def test_numpy_integer_indices_are_accepted():
     assert infer(np.int8(3), np.int64(3)) == 2
-    assert king_measure(prepare_psi0(), np.int64(2), None, force_outcome=np.int8(1))[0] == 1
+    assert king_measure(prepare_psi0(), np.int64(2), Uniform(1 / 2))[0] == 1
 
 
 class TestPsiBasis:
@@ -832,7 +826,7 @@ class TestRoundChunks:
 
         def float_bin(m, w1, w2):
             k = sample_outcome(protocol._king_born(psi0, kets[m]), Draw(w1))
-            born = born_probabilities(king_measure(psi0, m, None, force_outcome=k)[1], physicist)
+            born = born_probabilities(forced_collapse(m, k)[1], physicist)
             return outcomes.index((m, k, sample_outcome(born, Draw(w2))))
 
         def bins(row, w):
@@ -1084,16 +1078,6 @@ def numpy_distribution(probs):
     return keep, np.cumsum(weights / weights.sum())
 
 
-class Uniform:
-    """Stands in for a Generator whose random() returns the given floats."""
-
-    def __init__(self, *u):
-        self.u = u
-
-    def random(self, size=None):
-        return self.u[0] if size is None else np.array(self.u[:size])
-
-
 def assert_agrees_with_numpy(probs):
     """The same ContractViolation message as numpy_distribution, or the
     same draws."""
@@ -1116,7 +1100,7 @@ def assert_samples_as_numpy(probs):
     picked = keep[np.minimum(np.searchsorted(cdf, draws, side="right"), len(keep) - 1)].tolist()
     lone = [sample_outcome(probs, Uniform(u)) for u in draws]
     assert lone == picked and {type(k) for k in lone} == {int}
-    assert sample_outcome(probs, Uniform(*draws), size=len(draws)).tolist() == picked
+    assert sample_many(probs, Uniform(*draws), len(draws)).tolist() == picked
 
 
 # mostly valid distributions: weights normalized, with entries within TOL of

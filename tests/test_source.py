@@ -166,8 +166,8 @@ def _spelled(node):
 def test_the_sampling_rule_is_stated_once():
     # linalg._cdf_rows is the one cdf of a probability vector: no other
     # source may build a running sum or bisect one, so no second copy of the
-    # rule can drift from it
-    rule = {"cumsum", "accumulate", "bisect", "bisect_right"}
+    # rule, or a second draw on it beside linalg._sample_rows, can drift from it
+    rule = {"cumsum", "accumulate", "bisect", "bisect_right", "searchsorted"}
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
