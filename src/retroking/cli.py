@@ -10,7 +10,6 @@ flags, and seed, apart from the ``timing`` field.
 """
 
 import argparse
-import itertools
 import json
 import sys
 import time
@@ -153,17 +152,11 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
 
 def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     sets = protocol.search_bases()
+    index = protocol._search()[0]  # the sets' ALL_LABELS positions
     reference = tuple(sorted(protocol.PHYSICIST_LABELS))
     reference_index = sets.index(reference) if reference in sets else None
-    # label digits are 0..2, so the sets pack into bytes in one pass
-    digits = bytes(itertools.chain.from_iterable(itertools.chain.from_iterable(sets)))
-    labels = np.frombuffer(digits, dtype=np.int8).reshape(-1, 9, 4)
-    # coverage: each label lies in 8 sets, each pair agreeing in one coordinate
-    # (only identical labels agree in 4) in 2, and every other pair in none
-    index = protocol._label_index(labels, 2)
     pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
-    agreement = protocol.agreement_matrix()
-    wrong = int((pairs.reshape(81, 81) != np.where(agreement == 4, 8, 2 * (agreement == 1))).sum())
+    wrong = int((pairs.reshape(81, 81) != protocol._coverage()).sum())
     checks = [
         Check("search-reference-present", reference_index is not None,
               0.0 if reference_index is not None else 1.0),
@@ -173,7 +166,7 @@ def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
     data = {
         "count": len(sets),
         "reference_index": reference_index,
-        "bases": labels.tolist(),
+        "bases": protocol._label_digits()[index].tolist(),
     }
     return checks, data
 

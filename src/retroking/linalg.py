@@ -14,6 +14,7 @@ to it.
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,9 +38,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=8)  # bounded: a caller's basis may be of any dimension
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity matrix."""
+    return _readonly(np.eye(n))
+
+
 def _index(value, stop: int | None, what: str, start: int = 0) -> int:
     """``value`` as an int in [start, stop) (no upper end when stop is None);
     a non-integer, such as 1.5, 1.0 or True, or one out of range is a ContractViolation."""
+    if type(value) is int and start <= value and (stop is None or value < stop):
+        return value
     try:
         if isinstance(value, bool):
             raise TypeError
@@ -90,7 +99,7 @@ def _numeric_vector(values, kinds: str, what: str) -> np.ndarray:
 def _orthonormality_deviation(matrix: np.ndarray) -> np.ndarray:
     """|M^dagger M - I| entry by entry, for a matrix or each of a stack of
     them: zero when M's columns are orthonormal."""
-    return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(matrix.shape[-1]))
+    return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - _identity(matrix.shape[-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,7 @@ from .linalg import (
     StateVector,
     _as_generator,
     _as_instance,
+    _identity,
     _orthonormality_deviation,
     _readonly,
 )
@@ -178,6 +179,12 @@ def _reject(bad: np.ndarray, message: str, detail=None) -> None:
         raise ContractViolation(f"{message}{value} (stack index {i})")
 
 
+@lru_cache(maxsize=None)
+def _positivity_shift() -> np.ndarray:
+    """3 x 3 read-only 0.99 TOL I: ``_check_densities`` factors m plus it."""
+    return _readonly(0.99 * TOL * _identity(3))
+
+
 def _check_densities(values) -> np.ndarray:
     """Validated (n, 3, 3) complex copy of a (..., 3, 3) stack of density
     matrices: each finite, Hermitian, of unit trace and positive (one
@@ -192,7 +199,7 @@ def _check_densities(values) -> np.ndarray:
     # round-off far below TOL - s: so a stack that factors has none below
     # -TOL.  One that does not is judged, and its offender named, by eigvalsh.
     try:
-        np.linalg.cholesky(m + 0.99 * TOL * np.eye(3))
+        np.linalg.cholesky(m + _positivity_shift())
     except np.linalg.LinAlgError:
         smallest = np.linalg.eigvalsh(m)[:, 0]
         _reject(smallest < -TOL, "density matrix must be positive, smallest eigenvalue", smallest)

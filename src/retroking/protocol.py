@@ -28,6 +28,7 @@ from .linalg import (
     OrthonormalBasis,
     StateVector,
     _as_instance,
+    _identity,
     _index,
     _orthonormality_deviation,
     _readonly,
@@ -42,29 +43,27 @@ from .reporting import Check, within
 
 BracketLabel = tuple[int, int, int, int]
 
-# Labels of the reference physicist basis, P_0 .. P_8.  Any two agree in
-# exactly one coordinate, which is precisely the orthogonality criterion
-# for bracket states.
-PHYSICIST_LABELS: tuple[BracketLabel, ...] = (
-    (0, 0, 0, 0),
-    (0, 1, 1, 1),
-    (0, 2, 2, 2),
-    (1, 0, 1, 2),
-    (1, 1, 2, 0),
-    (1, 2, 0, 1),
-    (2, 0, 2, 1),
-    (2, 1, 0, 2),
-    (2, 2, 1, 0),
+# Labels of the reference physicist basis, P_0 .. P_8: (a, b, a + b, 2a + b)
+# mod 3 over (a, b) row-major.  Any two agree in exactly one coordinate,
+# which is precisely the orthogonality criterion for bracket states.
+PHYSICIST_LABELS: tuple[BracketLabel, ...] = tuple(
+    (a, b, (a + b) % 3, (2 * a + b) % 3) for a in range(3) for b in range(3)
 )
 
 ALL_LABELS: tuple[BracketLabel, ...] = tuple(itertools.product((0, 1, 2), repeat=4))
 
 
 @lru_cache(maxsize=None)
+def _label_digits() -> np.ndarray:
+    """81 x 4 read-only int8: row i is ALL_LABELS[i]."""
+    return _readonly(np.array(ALL_LABELS, dtype=np.int8))
+
+
+@lru_cache(maxsize=None)
 def selection_matrix() -> np.ndarray:
     """12 x 81 read-only int8: entry (3*m + k, i) is 1 when ALL_LABELS[i] has
     k_m = k, so that bracket i meets trio member (m, k), and 0 otherwise."""
-    labels = np.array(ALL_LABELS).T[:, None]  # labels[m, 0, i] = ALL_LABELS[i][m]
+    labels = _label_digits().T[:, None]  # labels[m, 0, i] = ALL_LABELS[i][m]
     return _readonly((labels == np.arange(3)[:, None]).reshape(12, -1).astype(np.int8))
 
 
@@ -73,6 +72,15 @@ def agreement_matrix() -> np.ndarray:
     """81 x 81 read-only: entry (i, j) counts the coordinates where
     ALL_LABELS[i] and ALL_LABELS[j] agree: S^T S, S the selection matrix."""
     return _readonly(selection_matrix().T @ selection_matrix())
+
+
+@lru_cache(maxsize=None)
+def _coverage() -> np.ndarray:
+    """81 x 81 read-only: how many of the 72 label sets hold both labels i
+    and j.  Each label lies in 8 sets, each pair agreeing in one coordinate
+    (only identical labels agree in 4) in 2, and every other pair in none."""
+    agreement = agreement_matrix()
+    return _readonly(np.where(agreement == 4, 8, 2 * (agreement == 1)))
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +105,7 @@ def trio_matrix() -> np.ndarray:
     return build_qutrit_mubs().projectors
 
 
+@lru_cache(maxsize=None)
 def entangled_forms() -> tuple[StateVector, StateVector, StateVector, StateVector]:
     """One decomposition of the preparation per king basis: the normalized
     sum of each trio.  All four come out as the same vector."""
@@ -142,6 +151,13 @@ def _label_index(labels, ndim: int) -> np.ndarray:
 def overlap_law(matches):
     """Inner product of two bracket states whose labels agree in ``matches`` places."""
     return (matches - 1) / 3.0
+
+
+@lru_cache(maxsize=None)
+def _law_gram() -> np.ndarray:
+    """81 x 81 read-only: the overlap law of the agreement matrix, the Gram
+    matrix the bracket family must have."""
+    return _readonly(overlap_law(agreement_matrix()))
 
 
 @lru_cache(maxsize=None)
@@ -470,7 +486,7 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
 def _set_deviations(index: np.ndarray) -> np.ndarray:
     """``label_set_deviations`` of sets given as rows of ALL_LABELS positions."""
     gram = bracket_gram()[index[:, :, None], index[:, None, :]]
-    return np.abs(gram - np.eye(index.shape[1])).max(axis=(1, 2), initial=0.0)
+    return np.abs(gram - _identity(index.shape[1])).max(axis=(1, 2), initial=0.0)
 
 
 def label_set_deviations(label_sets) -> np.ndarray:
@@ -478,6 +494,25 @@ def label_set_deviations(label_sets) -> np.ndarray:
     states, read off the cached bracket Gram matrix.  Zero (to round-off)
     exactly when the set's bracket states are orthonormal."""
     return _set_deviations(_label_index(label_sets, 2))
+
+
+@lru_cache(maxsize=None)
+def _search() -> tuple[np.ndarray, tuple[tuple[BracketLabel, ...], ...]]:
+    """``search_bases``' sets, derived once: their (72, 9) read-only intp
+    ALL_LABELS positions and their label tuples, in one order."""
+    perms = np.array(list(itertools.permutations(range(3))))
+    stacks = perms[np.indices((6, 6, 6)).reshape(3, -1).T]
+    # bit v of a mask is set when the value v occurs: a column holding all
+    # three values has mask 0b111, and 3f + g taking all nine has 0x1FF
+    bits = 1 << stacks
+    squares = stacks[((bits[:, 0] | bits[:, 1] | bits[:, 2]) == 0b111).all(axis=1)].reshape(-1, 9)
+    f, g = np.nonzero(np.bitwise_or.reduce(1 << (3 * squares[:, None] + squares), axis=-1) == 0x1FF)
+    # label (a, b, f[a, b], g[a, b]) sits at 27a + 9b + 3f + g, and 27a + 9b = 9(3a + b):
+    # each row ascends, and positions order labels as tuples do, so rows sorted
+    # column 0 first order the sets as their nested tuples would
+    index = 9 * np.arange(9) + 3 * squares[f] + squares[g]
+    found = _readonly(index[np.lexsort(index.T[::-1])])
+    return found, tuple(operator.itemgetter(*s)(ALL_LABELS) for s in found.tolist())
 
 
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
@@ -495,22 +530,10 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     columns are permutations too.  Each returned set is sorted (its (a, b)
     run row-major) and the result is sorted, so the output is canonical.
     The search is purely combinatorial: ``label_set_deviations`` certifies
-    the sets at the state level, as the ``search-bases`` report does.  A
-    set's nine label positions in ALL_LABELS, read as one base-81 integer,
-    order the sets as their nested tuples would.
+    the sets at the state level, as the ``search-bases`` report does.  It
+    runs once per process; this is the tuple view of ``_search``.
     """
-    perms = np.array(list(itertools.permutations(range(3))))
-    stacks = perms[np.indices((6, 6, 6)).reshape(3, -1).T]
-    # bit v of a mask is set when the value v occurs: a column holding all
-    # three values has mask 0b111, and 3f + g taking all nine has 0x1FF
-    bits = 1 << stacks
-    squares = stacks[((bits[:, 0] | bits[:, 1] | bits[:, 2]) == 0b111).all(axis=1)].reshape(-1, 9)
-    f, g = np.nonzero(np.bitwise_or.reduce(1 << (3 * squares[:, None] + squares), axis=-1) == 0x1FF)
-    # label (a, b, f[a, b], g[a, b]) sits at 27a + 9b + 3f + g, and 27a + 9b = 9(3a + b)
-    index = 9 * np.arange(9) + 3 * squares[f] + squares[g]
-    keys = (index @ 81 ** np.arange(8, -1, -1)).tolist()
-    ordered = index[sorted(range(len(keys)), key=keys.__getitem__)].tolist()
-    return tuple(operator.itemgetter(*s)(ALL_LABELS) for s in ordered)
+    return _search()[1]
 
 
 # Rounds of seed 0 that ``invariant_checks`` plays in a batch, alone, and
@@ -566,7 +589,7 @@ def invariant_checks() -> list[Check]:
 
     trios, kets = trio_matrix(), psi.matrix.T  # row i of kets is psi_i
     # row k of (mixing^T @ triples[m]) is column k of (psi_0, psi_2m+1, psi_2m+2) @ mixing
-    triples = np.stack(np.broadcast_arrays(kets[0], kets[1::2], kets[2::2]), axis=1)
+    triples = kets[[[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 7, 8]]]
     checks.append(within("trio-reconstruction", np.abs(mixing.T @ triples - trios.reshape(4, 3, 9))))
 
     # overlaps[m, k, i] = |<trio (m, k)|bracket i>|: 3**-0.5 where label i
@@ -575,7 +598,7 @@ def invariant_checks() -> list[Check]:
     dev = np.where(selection_matrix().reshape(4, 3, -1), np.abs(overlaps**2 - 1.0 / 3.0), overlaps)
     checks.append(within("bracket-trio-selectivity", dev))
 
-    dev = np.abs(bracket_gram() - overlap_law(agreement_matrix()))
+    dev = np.abs(bracket_gram() - _law_gram())
     checks.append(within("bracket-overlap-law", dev))
 
     pb = build_physicist_basis()

@@ -32,8 +32,11 @@ def within(name: str, deviation) -> Check:
     ``deviation`` (a float or an array) is below TOL, and a NaN fails it;
     that entry is the reported deviation.  An empty deviation measured
     nothing, so it fails with deviation 0."""
-    deviation = np.asarray(deviation)
-    if not deviation.size:
-        return Check(name, False, 0.0)
-    worst = deviation.max()
+    if isinstance(deviation, float):  # its own largest entry, with no array
+        worst = deviation
+    else:
+        deviation = np.asarray(deviation)
+        if not deviation.size:
+            return Check(name, False, 0.0)
+        worst = np.maximum.reduce(deviation, axis=None)
     return Check(name, worst < TOL, worst)

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -139,15 +140,13 @@ MUTANTS = {
     "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
     "sum-doubled": (linalg, "sample_outcome", "abs(p.sum()", "abs(p.sum() * 2"),
-    "search-drops-last": (protocol, "search_bases", "for s in ordered)", "for s in ordered[:-1])"),
-    "search-every-other": (protocol, "search_bases", "for s in ordered)",
-                           "for s in ordered[::2])"),
+    "search-drops-last": (protocol, "_search", "index.T[::-1])]", "index.T[::-1])][:-1]"),
+    "search-every-other": (protocol, "_search", "index.T[::-1])]", "index.T[::-1])][::2]"),
     "one-third-x1.01": (protocol, "ONE_THIRD", ONE_THIRD * 101 // 100),
     "one-third-x1.2": (protocol, "ONE_THIRD", ONE_THIRD * 6 // 5),
     "one-third-plus-1": (protocol, "ONE_THIRD", ONE_THIRD + 1),
     "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
-    "search-finds-nothing": (protocol, "search_bases", "for s in ordered)",
-                             "for s in ordered[:0])"),
+    "search-finds-nothing": (protocol, "_search", "index.T[::-1])]", "index.T[::-1])][:0]"),
     "infer-coordinate": (protocol, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
     "map-words-basis": (protocol, "_map_words", "words[:, 0] >> 62", "words[:, 3] >> 62"),
     "run-round-basis": (protocol, "run_round", "m = w0 >> 62", "m = w2 >> 62"),
@@ -176,10 +175,12 @@ MUTANT_RUNS = {
 # atom.  The relabelling k -> 2 - k of a reversed selection is consistent,
 # so agreement counts and both bracket checks still hold: only the
 # retrodiction and the engine's bins see it.  Only search-bases reads the
-# search.  verify and simulate certify the word constants they run on, so a
-# wrong one fails both; tables and search-bases never read them.  simulate
-# has no goodness-of-fit check yet, so it cannot tell a round's basis read
-# off the wrong word, or the stream started one block late; verify's replays can.
+# search, whose positions and labels are one derivation.  verify and
+# simulate certify the word constants they run on, so a wrong one fails
+# both; tables and search-bases never read them.  A round's basis read off
+# the wrong word, or the stream started one block late, leaves the bin law
+# intact, so no goodness-of-fit statistic can tell either: only a replay of
+# counted rounds alone can, and of the commands only verify replays rounds.
 # The engine reads the labels itself, so simulate passes under a wrong
 # inference coordinate.
 STILL_PASSING = {
@@ -336,6 +337,15 @@ def run_optimized(argv):
     return json.loads(done.stdout)
 
 
+def test_bench_expects_only_checks_verify_reports():
+    # a check dropped from verify fails here, not first in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.EXPECTED_VERIFY_CHECKS <= set(VERIFY_CHECKS)
+
+
 @pytest.mark.parametrize("command", ["verify", "search-bases"])
 def test_optimized_interpreter_keeps_every_check(command):
     report = run_optimized([command])
@@ -480,21 +490,19 @@ class TestSearchBases:
         assert names["search-reference-present"]
         assert names["search-recertification"]
 
-    def test_label_positions_are_read_once(self, monkeypatch):
-        # search-coverage and search-recertification share one position array
-        calls = []
-        original = protocol._label_index
+    def test_positions_come_from_the_one_derivation(self, monkeypatch):
+        # search-coverage, search-recertification and the listed labels read
+        # the cached search's positions: no label-position pass, one search
+        def refused(*args):
+            raise AssertionError("cmd_search re-derived label positions")
 
-        def counted(*args):
-            calls.append(args[1])
-            return original(*args)
-
-        monkeypatch.setattr(protocol, "_label_index", counted)
-        checks, data = COMMANDS["search-bases"][0](RunConfig("search-bases"))
-        assert [c.name for c in checks if c.passed] == [
-            "search-reference-present", "search-recertification", "search-coverage",
-        ]
-        assert calls == [2] and data["count"] == 72
+        monkeypatch.setattr(protocol, "_label_index", refused)
+        _clear_caches()
+        for _ in range(2):
+            checks, data = COMMANDS["search-bases"][0](RunConfig("search-bases"))
+            assert all(c.passed for c in checks) and data["count"] == 72
+        assert protocol._search.cache_info().misses == 1
+        _clear_caches()
 
 
 class TestTomography:

@@ -422,7 +422,14 @@ def test_cached_builders_are_all_listed():
     names = {name.rpartition(".")[2] for name in CACHED_BUILDERS}
     assert names >= {"qutrit_basis_matrices", "_round_engine", "prepare_psi0",
                      "build_psi_basis", "build_physicist_basis", "bracket_matrix",
-                     "selection_matrix"}
+                     "selection_matrix", "_label_digits", "_coverage", "_law_gram",
+                     "entangled_forms", "_search", "_positivity_shift"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_cached_identity_is_read_only(n):
+    identity = linalg._identity(n)
+    assert np.array_equal(identity, np.eye(n)) and not identity.flags.writeable
 
 
 @pytest.mark.parametrize("name", sorted(CACHED_BUILDERS))
@@ -577,6 +584,14 @@ class TestPhysicistBasis:
         assert physicist.labels == PHYSICIST_LABELS
         assert physicist.labels[3] == (1, 0, 1, 2)
         assert physicist.labels[8] == (2, 2, 1, 0)
+
+    def test_reference_labels_are_the_stated_table(self):
+        assert PHYSICIST_LABELS == (
+            (0, 0, 0, 0), (0, 1, 1, 1), (0, 2, 2, 2),
+            (1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1),
+            (2, 0, 2, 1), (2, 1, 0, 2), (2, 2, 1, 0),
+        )
+        assert search_bases()[0] == PHYSICIST_LABELS
 
     def test_orthonormal(self, physicist):
         gram = physicist.basis.matrix.conj().T @ physicist.basis.matrix
@@ -1183,6 +1198,13 @@ class TestExhaustiveVerify:
 
 
 class TestSearchBases:
+    def test_positions_and_labels_are_one_derivation(self):
+        positions, labels = protocol._search()
+        assert labels is search_bases()
+        assert positions.dtype == np.intp and positions.shape == (72, 9)
+        assert np.array_equal(protocol._label_index(labels, 2), positions)
+        assert np.array_equal(protocol._label_digits(), ALL_LABELS)
+
     def test_count_and_reference_membership(self):
         sets = search_bases()
         assert len(sets) == 72  # frozen from the independent clique oracle
