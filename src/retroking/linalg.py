@@ -222,8 +222,9 @@ def _cdf_rows(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kept = probs >= TOL
     weights = np.where(kept, probs, 0.0)
     total = weights.cumsum(axis=1)[:, -1]
-    for i in np.flatnonzero(kept.sum(axis=1) >= 8).tolist():
-        total[i] = probs[i, kept[i]].sum()
+    if probs.shape[1] >= 8:  # a narrower row cannot keep 8
+        for i in np.flatnonzero(kept.sum(axis=1) >= 8).tolist():
+            total[i] = probs[i, kept[i]].sum()
     cdf = (weights / total[:, None]).cumsum(axis=1)
     return cdf, kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
 

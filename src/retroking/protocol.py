@@ -338,6 +338,13 @@ def _round_engine() -> np.ndarray:
     return _readonly(table.astype(np.int8))
 
 
+@lru_cache(maxsize=None)
+def _round_rows() -> tuple[tuple[int, int, int, int], ...]:
+    """The rows of ``_round_engine``'s table as tuples of ints, the view a
+    lone round reads: indexing a tuple skips an array round-trip."""
+    return tuple(map(tuple, _round_engine().tolist()))
+
+
 def round_outcomes() -> np.ndarray:
     """36 x 4 read-only int8: row b is (m, k, j, inferred) of a round in
     bin b, the unit ``round_chunks`` yields."""
@@ -371,14 +378,17 @@ def run_round(
         m = w0 >> 62
     k = (w1 >= ONE_THIRD) + (w1 >= TWO_THIRDS)
     jb = (w2 >= ONE_THIRD) + (w2 >= TWO_THIRDS)
-    m, k, j, inferred = _round_engine()[9 * m + 3 * k + jb].tolist()
-    return RoundRecord(m, k, j, inferred, inferred == k, seed, round_index)
+    m, k, j, inferred = _round_rows()[9 * m + 3 * k + jb]
+    # NamedTuple's own __new__ is a Python-level call; _make builds records this way
+    return tuple.__new__(RoundRecord, (m, k, j, inferred, inferred == k, seed, round_index))
 
 
 class _PhiloxKey(ISeedSequence):
-    """The key words ``[seed, 0]`` of ``Philox(key=seed)``, handed straight
+    """The key words ``(seed, 0)`` of ``Philox(key=seed)``, handed straight
     to Philox: ``Philox(key=...)`` first seeds and discards an OS-entropy
-    SeedSequence, most of the cost of a lone round's stream."""
+    SeedSequence, most of the cost of a lone round's stream.  Philox only
+    indexes the two words, so they go as Python ints: from a uint64 array
+    numpy would convert each word back through a numpy scalar."""
 
     __slots__ = ("key",)
 
@@ -391,7 +401,11 @@ class _PhiloxKey(ISeedSequence):
             raise RuntimeError(
                 f"Philox asked its key for {n_words} words of {dtype}, expected 2 of uint64"
             )
-        return np.array([self.key, 0], dtype=np.uint64)
+        return self.key, 0
+
+
+# The four counter words of block 0; a round's stream copies it and sets word 0.
+_ZERO_COUNTER = _readonly(np.zeros(4, dtype=np.uint64))
 
 
 def round_stream(seed: int, index: int) -> np.random.Generator:
@@ -403,8 +417,8 @@ def round_stream(seed: int, index: int) -> np.random.Generator:
     # is exact for every block and skips numpy's Python loop that splits an
     # int; a list without a dtype would pass through float64 and alias blocks.
     key = _index(seed, 2**64, "seed")
-    block = _index(index, 2**64, "round index")
-    counter = np.array((block, 0, 0, 0), dtype=np.uint64)
+    counter = _ZERO_COUNTER.copy()
+    counter[0] = _index(index, 2**64, "round index")
     return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=counter))
 
 
@@ -473,11 +487,11 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
         for row, n in enumerate(counts.tolist())
         if n != 3
     ]
-    for row, j in np.argwhere(compatible).tolist():
-        m, k = divmod(row, 3)
-        guessed = infer(m, j, pb)
-        if guessed != k:
-            failures.append(f"(m={m}, k={k}, j={j}): inferred {guessed}")
+    rows, j = np.nonzero(compatible)
+    m, k = np.divmod(rows, 3)
+    guessed = np.array(pb.labels)[j, m]  # infer(m, j, pb) for every compatible outcome
+    failures += [f"(m={m[i]}, k={k[i]}, j={j[i]}): inferred {guessed[i]}"
+                 for i in np.flatnonzero(guessed != k).tolist()]
     worst = float(worsts.max())
     passed = not failures and within("retrodiction-certainty", worst).passed
     return CertaintyReport(passed, 12, int(counts.sum()), worst, tuple(failures))
@@ -537,8 +551,8 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
 
 
 # Rounds of seed 0 that ``invariant_checks`` plays in a batch, alone, and
-# measured and collapsed all at once (round 0 also on the public lone path);
-# they cover all four king bases.
+# measured and collapsed all at once (round 0 also on the public lone path,
+# retrodicted by ``infer``); they cover all four king bases.
 REPLAY_CHECK_ROUNDS = 16
 
 
@@ -613,9 +627,10 @@ def invariant_checks() -> list[Check]:
 
     records = simulate_rounds(REPLAY_CHECK_ROUNDS, 0)
     measured = [tuple(row) for row in _measured_rounds(0, REPLAY_CHECK_ROUNDS).tolist()]
-    lone = _measured_round(0, 0)
+    m, k, j = _measured_round(0, 0)
+    lone = (m, k, j, infer(m, j))  # the physicist retrodicts by the public rule
     mismatches = sum(
-        r[:3] != measured[i] or (i == 0 and r[:3] != lone)
+        r[:3] != measured[i] or (i == 0 and r[:4] != lone)
         or r != run_round(None, round_stream(0, i), seed=0, round_index=i)
         for i, r in enumerate(records)
     )

@@ -76,7 +76,7 @@ PINNED_STDOUT = {
     ("verify", "json", 2**64 - 1):
         "3c7471fafbd9920f85eb8d72c91740d6866223b37cd89844a028357ac196d669",
     ("verify", "text", 0): "5d8829446e9bea2143f342aa28e6423091f73138c757d3b8ddbdd536986a6ce5",
-    ("simulate", "text", 0): "3df046f65ab725d9befb5d4e04109e76feb949c1626a0b1843684c299b8217ba",
+    ("simulate", "text", 0): "06a10e2286028e94d45a42619d7c69619139e45e492c5b8275b772e888c26779",
     ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
     ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
     ("tomography", "json", 0): "dcb1ab5145b8233bd4ee9f045d1500b78b07d943b6bc210f6a651abac0b4b378",
@@ -180,9 +180,14 @@ MUTANT_RUNS = {
 # both; tables and search-bases never read them.  A round's basis read off
 # the wrong word, or the stream started one block late, leaves the bin law
 # intact, so no goodness-of-fit statistic can tell either: only a replay of
-# counted rounds alone can, and of the commands only verify replays rounds.
-# The engine reads the labels itself, so simulate passes under a wrong
-# inference coordinate.
+# counted rounds alone can.  verify replays rounds 0..15 of seed 0, and
+# simulate the first and the last round it counted; a replay of two rounds
+# misses a basis-word mutant whenever both words agree on both rounds (at
+# seed 0 and the default 10^4 rounds, words 0 and 2 of run_round agree on
+# rounds 0 and 9999).  The engine and the certainty check read the labels
+# themselves, so simulate passes under a wrong inference coordinate, and so
+# does verify: it retrodicts through infer only its one explicit round, whose
+# label (0, 0, 0, 0) reads the same in every coordinate.  tables certifies infer.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
     "selection-reversed": {"search-bases", "tomography"},
@@ -195,10 +200,10 @@ STILL_PASSING = {
     "search-drops-last": {"verify", "tables", "simulate", "tomography"},
     "search-every-other": {"verify", "tables", "simulate", "tomography"},
     "search-finds-nothing": {"verify", "tables", "simulate", "tomography"},
-    "infer-coordinate": {"simulate", "search-bases", "tomography"},
-    "map-words-basis": {"tables", "simulate", "search-bases", "tomography"},
-    "run-round-basis": {"tables", "simulate", "search-bases", "tomography"},
-    "chunks-block-1": {"tables", "simulate", "search-bases", "tomography"},
+    "infer-coordinate": {"verify", "simulate", "search-bases", "tomography"},
+    "map-words-basis": {"tables", "search-bases", "tomography"},
+    "run-round-basis": {"tables", "search-bases", "tomography"},
+    "chunks-block-1": {"tables", "search-bases", "tomography"},
     "tomography-quarter": {"tables", "simulate", "search-bases"},
     **dict.fromkeys(
         ["one-third-x1.01", "one-third-x1.2", "one-third-plus-1", "one-third-float"],
@@ -232,15 +237,29 @@ def test_every_survivor_names_a_mutant():
     assert STILL_PASSING.keys() <= MUTANTS.keys()
 
 
+@pytest.mark.parametrize(("mutant", "command"), [
+    (mutant, command) for mutant, commands in STILL_PASSING.items() for command in sorted(commands)
+])
+def test_a_survivor_prints_the_unmutated_report(capsys, mutant, command):
+    # a command that passes under a mutant must print what it prints
+    # unmutated: anything else is a wrong report with exit 0
+    argv = MUTANT_RUNS[command] + ["--format", "json"]
+    main(argv)
+    expected = strip_timing(json.loads(capsys.readouterr().out))
+    spec = MUTANTS[mutant]
+    with (mutated if len(spec) == 4 else replaced)(*spec):
+        main(argv)
+    assert strip_timing(json.loads(capsys.readouterr().out)) == expected
+
+
 # Equivalent mutants: rewrites that change no report, each with the reason.
 EQUIVALENT = {
     # no deviation lands exactly on TOL
     "within-le": (reporting, "within", "worst < TOL", "worst <= TOL"),
     # every collapse of the reference basis infers its outcome, so the
-    # inference loop of exhaustive_verify adds no failure
+    # inference gather of exhaustive_verify adds no failure
     "certainty-no-inference": (protocol, "exhaustive_verify",
-                               "for row, j in np.argwhere(compatible).tolist():",
-                               "for row, j in []:"),
+                               "np.flatnonzero(guessed != k).tolist()", "[]"),
 }
 
 

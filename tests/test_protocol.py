@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import inspect
 import itertools
 import json
@@ -423,7 +424,7 @@ def test_cached_builders_are_all_listed():
     assert names >= {"qutrit_basis_matrices", "_round_engine", "prepare_psi0",
                      "build_psi_basis", "build_physicist_basis", "bracket_matrix",
                      "selection_matrix", "_label_digits", "_coverage", "_law_gram",
-                     "entangled_forms", "_search", "_positivity_shift"}
+                     "entangled_forms", "_search", "_positivity_shift", "_round_rows"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 9])
@@ -432,12 +433,19 @@ def test_cached_identity_is_read_only(n):
     assert np.array_equal(identity, np.eye(n)) and not identity.flags.writeable
 
 
+def _holds_only_ints(value):
+    """Whether ``value`` is an int, or a tuple of such values all the way down."""
+    return type(value) is int or (isinstance(value, tuple) and all(map(_holds_only_ints, value)))
+
+
 @pytest.mark.parametrize("name", sorted(CACHED_BUILDERS))
 def test_cached_builders_hand_out_only_read_only_arrays(name):
     # every caller shares a cached result: one writable array in it would let
-    # one caller change what all the others read
-    arrays = dict(_handed_out_arrays(CACHED_BUILDERS[name](), name))
-    assert arrays
+    # one caller change what all the others read.  A builder of no array
+    # hands out ints in tuples, which no caller can change
+    result = CACHED_BUILDERS[name]()
+    arrays = dict(_handed_out_arrays(result, name))
+    assert arrays or _holds_only_ints(result)
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
 
 
@@ -893,6 +901,11 @@ class TestRoundChunks:
         assert np.flatnonzero(possible[0]).tolist() == [1, 3, 4]
         assert count.tolist() == [3] and worst[0] < TOL
 
+    def test_lone_rounds_read_the_engine_table_row_for_row(self):
+        rows = protocol._round_rows()
+        assert list(map(list, rows)) == protocol.round_outcomes().tolist()
+        assert _holds_only_ints(rows)
+
     def test_engine_build_certifies_the_collapse_rows(self, monkeypatch):
         monkeypatch.setattr(protocol, "_collapse_born", lambda pb: np.full((12, 9), 1 / 9))
         with pytest.raises(RuntimeError, match=r"collapse \(m=0, k=0\) has outcome probabilities"):
@@ -963,6 +976,9 @@ class TestRoundEngineReplayCheck:
         wrong = protocol._round_engine().copy()
         wrong[:, 2] = wrong[:, 2].reshape(12, 3)[:, ::-1].ravel()
         monkeypatch.setattr(protocol, "_round_engine", lambda: wrong)
+        # lone rounds read the wrong table too, through a cache of their own
+        fresh = functools.lru_cache(protocol._round_rows.__wrapped__)
+        monkeypatch.setattr(protocol, "_round_rows", fresh)
         check = self.replay_check()
         assert not check.passed
         assert check.max_deviation > 0
@@ -984,7 +1000,7 @@ class TestRoundEngineReplayCheck:
         ("run_round", "9 * m + 3 * k + jb", "9 * m + 3 * jb + k"),
         # round i on counter word 1 instead of word 0: block 0 is unchanged,
         # so a batch still starts right
-        ("round_stream", "(block, 0, 0, 0)", "(0, block, 0, 0)"),
+        ("round_stream", "counter[0] = _index", "counter[1] = _index"),
     ])
     def test_catches_a_mutated_lone_path(self, name, fragment, replacement):
         with mutated(protocol, name, fragment, replacement):
@@ -994,10 +1010,11 @@ class TestRoundEngineReplayCheck:
 
     def test_replays_take_the_explicit_path(self, monkeypatch):
         # round 0 on the public lone path: one collapse, one physicist Born
-        # vector and two draws.  The other rounds are measured all at once,
-        # by a stack that reads none of the engine (see test_source.py)
+        # vector, two draws and one retrodiction.  The other rounds are
+        # measured all at once, by a stack that reads none of the engine (see
+        # test_source.py)
         calls = collections.Counter()
-        for name in ("project_and_normalize", "born_probabilities", "sample_outcome"):
+        for name in ("project_and_normalize", "born_probabilities", "sample_outcome", "infer"):
             def counted(*args, _name=name, _original=getattr(protocol, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -1005,7 +1022,7 @@ class TestRoundEngineReplayCheck:
             monkeypatch.setattr(protocol, name, counted)
         assert all(c.passed for c in protocol.invariant_checks())
         assert calls == {"project_and_normalize": 1, "born_probabilities": 1,
-                         "sample_outcome": 2}
+                         "sample_outcome": 2, "infer": 1}
 
     def test_replayed_rounds_cover_every_king_basis(self):
         # the fact REPLAY_CHECK_ROUNDS states, on the measured stack and on

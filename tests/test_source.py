@@ -141,8 +141,8 @@ def test_measured_stack_reads_none_of_the_engine():
     # verify's replay checks the round engine against rounds measured and
     # collapsed at once: that stack and its sampler must not reach the
     # engine's word constants, its tables or the trio matrix they come from
-    engine = {"ONE_THIRD", "TWO_THIRDS", "_round_engine", "round_outcomes", "_map_words",
-              "round_chunks", "_thirds", "_collapse_born", "trio_matrix"}
+    engine = {"ONE_THIRD", "TWO_THIRDS", "_round_engine", "_round_rows", "round_outcomes",
+              "_map_words", "round_chunks", "_thirds", "_collapse_born", "trio_matrix"}
     found = {
         f"{module}.{function}": sorted(_names_read(module, function) & engine)
         for module, function in (("protocol", "_measured_rounds"), ("linalg", "_sample_rows"))
