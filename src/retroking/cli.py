@@ -126,16 +126,14 @@ def cmd_tables(config: RunConfig) -> tuple[list[Check], dict]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
-    counts = np.zeros(36, dtype=np.int64)
-    first = None
-    for bins in protocol.round_chunks(config.rounds, config.seed, config.basis):
+    chunks = protocol.round_chunks(config.rounds, config.seed, config.basis)
+    bins = next(chunks)
+    first, counts = bins[0], np.bincount(bins, minlength=36)
+    for bins in chunks:
         counts += np.bincount(bins, minlength=36)
-        first = bins[0] if first is None else first
     # round 0 and the last round (the last of the last chunk), each replayed alone
-    mismatches = sum(
-        protocol.run_round(config.basis, protocol.round_stream(config.seed, i))[:4]
-        != protocol._round_rows()[b]
-        for i, b in ((0, first), (config.rounds - 1, bins[-1]))
+    mismatches = protocol.replay_mismatches(
+        config.rounds, config.seed, config.basis, first, bins[-1]
     )
     m, k, j, inferred = protocol.round_outcomes().T.astype(np.intp)
     king_grid = np.zeros((4, 3), dtype=np.int64)

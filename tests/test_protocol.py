@@ -1010,9 +1010,9 @@ class TestRoundEngineReplayCheck:
 
     def test_replays_take_the_explicit_path(self, monkeypatch):
         # round 0 on the public lone path: one collapse, one physicist Born
-        # vector, two draws and one retrodiction.  The other rounds are
-        # measured all at once, by a stack that reads none of the engine (see
-        # test_source.py)
+        # vector and two draws.  The other rounds are measured all at once,
+        # by a stack that reads none of the engine (see test_source.py), and
+        # every measured round is retrodicted by infer
         calls = collections.Counter()
         for name in ("project_and_normalize", "born_probabilities", "sample_outcome", "infer"):
             def counted(*args, _name=name, _original=getattr(protocol, name), **kwargs):
@@ -1022,7 +1022,7 @@ class TestRoundEngineReplayCheck:
             monkeypatch.setattr(protocol, name, counted)
         assert all(c.passed for c in protocol.invariant_checks())
         assert calls == {"project_and_normalize": 1, "born_probabilities": 1,
-                         "sample_outcome": 2, "infer": 1}
+                         "sample_outcome": 2, "infer": protocol.REPLAY_CHECK_ROUNDS}
 
     def test_replayed_rounds_cover_every_king_basis(self):
         # the fact REPLAY_CHECK_ROUNDS states, on the measured stack and on
