@@ -22,7 +22,6 @@ from .mub import (
     DensityMatrix,
     MubSet,
     ProbabilityTable,
-    UnbiasednessReport,
     build_qubit_mubs,
     build_qutrit_mubs,
     certify_unbiasedness,
@@ -36,7 +35,6 @@ from .mub import (
 from .protocol import (
     ALL_LABELS,
     PHYSICIST_LABELS,
-    CertaintyReport,
     PhysicistBasis,
     RoundRecord,
     bracket_overlap,

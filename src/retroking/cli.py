@@ -132,7 +132,7 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
     for bins in chunks:
         counts += np.bincount(bins, minlength=36)
     # round 0 and the last round (the last of the last chunk), each replayed alone
-    mismatches = protocol.replay_mismatches(
+    mismatches = protocol._replay_mismatches(
         config.rounds, config.seed, config.basis, first, bins[-1]
     )
     m, k, j, inferred = protocol.round_outcomes().T.astype(np.intp)

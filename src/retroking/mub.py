@@ -128,27 +128,18 @@ def build_qubit_mubs() -> MubSet:
     return _family(np.array([np.eye(2), [[s, s], [s, -s]], [[s, s], [1j * s, -1j * s]]]))
 
 
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    """Worst deviations of a basis family from orthonormality and unbiasedness."""
-
-    dim: int
-    same_basis_deviation: float
-    cross_basis_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        deviations = [self.same_basis_deviation, self.cross_basis_deviation]
-        return within("unbiasedness", deviations).passed
-
-
-def certify_unbiasedness(mubs: MubSet) -> UnbiasednessReport:
-    """Measure how far a MUB set is from orthonormal and unbiased.  A set is
-    built only within TOL of both (``MubSet`` names a broken family's worst
-    pair), so this reports the round-off its construction let through."""
+def certify_unbiasedness(mubs: MubSet) -> list[Check]:
+    """The checks ``<family>-basis-gram`` and ``<family>-unbiasedness``: how
+    far a MUB set is from orthonormal and unbiased, the family named from its
+    dimension.  A set is built only within TOL of both (``MubSet`` names a
+    broken family's worst pair), so they report the round-off its
+    construction let through."""
     grids = _as_instance(mubs, MubSet, "mubs").matrices
-    same = _orthonormality_deviation(grids).max()
-    return UnbiasednessReport(grids.shape[1], float(same), float(_bias(_overlaps(grids)).max()))
+    family = ("qubit", "qutrit")[mubs.dim - 2]
+    return [
+        within(f"{family}-basis-gram", _orthonormality_deviation(grids)),
+        within(f"{family}-unbiasedness", _bias(_overlaps(grids))),
+    ]
 
 
 def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -312,11 +303,7 @@ def probability_map_rank(mubs: MubSet) -> int:
 def invariant_checks(rng: np.random.Generator) -> list[Check]:
     """The module's full verification suite as named checks."""
     _as_generator(rng, "standard_normal")
-    checks = []
-    for name, mubs in (("qutrit", build_qutrit_mubs()), ("qubit", build_qubit_mubs())):
-        report = certify_unbiasedness(mubs)
-        checks.append(within(f"{name}-basis-gram", report.same_basis_deviation))
-        checks.append(within(f"{name}-unbiasedness", report.cross_basis_deviation))
+    checks = [*certify_unbiasedness(build_qutrit_mubs()), *certify_unbiasedness(build_qubit_mubs())]
     # every source, table and reconstruction of the stack is validated
     projectors = build_qutrit_mubs().projectors
     sources = _check_densities(_random_densities(rng, TOMOGRAPHY_TRIALS))

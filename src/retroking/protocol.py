@@ -457,7 +457,7 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     )
 
 
-def replay_mismatches(
+def _replay_mismatches(
     rounds: int, seed: int, basis: int | None, first_bin: int, last_bin: int
 ) -> int:
     """How many of round 0 and round rounds - 1 of ``seed``, replayed alone
@@ -481,35 +481,17 @@ def simulate_rounds(rounds: int, seed: int, basis: int | None = None) -> list[Ro
     return records
 
 
-@dataclass(frozen=True)
-class CertaintyReport:
-    """Outcome of the exhaustive collapse-by-collapse verification."""
-
-    passed: bool
-    cases_checked: int
-    outcomes_checked: int
-    max_probability_deviation: float
-    failures: tuple[str, ...] = ()
-
-
-def exhaustive_verify(basis: PhysicistBasis | None = None) -> CertaintyReport:
-    """Check every collapse case (m, k): exactly three physicist outcomes
-    are possible, each with probability 1/3, and all of them infer k."""
+def exhaustive_verify(basis: PhysicistBasis | None = None) -> Check:
+    """``retrodiction-certainty``: in every collapse case (m, k) exactly three
+    physicist outcomes are possible, each with probability 1/3, and all of
+    them infer k.  Its deviation is the worst |p - 1/3|."""
     pb = _as_physicist_basis(basis)
     compatible, counts, worsts = _thirds(_collapse_born(pb))
-    failures = [
-        f"(m={row // 3}, k={row % 3}): {n} compatible outcomes, expected 3"
-        for row, n in enumerate(counts.tolist())
-        if n != 3
-    ]
     rows, j = np.nonzero(compatible)
-    m, k = np.divmod(rows, 3)
-    guessed = np.array(pb.labels)[j, m]  # infer(m, j, pb) for every compatible outcome
-    failures += [f"(m={m[i]}, k={k[i]}, j={j[i]}): inferred {guessed[i]}"
-                 for i in np.flatnonzero(guessed != k).tolist()]
-    worst = float(worsts.max())
-    passed = not failures and within("retrodiction-certainty", worst).passed
-    return CertaintyReport(passed, 12, int(counts.sum()), worst, tuple(failures))
+    guessed = np.array(pb.labels)[j, rows // 3]  # infer(m, j, pb) for every compatible outcome
+    exact = (counts == 3).all() and (guessed == rows % 3).all()
+    certainty = within("retrodiction-certainty", worsts)
+    return Check(certainty.name, certainty.passed and exact, certainty.max_deviation)
 
 
 def _set_deviations(index: np.ndarray) -> np.ndarray:
@@ -633,10 +615,7 @@ def invariant_checks() -> list[Check]:
     pb = build_physicist_basis()
     checks.append(within("physicist-basis-gram", _orthonormality_deviation(pb.basis.matrix)))
 
-    certainty = exhaustive_verify()
-    checks.append(
-        Check("retrodiction-certainty", certainty.passed, certainty.max_probability_deviation)
-    )
+    checks.append(exhaustive_verify())
 
     checks.append(word_constants_check())
 

@@ -217,13 +217,18 @@ def replaced(module, name, value):
         yield
 
 
-@pytest.mark.parametrize("command", list(MUTANT_RUNS))
-@pytest.mark.parametrize("mutant", list(MUTANTS))
-def test_every_command_reports_under_a_mutant(capsys, mutant, command):
+def _mutant_report(capsys, mutant, command):
+    """The exit code and JSON report of ``command`` run under ``mutant``."""
     spec = MUTANTS[mutant]
     with (mutated if len(spec) == 4 else replaced)(*spec):
         code = main(MUTANT_RUNS[command] + ["--format", "json"])
-    report = json.loads(capsys.readouterr().out)
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", list(MUTANT_RUNS))
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_every_command_reports_under_a_mutant(capsys, mutant, command):
+    code, report = _mutant_report(capsys, mutant, command)
     assert set(report) == {"command", "config", "checks", "pass", "data", "timing"}
     assert report["pass"] is (command in STILL_PASSING.get(mutant, ()))
     assert code == (0 if report["pass"] else 1)
@@ -244,10 +249,7 @@ def test_a_survivor_prints_the_unmutated_report(capsys, mutant, command):
     argv = MUTANT_RUNS[command] + ["--format", "json"]
     main(argv)
     expected = strip_timing(json.loads(capsys.readouterr().out))
-    spec = MUTANTS[mutant]
-    with (mutated if len(spec) == 4 else replaced)(*spec):
-        main(argv)
-    assert strip_timing(json.loads(capsys.readouterr().out)) == expected
+    assert strip_timing(_mutant_report(capsys, mutant, command)[1]) == expected
 
 
 # Equivalent mutants: rewrites that change no report, each with the reason.
@@ -255,10 +257,42 @@ EQUIVALENT = {
     # no deviation lands exactly on TOL
     "within-le": (reporting, "within", "worst < TOL", "worst <= TOL"),
     # every collapse of the reference basis infers its outcome, so the
-    # inference gather of exhaustive_verify adds no failure
-    "certainty-no-inference": (protocol, "exhaustive_verify",
-                               "np.flatnonzero(guessed != k).tolist()", "[]"),
+    # inference comparison of exhaustive_verify fails nothing
+    "certainty-no-inference": (protocol, "exhaustive_verify", "(guessed == rows % 3).all()",
+                               "True"),
 }
+
+# Checks that no mutant fails, each with the guard that refuses what would
+# break it before the check runs: under such a mutant the command reports a
+# failed construction instead.  Every other check a command reports fails
+# under some mutant.
+GUARDED = {
+    "qutrit-basis-gram": "OrthonormalBasis: each basis of a MubSet is orthonormal within TOL",
+    "qubit-basis-gram": "OrthonormalBasis: each basis of a MubSet is orthonormal within TOL",
+    "qutrit-unbiasedness": "MubSet: a family with a biased pair is refused",
+    "qubit-unbiasedness": "MubSet: a family with a biased pair is refused",
+    "probability-map-rank": "MubSet: a complete unbiased family has a map of rank d**2",
+    "entangled-four-forms": "OrthonormalBasis: each trio of a MubSet's projectors sums to vec(I)",
+    "tomography-round-trip": "mub._check_densities: a reconstruction must be a density matrix",
+    "tomography-reconstruction": "DensityMatrix: a reconstruction must be a density matrix",
+    "psi-basis-gram": "OrthonormalBasis: build_psi_basis refuses columns not orthonormal",
+    "paired-orthogonality": "OrthonormalBasis: build_psi_basis refuses columns not orthonormal",
+    "mixing-unitarity": "OrthonormalBasis: the mixing matrix holds basis 3 of the qutrit set",
+    "trio-reconstruction": "build_psi_basis: a trio that un-mixes off psi_0 raises",
+    "bracket-trio-selectivity": "StateVector: PhysicistBasis refuses a bracket state off norm 1",
+    "physicist-basis-gram": "OrthonormalBasis: PhysicistBasis refuses states not orthonormal",
+}
+
+
+def test_every_check_fails_under_a_mutant_or_is_guarded(capsys):
+    never_failed = set()
+    for command, argv in MUTANT_RUNS.items():
+        names = {c["name"] for c in run_json(capsys, argv)[1]["checks"]}
+        for mutant in MUTANTS:
+            names -= {c["name"] for c in _mutant_report(capsys, mutant, command)[1]["checks"]
+                      if not c["pass"]}
+        never_failed |= names
+    assert never_failed == GUARDED.keys()
 
 
 def _json_reports(capsys):
@@ -292,6 +326,19 @@ def test_verify_prints_each_error_once(capsys):
 
 
 class TestVerify:
+    def test_certifiers_return_what_verify_reports(self, capsys):
+        _, report = run_json(capsys, ["verify"])
+        reported = [c for c in report["checks"] if c["name"].startswith(("qutrit-", "qubit-"))
+                    or c["name"] == "retrodiction-certainty"]
+        checks = [
+            *retroking.certify_unbiasedness(retroking.build_qutrit_mubs()),
+            *retroking.certify_unbiasedness(retroking.build_qubit_mubs()),
+            retroking.exhaustive_verify(),
+        ]
+        assert reported == [
+            {"name": c.name, "pass": c.passed, "max_deviation": c.max_deviation} for c in checks
+        ]
+
     def test_passes_with_exit_zero(self, capsys):
         code, report = run_json(capsys, ["verify"])
         assert code == 0

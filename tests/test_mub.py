@@ -67,15 +67,14 @@ class TestQubitConstruction:
 
 class TestCertification:
     def test_qutrit_set_passes_tightly(self, qutrit_mubs):
-        report = certify_unbiasedness(qutrit_mubs)
-        assert report.passed
-        assert report.same_basis_deviation < 1e-12
-        assert report.cross_basis_deviation < 1e-12
+        checks = certify_unbiasedness(qutrit_mubs)
+        assert [c.name for c in checks] == ["qutrit-basis-gram", "qutrit-unbiasedness"]
+        assert all(c.passed and c.max_deviation < 1e-12 for c in checks)
 
     def test_qubit_set_passes(self, qubit_mubs):
-        report = certify_unbiasedness(qubit_mubs)
-        assert report.passed
-        assert report.dim == 2
+        checks = certify_unbiasedness(qubit_mubs)
+        assert [c.name for c in checks] == ["qubit-basis-gram", "qubit-unbiasedness"]
+        assert all(c.passed for c in checks)
 
     def test_broken_set_fails(self, qutrit_mubs):
         bases = list(qutrit_mubs.bases)

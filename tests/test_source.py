@@ -89,13 +89,29 @@ def test_verdicts_come_only_from_reporting():
 
 
 def _top_level_names(tree):
-    """The functions, classes and constants a module defines at top level."""
+    """The functions, classes and constants a module (or a class body) defines
+    at top level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_one_verdict_type():
+    # a verdict is a reporting.Check: no other class carries a pass flag of
+    # its own, as a field or as a property
+    found = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and (path.name, node.name) != ("reporting.py", "Check")
+        and "passed" in set(_top_level_names(node))
+    ]
+    assert SOURCES
+    assert found == []
 
 
 def test_every_definition_is_used_or_exported():
