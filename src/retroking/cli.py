@@ -126,21 +126,9 @@ def cmd_tables(config: RunConfig) -> tuple[list[Check], dict]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
-    chunks = protocol.round_chunks(config.rounds, config.seed, config.basis)
-    bins = next(chunks)
-    first, counts = bins[0], np.bincount(bins, minlength=36)
-    for bins in chunks:
-        counts += np.bincount(bins, minlength=36)
-    # round 0 and the last round (the last of the last chunk), each replayed alone
-    mismatches = protocol._replay_mismatches(
-        config.rounds, config.seed, config.basis, first, bins[-1]
+    king_grid, physicist, successes, mismatches = protocol.tally_rounds(
+        config.rounds, config.seed, config.basis
     )
-    m, k, j, inferred = protocol.round_outcomes().T.astype(np.intp)
-    king_grid = np.zeros((4, 3), dtype=np.int64)
-    np.add.at(king_grid, (m, k), counts)
-    physicist = np.zeros(9, dtype=np.int64)
-    np.add.at(physicist, j, counts)
-    successes = int(counts[inferred == k].sum())
     failures = config.rounds - successes
     checks = [
         Check("retrodiction-success", failures == 0, float(failures)),

@@ -351,11 +351,6 @@ def round_outcomes() -> np.ndarray:
     return _round_engine()
 
 
-def _check_basis(m) -> int | None:
-    """A king basis index, or None for a random basis per round."""
-    return None if m is None else _index(m, 4, "basis index")
-
-
 def run_round(
     m: int | None,
     rng: np.random.Generator,
@@ -366,7 +361,7 @@ def run_round(
     """Play one round: prepare, king measures (basis m, or random when m is
     None), physicist measures her basis, inference is recorded.  Reads the
     next four raw words of ``rng``, one counter block of ``round_stream``."""
-    m = _check_basis(m)
+    m = None if m is None else _index(m, 4, "basis index")
     try:
         draw = rng.bit_generator.random_raw
     except AttributeError:
@@ -448,7 +443,7 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     ``run_round`` plays on ``round_stream(seed, i)``.  Arguments are checked
     on the call."""
     rounds = _index(rounds, None, "rounds", start=1)
-    basis = _check_basis(basis)
+    basis = None if basis is None else _index(basis, 4, "basis index")
     bits = round_stream(seed, 0).bit_generator
     sizes = (min(CHUNK_ROUNDS, rounds - start) for start in range(0, rounds, CHUNK_ROUNDS))
     return (
@@ -457,27 +452,32 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     )
 
 
-def _replay_mismatches(
-    rounds: int, seed: int, basis: int | None, first_bin: int, last_bin: int
-) -> int:
-    """How many of round 0 and round rounds - 1 of ``seed``, replayed alone
-    on ``round_stream``, differ from the bins ``round_chunks`` gave them."""
-    rows = _round_rows()
-    return sum(
-        run_round(basis, round_stream(seed, i))[:4] != rows[b]
-        for i, b in ((0, first_bin), (rounds - 1, last_bin))
-    )
+def tally_rounds(rounds: int, seed: int, basis: int | None = None) -> tuple:
+    """Rounds 0 .. rounds-1 of ``seed``, counted: the king's 4 x 3 (basis,
+    outcome) grid, the physicist's 9 outcome counts, the successes, and how
+    many of rounds 0 and rounds - 1, each replayed alone, differ from their bins."""
+    chunks = round_chunks(rounds, seed, basis)
+    bins = next(chunks)
+    first, counts = bins[0], np.bincount(bins, minlength=36)
+    for bins in chunks:
+        counts += np.bincount(bins, minlength=36)
+    rows = _round_rows()  # the last round is the last bin of the last chunk
+    mismatches = sum(run_round(basis, round_stream(seed, i))[:4] != rows[b]
+                     for i, b in ((0, first), (rounds - 1, bins[-1])))
+    _, k, j, inferred = round_outcomes().T
+    king = counts.reshape(4, 3, 3).sum(axis=2)  # bin b = 9m + 3k + jb
+    physicist = counts @ (j[:, None] == np.arange(9))
+    return king, physicist, int(counts[inferred == k].sum()), mismatches
 
 
 def simulate_rounds(rounds: int, seed: int, basis: int | None = None) -> list[RoundRecord]:
     """Run rounds 0 .. rounds-1 of ``seed``; record i equals
     ``run_round(basis, round_stream(seed, i), seed=seed, round_index=i)``."""
+    heads = [(m, k, j, inferred, inferred == k, seed) for m, k, j, inferred in _round_rows()]
     records: list[RoundRecord] = []
     for bins in round_chunks(rounds, seed, basis):
-        m, k, j, inferred = round_outcomes()[bins].T.tolist()
-        indices = range(len(records), len(records) + len(bins))
-        success, seeds = map(operator.eq, inferred, k), itertools.repeat(seed)
-        records.extend(map(RoundRecord, m, k, j, inferred, success, seeds, indices))
+        records.extend(tuple.__new__(RoundRecord, (*heads[b], i))
+                       for i, b in enumerate(bins.tolist(), len(records)))
     return records
 
 

@@ -814,6 +814,8 @@ class TestRoundChunks:
         assert report["data"]["king_outcomes"] == king.tolist()
         assert report["data"]["physicist_outcomes"] == physicist.tolist()
         assert report["data"]["successes"] == n
+        # rounds 0 and n - 1 replayed alone match their bins across the seam
+        assert report["pass"] is True
 
     def test_batch_and_lone_paths_agree_on_cdf_boundaries(self):
         # words on, just below and just above both word constants and every

@@ -201,3 +201,17 @@ def test_the_sampling_rule_is_stated_once():
         ]
     assert any(path.name == "linalg.py" for path in SOURCES)
     assert found == []
+
+
+def test_the_cli_reads_no_round_bins():
+    # round bins stay behind protocol: the cli counts, replays and reads a
+    # run only through protocol.tally_rounds, so no bin crosses the module line
+    engine = {"round_chunks", "round_stream", "run_round", "_round_rows", "_round_engine",
+              "_map_words"}
+    path = Path(retroking.__file__).parent / "cli.py"
+    found = sorted(
+        f"{node.lineno}:{name}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in _spelled(node) & engine
+    )
+    assert found == []
