@@ -15,7 +15,6 @@ from .linalg import (
     inner_product,
     project_and_normalize,
     sample_outcome,
-    tensor_product,
 )
 from .mub import (
     OMEGA,
@@ -37,7 +36,6 @@ from .protocol import (
     PHYSICIST_LABELS,
     PhysicistBasis,
     RoundRecord,
-    bracket_overlap,
     bracket_state,
     build_physicist_basis,
     build_psi_basis,
@@ -45,7 +43,6 @@ from .protocol import (
     exhaustive_verify,
     infer,
     king_measure,
-    label_set_deviations,
     prepare_psi0,
     round_stream,
     run_round,

@@ -178,13 +178,6 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def tensor_product(a: StateVector, b: StateVector) -> StateVector:
-    """Two-atom product state; amplitude a_i * b_j sits at index 3*i + j."""
-    _as_instance(a, StateVector, "the given atom's state", 3)
-    _as_instance(b, StateVector, "the auxiliary atom's state", 3)
-    return StateVector(np.kron(a.amps, b.amps))
-
-
 def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> StateVector:
     """Collapse the given atom of a two-atom state onto a single-atom vector.
 

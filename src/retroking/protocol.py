@@ -189,13 +189,6 @@ def bracket_gram() -> np.ndarray:
     return _readonly(brackets.conj().T @ brackets)
 
 
-def bracket_overlap(a, b) -> float:
-    """Analytic inner product of two bracket states: the overlap law of the
-    matches read off the agreement matrix at the labels' positions."""
-    i, j = (_label_index(lab, 0) for lab in (a, b))
-    return overlap_law(agreement_matrix()[i, j].item())
-
-
 @dataclass(frozen=True, eq=False)
 class PhysicistBasis:
     """Nine orthonormal bracket states built from their labels: basis[j] is
@@ -452,18 +445,29 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     )
 
 
+# Rounds that ``tally_rounds`` replays in order on one stream, and that
+# ``invariant_checks`` plays for seed 0 in a batch, alone, and measured and
+# collapsed all at once (round 0 also on the public lone path), each
+# retrodicted by ``infer``.  A replay misses a round read off the wrong basis
+# word only if all of them draw the same basis from both words, a chance of
+# 4**-16; at seed 0 they cover all four king bases.
+REPLAY_CHECK_ROUNDS = 16
+
+
 def tally_rounds(rounds: int, seed: int, basis: int | None = None) -> tuple:
     """Rounds 0 .. rounds-1 of ``seed``, counted: the king's 4 x 3 (basis,
     outcome) grid, the physicist's 9 outcome counts, the successes, and how
-    many of rounds 0 and rounds - 1, each replayed alone, differ from their bins."""
+    many replayed rounds differ from their bins: the first REPLAY_CHECK_ROUNDS
+    in order on one stream, and round rounds - 1 alone."""
     chunks = round_chunks(rounds, seed, basis)
     bins = next(chunks)
-    first, counts = bins[0], np.bincount(bins, minlength=36)
+    first, counts = bins[:REPLAY_CHECK_ROUNDS].tolist(), np.bincount(bins, minlength=36)
     for bins in chunks:
         counts += np.bincount(bins, minlength=36)
-    rows = _round_rows()  # the last round is the last bin of the last chunk
-    mismatches = sum(run_round(basis, round_stream(seed, i))[:4] != rows[b]
-                     for i, b in ((0, first), (rounds - 1, bins[-1])))
+    rows, stream = _round_rows(), round_stream(seed, 0)
+    mismatches = sum(run_round(basis, stream)[:4] != rows[b] for b in first)
+    # the last round is the last bin of the last chunk
+    mismatches += run_round(basis, round_stream(seed, rounds - 1))[:4] != rows[bins[-1]]
     _, k, j, inferred = round_outcomes().T
     king = counts.reshape(4, 3, 3).sum(axis=2)  # bin b = 9m + 3k + jb
     physicist = counts @ (j[:, None] == np.arange(9))
@@ -495,62 +499,42 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> Check:
 
 
 def _set_deviations(index: np.ndarray) -> np.ndarray:
-    """``label_set_deviations`` of sets given as rows of ALL_LABELS positions."""
+    """For each set, given as a row of ALL_LABELS positions, the worst entry of
+    |Gram - I| over its bracket states, read off the cached bracket Gram
+    matrix.  Zero (to round-off) exactly when the set's states are orthonormal."""
     gram = bracket_gram()[index[:, :, None], index[:, None, :]]
-    return np.abs(gram - _identity(index.shape[1])).max(axis=(1, 2), initial=0.0)
-
-
-def label_set_deviations(label_sets) -> np.ndarray:
-    """For each set of labels, the worst entry of |Gram - I| over its bracket
-    states, read off the cached bracket Gram matrix.  Zero (to round-off)
-    exactly when the set's bracket states are orthonormal."""
-    return _set_deviations(_label_index(label_sets, 2))
+    return np.abs(gram - _identity(index.shape[1])).max(axis=(1, 2))
 
 
 @lru_cache(maxsize=None)
 def _search() -> tuple[np.ndarray, tuple[tuple[BracketLabel, ...], ...]]:
     """``search_bases``' sets, derived once: their (72, 9) read-only intp
-    ALL_LABELS positions and their label tuples, in one order."""
-    perms = np.array(list(itertools.permutations(range(3))))
-    stacks = perms[np.indices((6, 6, 6)).reshape(3, -1).T]
-    # bit v of a mask is set when the value v occurs: a column holding all
-    # three values has mask 0b111, and 3f + g taking all nine has 0x1FF
-    bits = 1 << stacks
-    squares = stacks[((bits[:, 0] | bits[:, 1] | bits[:, 2]) == 0b111).all(axis=1)].reshape(-1, 9)
-    f, g = np.nonzero(np.bitwise_or.reduce(1 << (3 * squares[:, None] + squares), axis=-1) == 0x1FF)
-    # label (a, b, f[a, b], g[a, b]) sits at 27a + 9b + 3f + g, and 27a + 9b = 9(3a + b):
-    # each row ascends, and positions order labels as tuples do, so rows sorted
-    # column 0 first order the sets as their nested tuples would
-    index = 9 * np.arange(9) + 3 * squares[f] + squares[g]
-    found = _readonly(index[np.lexsort(index.T[::-1])])
+    ALL_LABELS positions and their label tuples, in one order.
+
+    The sets through label 0 grow one larger adjacent label at a time, each
+    partial set carrying the labels that may still join it.  Agreement counts
+    equal digits, so adding one digit vector mod 3 to both labels keeps it:
+    the translates of those sets are all the sets, each found once per member."""
+    later = np.triu(agreement_matrix() == 1)  # later[i, j]: j > i, and they agree once
+    sets, candidates = np.zeros((1, 1), dtype=np.intp), later[:1]
+    for _ in range(8):  # label 0 and eight more
+        rows, last = np.nonzero(candidates)
+        sets = np.column_stack([sets[rows], last])
+        candidates = candidates[rows] & later[last]
+    digits = _label_digits()
+    shifted = _label_index((digits[sets] + digits[:, None, None]) % 3, 3).reshape(-1, 9)
+    found = _readonly(np.unique(np.sort(shifted, axis=1), axis=0))
     return found, tuple(operator.itemgetter(*s)(ALL_LABELS) for s in found.tolist())
 
 
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     """Every 9-label set whose members pairwise agree in exactly one
-    coordinate: the sets {(a, b, f[a, b], g[a, b])} over the ordered pairs
-    (f, g) of orthogonal Latin squares of order 3 (Hayashi, Horibe and
-    Hashimoto, Phys. Rev. A 71, 052331 (2005)).
-
-    This is exhaustive.  Two labels of a valid set agree in at most one
-    coordinate, so any two of its columns take each of the nine value pairs
-    exactly once: every pair of columns is a bijection onto Z3^2.  Ordered
-    by (k0, k1), columns 2 and 3 are therefore Latin squares in (k0, k1),
-    and orthogonal to each other; conversely each such pair gives a valid
-    set.  The squares are the stackings of three row permutations whose
-    columns are permutations too.  Each returned set is sorted (its (a, b)
-    run row-major) and the result is sorted, so the output is canonical.
-    The search is purely combinatorial: ``label_set_deviations`` certifies
-    the sets at the state level, as the ``search-bases`` report does.  It
-    runs once per process; this is the tuple view of ``_search``.
+    coordinate, so that their bracket states are orthonormal: the 9-cliques
+    of ``agreement_matrix() == 1`` (72 of them; Hayashi, Horibe and
+    Hashimoto, Phys. Rev. A 71, 052331 (2005)).  Each set is sorted, and so
+    is the result.  This is the tuple view of ``_search``, run once per process.
     """
     return _search()[1]
-
-
-# Rounds of seed 0 that ``invariant_checks`` plays in a batch, alone, and
-# measured and collapsed all at once (round 0 also on the public lone path),
-# each retrodicted by ``infer``; they cover all four king bases.
-REPLAY_CHECK_ROUNDS = 16
 
 
 def _measured_round(seed: int, index: int) -> tuple[int, int, int]:

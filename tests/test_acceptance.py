@@ -15,7 +15,6 @@ from retroking import (
     ALL_LABELS,
     PHYSICIST_LABELS,
     StateVector,
-    bracket_overlap,
     bracket_state,
     born_probabilities,
     build_physicist_basis,
@@ -36,7 +35,7 @@ from retroking import (
     trio_matrix,
 )
 from retroking.cli import main
-from retroking.protocol import round_outcomes
+from retroking.protocol import agreement_matrix, overlap_law, round_outcomes
 
 from conftest import forced_collapse, sample_many
 
@@ -97,9 +96,7 @@ def test_bracket_overlap_law():
     with criterion("bracket-overlap-law"):
         states = np.stack([bracket_state(lab).amps for lab in ALL_LABELS], axis=1)
         gram = states.conj().T @ states
-        analytic = np.array(
-            [[bracket_overlap(a, b) for b in ALL_LABELS] for a in ALL_LABELS]
-        )
+        analytic = overlap_law(agreement_matrix())
         assert np.abs(gram.imag).max() < 1e-10
         assert np.abs(gram - analytic).max() < 1e-10
 
@@ -172,7 +169,7 @@ def test_basis_search():
         assert len(sets) == EXPECTED_BASIS_COUNT
         oracle = clique_oracle_sets()
         assert set(sets) == oracle
-        # the search's pruning premise: sorted member i has (k0, k1) = divmod(i, 3)
+        # every set runs over (k0, k1) once: sorted member i has (k0, k1) = divmod(i, 3)
         for labels in oracle:
             assert [label[:2] for label in labels] == [divmod(i, 3) for i in range(9)]
         assert time.perf_counter() - started < 30.0

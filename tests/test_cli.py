@@ -140,13 +140,13 @@ MUTANTS = {
     "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
     "sum-doubled": (linalg, "sample_outcome", "abs(p.sum()", "abs(p.sum() * 2"),
-    "search-drops-last": (protocol, "_search", "index.T[::-1])]", "index.T[::-1])][:-1]"),
-    "search-every-other": (protocol, "_search", "index.T[::-1])]", "index.T[::-1])][::2]"),
+    "search-drops-last": (protocol, "_search", "axis=0))", "axis=0)[:-1])"),
+    "search-every-other": (protocol, "_search", "axis=0))", "axis=0)[::2])"),
     "one-third-x1.01": (protocol, "ONE_THIRD", ONE_THIRD * 101 // 100),
     "one-third-x1.2": (protocol, "ONE_THIRD", ONE_THIRD * 6 // 5),
     "one-third-plus-1": (protocol, "ONE_THIRD", ONE_THIRD + 1),
     "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
-    "search-finds-nothing": (protocol, "_search", "index.T[::-1])]", "index.T[::-1])][:0]"),
+    "search-finds-nothing": (protocol, "_search", "axis=0))", "axis=0)[:0])"),
     "infer-coordinate": (protocol, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
     "map-words-basis": (protocol, "_map_words", "words[:, 0] >> 62", "words[:, 3] >> 62"),
     "run-round-basis": (protocol, "run_round", "m = w0 >> 62", "m = w2 >> 62"),
@@ -183,10 +183,11 @@ MUTANT_RUNS = {
 # the wrong word, or the stream started one block late, leaves the bin law
 # intact, so no goodness-of-fit statistic can tell either: only a replay of
 # counted rounds alone can.  verify replays rounds 0..15 of seed 0, and
-# simulate the first and the last round it counted; a replay of two rounds
-# misses a basis-word mutant whenever both words agree on both rounds (at
-# seed 0 and the default 10^4 rounds, words 0 and 2 of run_round agree on
-# rounds 0 and 9999).  The engine reads the labels itself, so simulate passes
+# simulate its first 16 rounds in order on one stream and its last round
+# alone; a basis-word mutant escapes only where both words agree on every
+# replayed round (test_simulate_replay_catches_a_basis_word_mutant holds
+# seeds where they agree on the first and the last round).  The engine
+# reads the labels itself, so simulate passes
 # under a wrong inference coordinate.  Only verify reads the psi basis: an
 # un-mixing by the transpose of the mixing matrix, not its adjoint, keeps
 # column 0 at psi_0, so the drift guard passes, but swaps columns 1 and 2 of
@@ -256,6 +257,19 @@ def test_a_survivor_prints_the_unmutated_report(capsys, mutant, command):
     main(argv)
     expected = strip_timing(json.loads(capsys.readouterr().out))
     assert strip_timing(_mutant_report(capsys, mutant, command)[1]) == expected
+
+
+@pytest.mark.parametrize(("mutant", "seed"), [
+    ("map-words-basis", 78), ("map-words-basis", 81), ("run-round-basis", 0), ("run-round-basis", 15),
+])
+def test_simulate_replay_catches_a_basis_word_mutant(capsys, mutant, seed):
+    # at these seeds and the default rounds, the mutant's word and word 0
+    # draw the same basis on rounds 0 and rounds - 1: only a replay of more
+    # rounds sees the mutant (under map-words-basis the tally itself is wrong)
+    with mutated(*MUTANTS[mutant]):
+        assert main(["simulate", f"--seed={seed}", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["simulate-replay"]
 
 
 # Equivalent mutants: rewrites that change no report, each with the reason.
@@ -561,12 +575,14 @@ class TestSearchBases:
 
     def test_positions_come_from_the_one_derivation(self, monkeypatch):
         # search-coverage, search-recertification and the listed labels read
-        # the cached search's positions: no label-position pass, one search
+        # the cached search's positions: once it has run, no label-position
+        # pass, and one search
         def refused(*args):
             raise AssertionError("cmd_search re-derived label positions")
 
-        monkeypatch.setattr(protocol, "_label_index", refused)
         _clear_caches()
+        protocol._search()
+        monkeypatch.setattr(protocol, "_label_index", refused)
         for _ in range(2):
             checks, data = COMMANDS["search-bases"][0](RunConfig("search-bases"))
             assert all(c.passed for c in checks) and data["count"] == 72

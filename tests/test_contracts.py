@@ -24,7 +24,6 @@ from retroking import (
     RoundRecord,
     StateVector,
     born_probabilities,
-    bracket_overlap,
     bracket_state,
     build_qutrit_mubs,
     certify_unbiasedness,
@@ -42,11 +41,9 @@ from retroking import (
     run_round,
     sample_outcome,
     simulate_rounds,
-    tensor_product,
 )
 from retroking.cli import RunConfig
 from retroking.mub import invariant_checks as mub_invariant_checks
-from retroking.protocol import label_set_deviations
 from retroking.reporting import within
 
 from conftest import Uniform
@@ -59,7 +56,6 @@ from conftest import Uniform
         lambda: StateVector("x"),
         lambda: StateVector(np.array([1e200 + 1e200j, 0, 0])),
         lambda: inner_product(1, qutrit),
-        lambda: tensor_product(qutrit, None),
         lambda: born_probabilities("x", OrthonormalBasis(tuple(map(StateVector, np.eye(9))))),
         lambda: born_probabilities(prepare_psi0(), [1]),
         lambda: project_and_normalize(1, qutrit),
@@ -77,7 +73,7 @@ from conftest import Uniform
         lambda: MubSet(5),
         lambda: MubSet(()),
         lambda: PhysicistBasis(1),
-        lambda: label_set_deviations([[(0, 0, 0, 0)], [(0, 0, 0, 0), (0, 1, 1, 1)]]),
+        lambda: PhysicistBasis([(0, 0, 0, 0), (0, 1, 1)]),
         lambda: mub_invariant_checks(None),
         lambda: Check("x", True, "0.1"),
         lambda: Check("x", True, 1j),
@@ -90,7 +86,6 @@ from conftest import Uniform
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
-        "tensor-product-none",
         "born-str-state", "born-list-basis", "project-int-state", "basis-of-int",
         "king-measure-int-state", "sample-no-generator",
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
@@ -135,18 +130,16 @@ LABELS = {
 @pytest.mark.parametrize("name", list(LABELS))
 def test_every_label_entry_point_gives_the_same_verdict(name):
     label, valid = LABELS[name]
+    # nine equal labels clash, so a basis of them is refused either way: for
+    # a label, by the orthogonality rule and not by the label rule
     verdicts = []
-    for call in (
-        lambda: bracket_state(label),
-        lambda: bracket_overlap(label, label),
-        lambda: label_set_deviations([[label]]),
-    ):
+    for call in (lambda: bracket_state(label), lambda: PhysicistBasis([label] * 9)):
         try:
             call()
             verdicts.append(True)
-        except ContractViolation:
-            verdicts.append(False)
-    assert verdicts == [valid] * 3
+        except ContractViolation as exc:
+            verdicts.append(not str(exc).startswith("bracket labels"))
+    assert verdicts == [valid] * 2
 
 
 def test_physicist_basis_rejects_a_one_shot_iterator():
@@ -192,7 +185,6 @@ ENTRY_POINTS = {
     "state": lambda a, b: StateVector(a),
     "inner-product": lambda a, b: inner_product(a, b),
     "inner-product-ket": lambda a, b: inner_product(qutrit, a),
-    "tensor-product": lambda a, b: tensor_product(a, b),
     "born": lambda a, b: born_probabilities(a, b),
     "born-basis": lambda a, b: born_probabilities(prepare_psi0(), a),
     "project": lambda a, b: project_and_normalize(a, b),
@@ -213,9 +205,7 @@ ENTRY_POINTS = {
     "certify": lambda a, b: certify_unbiasedness(a),
     "mub-set": lambda a, b: MubSet(a),
     "physicist-basis": lambda a, b: PhysicistBasis(a),
-    "label-set-deviations": lambda a, b: label_set_deviations(a),
     "mub-invariants": lambda a, b: mub_invariant_checks(a),
-    "bracket-overlap": lambda a, b: bracket_overlap(a, b),
     "density": lambda a, b: DensityMatrix(a),
     "table": lambda a, b: ProbabilityTable(a),
     "density-from-table": lambda a, b: density_from_probabilities(a, b),
@@ -243,15 +233,15 @@ EXPORTS = [
     "ALL_LABELS", "Check", "ContractViolation", "DensityMatrix",
     "ImpossibleOutcome", "MubSet", "OMEGA", "OrthonormalBasis", "PHYSICIST_LABELS",
     "PhysicistBasis", "ProbabilityTable", "RoundRecord", "StateVector", "TOL",
-    "born_probabilities", "bracket_overlap", "bracket_state",
+    "born_probabilities", "bracket_state",
     "build_physicist_basis", "build_psi_basis", "build_qubit_mubs", "build_qutrit_mubs",
     "certify_unbiasedness", "density_from_probabilities", "entangled_forms",
     "exhaustive_verify", "fourier_matrix", "infer", "inner_product", "king_measure",
-    "label_set_deviations", "prepare_psi0", "probabilities_from_density",
+    "prepare_psi0", "probabilities_from_density",
     "probability_map_rank", "project_and_normalize", "qutrit_basis_matrices",
     "random_density_matrix",
     "round_stream", "run_round", "sample_outcome", "search_bases", "simulate_rounds",
-    "tensor_product", "trio_matrix",
+    "trio_matrix",
 ]
 
 

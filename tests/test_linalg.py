@@ -13,7 +13,6 @@ from retroking import (
     prepare_psi0,
     project_and_normalize,
     sample_outcome,
-    tensor_product,
 )
 from retroking import build_physicist_basis, build_qubit_mubs, build_qutrit_mubs
 from retroking.protocol import PHYSICIST_LABELS
@@ -104,31 +103,13 @@ class TestInnerProduct:
 
 
 class TestTensorProduct:
-    def test_unit_vector_placement(self):
-        e0 = BASES[3][0]
-        assert np.argmax(np.abs(tensor_product(e0, e0).amps)) == 0
-        e1 = BASES[3][1]
-        e2 = BASES[3][2]
-        assert np.argmax(np.abs(tensor_product(e1, e2).amps)) == 5
+    """Two-atom product states, built as np.kron of one-atom amplitudes."""
 
     def test_matches_entangled_component(self):
         e0 = BASES[3][0]
-        product = tensor_product(e0, e0)
+        product = StateVector(np.kron(e0.amps, e0.amps))
         # the (0,0)-component of the entangled preparation, before its 3**-0.5
         assert inner_product(product, prepare_psi0()) == pytest.approx(INV_SQRT3)
-
-    def test_rejects_wrong_dimensions(self):
-        with pytest.raises(ContractViolation):
-            tensor_product(BASES[2][0], BASES[3][0])
-
-    @given(seeds, seeds)
-    def test_index_convention_and_norm(self, sa, sb):
-        a, b = random_state(sa, 3), random_state(sb, 3)
-        joint = tensor_product(a, b)
-        for i in range(3):
-            for j in range(3):
-                assert joint.amps[3 * i + j] == pytest.approx(a.amps[i] * b.amps[j])
-        assert np.linalg.norm(joint.amps) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestProjectAndNormalize:
@@ -140,11 +121,11 @@ class TestProjectAndNormalize:
         collapsed = project_and_normalize(prepare_psi0(), qutrit_mubs.bases[3][1])
         assert same_ray(collapsed, trios(3, 1))
         # i.e. the auxiliary atom carries outcome 2 of basis 3
-        aux = tensor_product(qutrit_mubs.bases[3][1], qutrit_mubs.bases[3][2])
+        aux = StateVector(np.kron(qutrit_mubs.bases[3][1].amps, qutrit_mubs.bases[3][2].amps))
         assert same_ray(collapsed, aux)
 
     def test_impossible_outcome(self):
-        two_atom = tensor_product(BASES[3][0], BASES[3][0])
+        two_atom = StateVector(np.kron(BASES[3][0].amps, BASES[3][0].amps))
         with pytest.raises(ImpossibleOutcome):
             project_and_normalize(two_atom, BASES[3][1])
 

@@ -25,7 +25,6 @@ from retroking import (
     PhysicistBasis,
     RoundRecord,
     StateVector,
-    bracket_overlap,
     bracket_state,
     born_probabilities,
     build_qutrit_mubs,
@@ -40,7 +39,6 @@ from retroking import (
     sample_outcome,
     search_bases,
     simulate_rounds,
-    tensor_product,
     trio_matrix,
 )
 from retroking import cli, linalg, mub, protocol
@@ -110,16 +108,22 @@ def as_lists(records):
     return [[r.king_basis, r.king_outcome, r.physicist_outcome, r.inferred] for r in records]
 
 
+def law_overlap(a, b):
+    """The overlap law at the matches of labels a and b, read off the agreement matrix."""
+    i, j = ALL_LABELS.index(a), ALL_LABELS.index(b)
+    return protocol.overlap_law(protocol.agreement_matrix()[i, j])
+
+
 class TestPreparation:
     def test_reference_amplitude(self):
         assert prepare_psi0().amps[0] == pytest.approx(INV_SQRT3)
 
     def test_overlap_with_first_basis_pair(self, qutrit_mubs):
-        pair = tensor_product(qutrit_mubs.bases[1][0], qutrit_mubs.bases[2][0])
+        pair = StateVector(np.kron(qutrit_mubs.bases[1][0].amps, qutrit_mubs.bases[2][0].amps))
         assert abs(inner_product(pair, prepare_psi0())) == pytest.approx(INV_SQRT3)
 
     def test_fourth_basis_equal_outcomes_are_absent(self, qutrit_mubs):
-        pair = tensor_product(qutrit_mubs.bases[3][1], qutrit_mubs.bases[3][1])
+        pair = StateVector(np.kron(qutrit_mubs.bases[3][1].amps, qutrit_mubs.bases[3][1].amps))
         assert inner_product(pair, prepare_psi0()) == pytest.approx(0, abs=1e-12)
 
     def test_four_forms_agree_exactly(self):
@@ -139,7 +143,7 @@ class TestTrioTable:
         for m in range(4):
             for k in range(3):
                 ket = qutrit_mubs.bases[m][k]
-                expected = tensor_product(ket, StateVector(ket.amps.conj()))
+                expected = StateVector(np.kron(ket.amps, ket.amps.conj()))
                 assert np.abs(trios(m, k).amps - expected.amps).max() <= np.spacing(1.0)
 
     def test_within_trio_orthogonality(self, trios):
@@ -159,7 +163,7 @@ class TestKingMeasure:
     def test_forced_collapse_fourth_basis(self, qutrit_mubs, same_ray):
         k, collapsed = forced_collapse(3, 2)
         assert k == 2
-        expected = tensor_product(qutrit_mubs.bases[3][2], qutrit_mubs.bases[3][1])
+        expected = StateVector(np.kron(qutrit_mubs.bases[3][2].amps, qutrit_mubs.bases[3][1].amps))
         assert same_ray(collapsed, expected)
 
     def test_all_collapses_land_on_trios(self, trios, same_ray):
@@ -337,12 +341,8 @@ class TestBracketStates:
         "label", [(0, 1, 2, 0.5), (0, 1, 2, 1.0), (0, np.float64(1), 2, 0), "0120", 7]
     )
     def test_rejects_non_integer_coordinates(self, label):
-        for call in (
-            lambda: bracket_state(label),
-            lambda: bracket_overlap((0, 0, 0, 0), label),
-        ):
-            with pytest.raises(ContractViolation):
-                call()
+        with pytest.raises(ContractViolation):
+            bracket_state(label)
 
     def test_accepts_numpy_integer_coordinates(self):
         row = np.array(ALL_LABELS, dtype=np.int8)[5]
@@ -366,7 +366,7 @@ class TestBracketFamily:
     def test_tables_print_the_overlap_law(self, matches):
         other = (0,) * matches + (1,) * (4 - matches)
         printed = cli.run(cli.RunConfig("tables"))["data"]["overlap_by_matches"]
-        assert printed[str(matches)] == bracket_overlap((0, 0, 0, 0), other)
+        assert printed[str(matches)] == law_overlap((0, 0, 0, 0), other)
 
     def test_matches_the_psi_basis_construction(self):
         # the former build: 1/3 on psi_0 and OMEGA**(+-k_m) / 3 on
@@ -449,19 +449,24 @@ def test_cached_builders_hand_out_only_read_only_arrays(name):
     assert [path for path, array in arrays.items() if array.flags.writeable] == []
 
 
+def set_deviations(label_sets):
+    """protocol._set_deviations of a stack of label sets, placed by the one label rule."""
+    return protocol._set_deviations(protocol._label_index(label_sets, 2))
+
+
 class TestLabelSetDeviations:
     def test_clashing_pair_reads_a_third(self):
         # (0,0,0,0) and (0,0,1,1) agree in 2 coordinates: overlap (2 - 1) / 3
         labels = ((0, 0, 0, 0), (0, 0, 1, 1)) + PHYSICIST_LABELS[2:]
-        assert protocol.label_set_deviations([labels])[0] == pytest.approx(1 / 3, abs=1e-12)
+        assert set_deviations([labels])[0] == pytest.approx(1 / 3, abs=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint64])
     def test_takes_any_integer_dtype(self, dtype):
         labels = np.array([PHYSICIST_LABELS], dtype=dtype)
-        assert protocol.label_set_deviations(labels)[0] < TOL
+        assert set_deviations(labels)[0] < TOL
 
     def test_every_searched_set_is_orthonormal(self):
-        deviations = protocol.label_set_deviations(search_bases())
+        deviations = protocol._set_deviations(protocol._search()[0])
         assert deviations.shape == (72,)
         assert deviations.max() < TOL
 
@@ -470,7 +475,7 @@ class TestLabelSetDeviations:
     )
     def test_rejects_malformed_sets(self, sets):
         with pytest.raises(ContractViolation):
-            protocol.label_set_deviations(sets)
+            set_deviations(sets)
 
 
 class TestDoctoredBracketFamily:
@@ -498,10 +503,9 @@ class TestDoctoredBracketFamily:
     def test_search_finds_the_sets_and_its_report_fails(self, doctored, capsys):
         # the search is combinatorial, so it still finds every set; the
         # search-bases report is what certifies their states
-        sets = search_bases()
-        assert len(sets) == 72
+        assert len(search_bases()) == 72
         # every set reads labels shifted by one, so each fails by 1/3 or 2/3
-        thirds = 3 * protocol.label_set_deviations(sets)
+        thirds = 3 * protocol._set_deviations(protocol._search()[0])
         assert thirds == pytest.approx(np.rint(thirds))
         assert np.bincount(np.rint(thirds).astype(int)).tolist() == [0, 36, 36]
         assert cli.main(["search-bases", "--format", "json"]) == 1
@@ -568,23 +572,23 @@ class TestCollapseBorn:
 
 class TestBracketOverlap:
     def test_identical_labels(self):
-        assert bracket_overlap((0, 0, 0, 0), (0, 0, 0, 0)) == pytest.approx(1.0)
+        assert law_overlap((0, 0, 0, 0), (0, 0, 0, 0)) == pytest.approx(1.0)
 
     def test_single_agreement_is_orthogonal(self):
-        assert bracket_overlap((0, 0, 0, 0), (0, 1, 1, 1)) == 0.0
+        assert law_overlap((0, 0, 0, 0), (0, 1, 1, 1)) == 0.0
 
     def test_no_agreement(self):
-        assert bracket_overlap((0, 0, 0, 0), (1, 1, 1, 1)) == pytest.approx(-1 / 3)
+        assert law_overlap((0, 0, 0, 0), (1, 1, 1, 1)) == pytest.approx(-1 / 3)
 
     @given(labels_strategy, labels_strategy)
     def test_matches_numeric_inner_product(self, a, b):
         numeric = inner_product(bracket_state(a), bracket_state(b))
         assert abs(numeric.imag) < 1e-10
-        assert numeric.real == pytest.approx(bracket_overlap(a, b), abs=1e-10)
+        assert numeric.real == pytest.approx(law_overlap(a, b), abs=1e-10)
 
     @given(labels_strategy, labels_strategy)
     def test_symmetric(self, a, b):
-        assert bracket_overlap(a, b) == bracket_overlap(b, a)
+        assert law_overlap(a, b) == law_overlap(b, a)
 
 
 class TestPhysicistBasis:
@@ -1246,4 +1250,13 @@ class TestSearchBases:
         for labels in search_bases():
             for a in range(9):
                 for b in range(a + 1, 9):
-                    assert bracket_overlap(labels[a], labels[b]) == 0.0
+                    assert law_overlap(labels[a], labels[b]) == 0.0
+
+    def test_agreement_is_invariant_under_every_digit_shift(self):
+        # the search's one premise: adding one digit vector mod 3 to both
+        # labels keeps their agreement, so translates of a set are sets
+        digits = np.array(ALL_LABELS)
+        shifted = ((digits + digits[:, None]) % 3) @ (27, 9, 3, 1)  # shifted[s, i]: label i + s
+        agreement = protocol.agreement_matrix()
+        assert shifted.shape == (81, 81)
+        assert (agreement[shifted[:, :, None], shifted[:, None, :]] == agreement).all()
