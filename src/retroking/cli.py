@@ -37,7 +37,7 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.command, str) or self.command not in COMMANDS:
             raise ContractViolation(f"unknown command {self.command!r}")
-        object.__setattr__(self, "rounds", _index(self.rounds, None, "rounds", start=1))
+        object.__setattr__(self, "rounds", _index(self.rounds, 2**64 + 1, "rounds", start=1))
         object.__setattr__(self, "seed", _index(self.seed, 2**64, "seed"))
         if self.basis is not None:
             object.__setattr__(self, "basis", _index(self.basis, 4, "basis"))

@@ -229,7 +229,7 @@ def _sample_rows(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum((cdf <= uniforms[:, None]).sum(axis=1), last)
 
 
-def sample_outcome(probs: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
+def sample_outcome(probs: Sequence[float] | np.ndarray, rng: "np.random.Generator") -> int:
     """Draw an outcome index from a probability vector by ``_sample_rows``'s
     rule on one uniform.  Deterministic given the generator state."""
     p = _numeric_vector(probs, "biuf", "probabilities").astype(float)

@@ -222,7 +222,7 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _readonly(m[0]))
 
 
-def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
+def _random_densities(rng: "np.random.Generator", count: int) -> np.ndarray:
     """(count, 3, 3) unvalidated draws GG*/tr(GG*); draw i is bit for bit
     the i-th of ``count`` sequential ``random_density_matrix`` calls."""
     g = rng.standard_normal((count, 2, 3, 3))
@@ -231,7 +231,7 @@ def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
     return m / np.einsum("nii->n", m).real[:, None, None]
 
 
-def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
+def random_density_matrix(rng: "np.random.Generator") -> DensityMatrix:
     """GG*/tr(GG*) for G with independent standard complex Gaussian entries
     (the real parts of G drawn before the imaginary parts)."""
     return DensityMatrix(_random_densities(_as_generator(rng, "standard_normal"), 1)[0])
@@ -300,7 +300,7 @@ def probability_map_rank(mubs: MubSet) -> int:
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 
-def invariant_checks(rng: np.random.Generator) -> list[Check]:
+def invariant_checks(rng: "np.random.Generator") -> list[Check]:
     """The module's full verification suite as named checks."""
     _as_generator(rng, "standard_normal")
     checks = [*certify_unbiasedness(build_qutrit_mubs()), *certify_unbiasedness(build_qubit_mubs())]

@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .linalg import (
     TOL,
@@ -242,7 +241,9 @@ def _king_born(psi0: StateVector, matrices: np.ndarray) -> np.ndarray:
     return (np.abs(matrices.conj().swapaxes(-1, -2) @ grid) ** 2).sum(axis=-1)
 
 
-def king_measure(psi0: StateVector, m: int, rng: np.random.Generator) -> tuple[int, StateVector]:
+def king_measure(
+    psi0: StateVector, m: int, rng: "np.random.Generator"
+) -> tuple[int, StateVector]:
     """Measure basis m on the given atom; return the drawn outcome and the
     collapsed two-atom state."""
     basis = build_qutrit_mubs().bases[_index(m, 4, "basis index")]
@@ -346,7 +347,7 @@ def round_outcomes() -> np.ndarray:
 
 def run_round(
     m: int | None,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     *,
     seed: int | None = None,
     round_index: int | None = None,
@@ -371,7 +372,7 @@ def run_round(
     return tuple.__new__(RoundRecord, (m, k, j, inferred, inferred == k, seed, round_index))
 
 
-class _PhiloxKey(ISeedSequence):
+class _KeyWords:
     """The key words ``(seed, 0)`` of ``Philox(key=seed)``, handed straight
     to Philox: ``Philox(key=...)`` first seeds and discards an OS-entropy
     SeedSequence, most of the cost of a lone round's stream.  Philox only
@@ -395,15 +396,33 @@ class _PhiloxKey(ISeedSequence):
         return self.key, 0
 
 
+class _PhiloxKey(_KeyWords):
+    """The key ``round_stream`` hands Philox.  The first ``round_stream``
+    call registers ``_KeyWords`` as a virtual ISeedSequence, so importing
+    the package does not import numpy.random.  Philox tests its key with
+    isinstance, and an ABC caches a yes only for a subclass of a registered
+    class: a registered class itself is looked up afresh on every call,
+    ~0.5 us of a lone round."""
+
+    __slots__ = ()
+
+
 # The four counter words of block 0; a round's stream copies it and sets word 0.
 _ZERO_COUNTER = _readonly(np.zeros(4, dtype=np.uint64))
+_key_registered = False
 
 
-def round_stream(seed: int, index: int) -> np.random.Generator:
+def round_stream(seed: int, index: int) -> "np.random.Generator":
     """The random stream of round ``index``: Philox keyed by ``seed`` at
     counter block ``index``.  It depends only on (seed, index), so rounds
     can run in any order (or in parallel) with identical results, and the
     stream of round 0 runs on through the blocks of rounds 1, 2, ..."""
+    global _key_registered
+    if not _key_registered:
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_KeyWords)
+        _key_registered = True
     # one Philox key word and one counter word, both 64-bit.  A uint64 array
     # is exact for every block and skips numpy's Python loop that splits an
     # int; a list without a dtype would pass through float64 and alias blocks.
@@ -434,8 +453,8 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     """Rounds 0 .. rounds-1 as int8 round bins (rows of ``round_outcomes()``),
     in chunks of at most CHUNK_ROUNDS rounds; entry i is the round
     ``run_round`` plays on ``round_stream(seed, i)``.  Arguments are checked
-    on the call."""
-    rounds = _index(rounds, None, "rounds", start=1)
+    on the call; rounds run up to 2**64, one per counter block."""
+    rounds = _index(rounds, 2**64 + 1, "rounds", start=1)
     basis = None if basis is None else _index(basis, 4, "basis index")
     bits = round_stream(seed, 0).bit_generator
     sizes = (min(CHUNK_ROUNDS, rounds - start) for start in range(0, rounds, CHUNK_ROUNDS))
@@ -523,7 +542,11 @@ def _search() -> tuple[np.ndarray, tuple[tuple[BracketLabel, ...], ...]]:
         candidates = candidates[rows] & later[last]
     digits = _label_digits()
     shifted = _label_index((digits[sets] + digits[:, None, None]) % 3, 3).reshape(-1, 9)
-    found = _readonly(np.unique(np.sort(shifted, axis=1), axis=0))
+    # one of each: sorted rows, column 0 first, each kept if it differs from
+    # the row before.  np.unique(..., axis=0) gives the same, but imports numpy.ma
+    rows = np.sort(shifted, axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    found = _readonly(rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)])
     return found, tuple(operator.itemgetter(*s)(ALL_LABELS) for s in found.tolist())
 
 

@@ -31,11 +31,18 @@ def within(name: str, deviation) -> Check:
     """The tolerance check ``name``: it passes when the largest entry of
     ``deviation`` (a float or an array) is below TOL, and a NaN fails it;
     that entry is the reported deviation.  An empty deviation measured
-    nothing, so it fails with deviation 0."""
+    nothing, so it fails with deviation 0.  A deviation that is not numbers,
+    such as a string or None, is a ContractViolation."""
     if isinstance(deviation, float):  # its own largest entry, with no array
         worst = deviation
     else:
-        deviation = np.asarray(deviation)
+        try:
+            deviation = np.asarray(deviation)
+        except ValueError:  # nested sequences of unequal lengths
+            raise ContractViolation(f"{name}: a deviation must form a regular array") from None
+        if deviation.dtype.kind not in "biuf":
+            raise ContractViolation(f"{name}: a deviation must be real numbers, "
+                                    f"got dtype {deviation.dtype}")
         if not deviation.size:
             return Check(name, False, 0.0)
         worst = np.maximum.reduce(deviation, axis=None)

@@ -140,13 +140,13 @@ MUTANTS = {
     "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
     "sum-doubled": (linalg, "sample_outcome", "abs(p.sum()", "abs(p.sum() * 2"),
-    "search-drops-last": (protocol, "_search", "axis=0))", "axis=0)[:-1])"),
-    "search-every-other": (protocol, "_search", "axis=0))", "axis=0)[::2])"),
+    "search-drops-last": (protocol, "_search", "any(axis=1)])", "any(axis=1)][:-1])"),
+    "search-every-other": (protocol, "_search", "any(axis=1)])", "any(axis=1)][::2])"),
     "one-third-x1.01": (protocol, "ONE_THIRD", ONE_THIRD * 101 // 100),
     "one-third-x1.2": (protocol, "ONE_THIRD", ONE_THIRD * 6 // 5),
     "one-third-plus-1": (protocol, "ONE_THIRD", ONE_THIRD + 1),
     "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
-    "search-finds-nothing": (protocol, "_search", "axis=0))", "axis=0)[:0])"),
+    "search-finds-nothing": (protocol, "_search", "any(axis=1)])", "any(axis=1)][:0])"),
     "infer-coordinate": (protocol, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
     "map-words-basis": (protocol, "_map_words", "words[:, 0] >> 62", "words[:, 3] >> 62"),
     "run-round-basis": (protocol, "run_round", "m = w0 >> 62", "m = w2 >> 62"),
@@ -405,19 +405,55 @@ VERIFY_CHECKS = [
 ]
 
 
+def run_python(args):
+    """A finished subprocess of this interpreter run with ``args``, with the
+    package under test first on its path."""
+    env = dict(os.environ)
+    source = str(Path(retroking.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 def run_optimized(argv):
     """The JSON report of a ``python -O -m retroking.cli`` subprocess, which
     must exit 0.  python -O strips assert statements: a check written as
     one would vanish."""
-    env = dict(os.environ)
-    source = str(Path(retroking.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-m", "retroking.cli", *argv, "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_python(["-O", "-m", "retroking.cli", *argv, "--format", "json"])
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+# Runs the CLI on its arguments, then prints to stderr its exit code and
+# which of numpy.ma and numpy.random the process imported.
+COLD_PROBE = """
+import sys
+from retroking.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(code, *(m for m in ("numpy.ma", "numpy.random") if m in sys.modules), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-bases"], ["search-bases", "--format", "json"], ["tables"],
+    ["tables", "--format", "json"], ["--help"],
+])
+def test_a_command_that_draws_nothing_imports_no_numpy_ma_or_random(argv):
+    # a cold call pays only for its own work: numpy.ma and numpy.random each
+    # cost milliseconds and a megabyte to import
+    done = run_python(["-c", COLD_PROBE, *argv])
+    assert done.stderr.splitlines()[-1] == "0", done.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["simulate", "--rounds", "1"]])
+def test_a_command_that_draws_imports_numpy_random_and_passes(argv):
+    done = run_python(["-c", COLD_PROBE, *argv])
+    code, *imported = done.stderr.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    assert "numpy.random" in imported
 
 
 def test_bench_expects_only_checks_verify_reports():

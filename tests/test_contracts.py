@@ -44,6 +44,7 @@ from retroking import (
 )
 from retroking.cli import RunConfig
 from retroking.mub import invariant_checks as mub_invariant_checks
+from retroking.protocol import CHUNK_ROUNDS, round_chunks
 from retroking.reporting import within
 
 from conftest import Uniform
@@ -83,6 +84,12 @@ from conftest import Uniform
         # a bool is not an index, though operator.index takes it
         lambda: infer(True, 0),
         lambda: RunConfig("simulate", rounds=True),
+        # round i draws from counter block i, and there are 2**64 of them
+        lambda: RunConfig("simulate", rounds=2**64 + 1),
+        lambda: round_chunks(2**64 + 1, 0),
+        lambda: within("x", "abc"),
+        lambda: within("x", None),
+        lambda: within("x", [[0.0], [0.0, 0.0]]),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
@@ -95,11 +102,18 @@ from conftest import Uniform
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
         "run-config-array-format", "run-config-array-state",
         "infer-bool-basis", "run-config-bool-rounds",
+        "run-config-rounds-past-blocks", "round-chunks-past-blocks",
+        "within-str-deviation", "within-none-deviation", "within-ragged-deviation",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):
     with pytest.raises(ContractViolation):
         call()
+
+
+def test_rounds_reach_the_last_counter_block():
+    assert RunConfig("simulate", rounds=2**64).rounds == 2**64
+    assert next(round_chunks(2**64, 0)).shape == (CHUNK_ROUNDS,)
 
 
 def test_within_fails_an_empty_deviation():

@@ -13,6 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 import pytest
 from hypothesis import given, strategies as st
 
@@ -717,6 +718,11 @@ class TestRounds:
         with pytest.raises(RuntimeError, match="expected 2 of uint64"):
             protocol._PhiloxKey(1).generate_state(*request_)
 
+    def test_stream_key_is_a_seed_sequence_once_a_stream_is_made(self):
+        # the first round_stream call registers the key type with numpy
+        round_stream(0, 0)
+        assert isinstance(protocol._PhiloxKey(1), ISeedSequence)
+
     def test_physicist_outcomes_uniform_over_compatible(self, physicist):
         n = 30_000
         records = simulate_rounds(n, seed=11, basis=1)
@@ -1220,6 +1226,18 @@ class TestSearchBases:
         assert positions.dtype == np.intp and positions.shape == (72, 9)
         assert np.array_equal(protocol._label_index(labels, 2), positions)
         assert np.array_equal(protocol._label_digits(), ALL_LABELS)
+
+    def test_one_of_each_is_numpys_unique_rows(self):
+        # the 648 translates of the 8 sets through label 0 by the 81 digit
+        # vectors hold each of the 72 sets nine times, once per member
+        through_zero = [s for s in search_bases() if s[0] == (0, 0, 0, 0)]
+        assert len(through_zero) == 8
+        digits = np.array(ALL_LABELS)
+        rows = ((digits[None] + np.array(through_zero)[:, :, None]) % 3) @ (27, 9, 3, 1)
+        rows = np.sort(rows.transpose(0, 2, 1).reshape(648, 9), axis=1)
+        unique, counts = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(protocol._search()[0], unique)
+        assert counts.tolist() == [9] * 72
 
     def test_count_and_reference_membership(self):
         sets = search_bases()
