@@ -9,42 +9,39 @@ All output goes to stdout; reports are deterministic for a fixed command,
 flags, and seed, apart from the ``timing`` field.
 """
 
-import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import mub, protocol
-from .linalg import TOL, ContractViolation, _index
+from .linalg import TOL, ContractViolation, _index, _Record
 from .mub import OMEGA
 from .reporting import Check, within
 
 TOMOGRAPHY_STATES = ("random", "mixed", "pure")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    rounds: int = 10_000
-    seed: int = 0
-    basis: int | None = None
-    format: str = "text"
-    state: str = "random"
+class RunConfig(_Record):
+    __slots__ = ("command", "rounds", "seed", "basis", "format", "state")
+    __eq__ = _Record._value_eq
+    __hash__ = _Record._value_hash
 
-    def __post_init__(self):
-        if not isinstance(self.command, str) or self.command not in COMMANDS:
-            raise ContractViolation(f"unknown command {self.command!r}")
-        object.__setattr__(self, "rounds", _index(self.rounds, 2**64 + 1, "rounds", start=1))
-        object.__setattr__(self, "seed", _index(self.seed, 2**64, "seed"))
-        if self.basis is not None:
-            object.__setattr__(self, "basis", _index(self.basis, 4, "basis"))
-        if not isinstance(self.format, str) or self.format not in ("text", "json"):
-            raise ContractViolation(f"unknown format {self.format!r}")
-        if not isinstance(self.state, str) or self.state not in TOMOGRAPHY_STATES:
-            raise ContractViolation(f"unknown tomography state {self.state!r}")
+    def __init__(self, command: str, rounds: int = 10_000, seed: int = 0,
+                 basis: int | None = None, format: str = "text", state: str = "random"):
+        if not isinstance(command, str) or command not in COMMANDS:
+            raise ContractViolation(f"unknown command {command!r}")
+        rounds = _index(rounds, 2**64 + 1, "rounds", start=1)
+        seed = _index(seed, 2**64, "seed")
+        if basis is not None:
+            basis = _index(basis, 4, "basis")
+        if not isinstance(format, str) or format not in ("text", "json"):
+            raise ContractViolation(f"unknown format {format!r}")
+        if not isinstance(state, str) or state not in TOMOGRAPHY_STATES:
+            raise ContractViolation(f"unknown tomography state {state!r}")
+        for name, value in zip(self.__slots__, (command, rounds, seed, basis, format, state)):
+            object.__setattr__(self, name, value)
 
 
 def _complex_json(z: complex) -> list[float]:
@@ -282,7 +279,9 @@ def render_text(report: dict) -> None:
     print(f"elapsed: {report['timing']['elapsed_seconds']:.3f}s")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse  # only a call that parses pays for it
+
     parser = argparse.ArgumentParser(
         prog="retroking",
         description="Two-qutrit retrodiction protocol: verification, tables, "

@@ -13,7 +13,6 @@ to it.
 
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -102,14 +101,57 @@ def _orthonormality_deviation(matrix: np.ndarray) -> np.ndarray:
     return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - _identity(matrix.shape[-1]))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class _Record:
+    """Base of the package's immutable records.  A record's fields are its
+    ``__slots__``, set once in ``__init__`` through ``object.__setattr__``;
+    assigning or deleting one afterwards raises AttributeError.  Records
+    compare by identity unless a class opts into field-wise ``==`` and
+    ``hash`` with ``_value_eq`` and ``_value_hash``.  The repr names every
+    field but those in ``_repr_omits``; pickling and copying carry the fields
+    over as they are, marking any array among them read-only again."""
+
+    __slots__ = ()
+    _repr_omits: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _value_eq(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def _value_hash(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__
+                 if name not in self._repr_omits)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __getstate__(self):
+        return dict(zip(self.__slots__, self._values()))
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            if isinstance(value, np.ndarray):
+                _readonly(value)
+            object.__setattr__(self, name, value)
+
+
+class StateVector(_Record):
     """Normalized complex amplitudes over a fixed ordered basis."""
 
-    amps: np.ndarray
+    __slots__ = ("amps",)
 
-    def __post_init__(self):
-        amps = _numeric_vector(self.amps, "biufc", "state amplitudes").astype(np.complex128)
+    def __init__(self, amps: np.ndarray):
+        amps = _numeric_vector(amps, "biufc", "state amplitudes").astype(np.complex128)
         # one reduction: it is NaN or infinite when an amplitude is (or on overflow)
         norm = math.sqrt(np.vdot(amps, amps).real)
         if not math.isfinite(norm) and not np.isfinite(amps).all():
@@ -125,19 +167,18 @@ class StateVector:
         return self.amps.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class OrthonormalBasis:
+class OrthonormalBasis(_Record):
     """An ordered set of dim mutually orthonormal vectors spanning dim space.
 
     ``matrix`` holds the vectors as columns, for fast Gram and overlap math.
     """
 
-    vectors: tuple[StateVector, ...]
-    matrix: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("vectors", "matrix")
+    _repr_omits = ("matrix",)
 
-    def __post_init__(self):
+    def __init__(self, vectors: tuple[StateVector, ...]):
         try:
-            vectors = tuple(_as_instance(v, StateVector, "a basis vector") for v in self.vectors)
+            vectors = tuple(_as_instance(v, StateVector, "a basis vector") for v in vectors)
         except TypeError:
             raise ContractViolation("a basis takes a sequence of StateVectors") from None
         if not vectors:

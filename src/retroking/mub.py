@@ -16,7 +16,6 @@ linear reconstruction
 implemented in ``density_from_probabilities``.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +25,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _Record,
     _as_generator,
     _as_instance,
     _identity,
@@ -70,8 +70,7 @@ def _bias(overlaps: np.ndarray) -> np.ndarray:
     return bias
 
 
-@dataclass(frozen=True, eq=False)
-class MubSet:
+class MubSet(_Record):
     """A complete family of dim+1 pairwise unbiased orthonormal bases.
 
     ``matrices[m]`` is ``bases[m].matrix``: the kets of basis m as columns.
@@ -79,15 +78,13 @@ class MubSet:
     onto ket k of basis m flattened row-major: 12 x 9 for the qutrit set.
     """
 
-    bases: tuple[OrthonormalBasis, ...]
-    dim: int = field(init=False)
-    matrices: np.ndarray = field(init=False, repr=False)
-    projectors: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("bases", "dim", "matrices", "projectors")
+    _repr_omits = ("matrices", "projectors")
 
-    def __post_init__(self):
+    def __init__(self, bases: tuple[OrthonormalBasis, ...]):
         try:
             bases = tuple(
-                _as_instance(b, OrthonormalBasis, "a basis of the set") for b in self.bases
+                _as_instance(b, OrthonormalBasis, "a basis of the set") for b in bases
             )
         except TypeError:
             raise ContractViolation("a MUB set takes a sequence of bases") from None
@@ -209,15 +206,14 @@ def _check_tables(values) -> np.ndarray:
     return np.clip(v, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """A 3x3 statistical operator: Hermitian, unit trace, positive."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        m = _check_densities(self.entries)
-        if np.ndim(self.entries) != 2:
+    def __init__(self, entries: np.ndarray):
+        m = _check_densities(entries)
+        if np.ndim(entries) != 2:
             raise ContractViolation("expected one 3x3 density matrix, got a stack")
         object.__setattr__(self, "entries", _readonly(m[0]))
 
@@ -237,15 +233,14 @@ def random_density_matrix(rng: "np.random.Generator") -> DensityMatrix:
     return DensityMatrix(_random_densities(_as_generator(rng, "standard_normal"), 1)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class ProbabilityTable:
+class ProbabilityTable(_Record):
     """Outcome probabilities p[m][k] for the four qutrit bases; rows sum to 1."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        v = _check_tables(self.values)
-        if np.ndim(self.values) != 2:
+    def __init__(self, values: np.ndarray):
+        v = _check_tables(values)
+        if np.ndim(values) != 2:
             raise ContractViolation("expected one 4x3 probability table, got a stack")
         object.__setattr__(self, "values", _readonly(v[0]))
 
@@ -294,9 +289,24 @@ def probability_map_rank(mubs: MubSet) -> int:
     top of the trace, i.e. the four row sums are the only affine constraints
     and the reconstruction above is exact.  Probability (m, k) of an operator
     is its real Hilbert-Schmidt product with the projector |m_k><m_k|, so the
-    rank is that of the projectors' real and imaginary parts side by side.
+    rank is that of the projectors' real and imaginary parts side by side,
+    their singular values above TOL counted.
+
+    When every row is a Hermitian matrix, those singular values are the
+    complex projector matrix P's, so the rank is d**2 whenever
+    P^dagger P - TOL I factors by Cholesky, as ``_check_densities`` decides
+    positivity: then every singular value exceeds sqrt(TOL) = 1e-5.  Only a
+    map that does not factor, or rows that are not Hermitian, pay for an SVD.
     """
     projectors = _as_instance(mubs, MubSet, "mubs").projectors
+    d = mubs.dim
+    rows = projectors.reshape(-1, d, d)
+    if np.array_equal(rows, rows.conj().swapaxes(1, 2)):
+        try:
+            np.linalg.cholesky(projectors.conj().T @ projectors - TOL * _identity(d * d))
+            return d * d
+        except np.linalg.LinAlgError:
+            pass
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 

@@ -15,7 +15,6 @@ m = 0..3, outcomes k = 0..2, physicist outcomes j = 0..8.
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -26,6 +25,7 @@ from .linalg import (
     ContractViolation,
     OrthonormalBasis,
     StateVector,
+    _Record,
     _as_instance,
     _identity,
     _index,
@@ -188,16 +188,14 @@ def bracket_gram() -> np.ndarray:
     return _readonly(brackets.conj().T @ brackets)
 
 
-@dataclass(frozen=True, eq=False)
-class PhysicistBasis:
+class PhysicistBasis(_Record):
     """Nine orthonormal bracket states built from their labels: basis[j] is
     bracket_state(labels[j])."""
 
-    labels: tuple[BracketLabel, ...]
-    basis: OrthonormalBasis = field(init=False)
+    __slots__ = ("labels", "basis")
 
-    def __post_init__(self):
-        index = _label_index(self.labels, 1)
+    def __init__(self, labels: tuple[BracketLabel, ...]):
+        index = _label_index(labels, 1)
         if len(index) != 9:
             raise ContractViolation("a physicist basis holds nine labelled dim-9 states")
         labels = tuple(ALL_LABELS[i] for i in index.tolist())

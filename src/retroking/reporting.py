@@ -1,30 +1,28 @@
 """Tiny shared vocabulary for named numerical checks."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import TOL, ContractViolation, _numeric_vector
+from .linalg import TOL, ContractViolation, _numeric_vector, _Record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One named check: its pass flag and the worst deviation observed."""
 
-    name: str
-    passed: bool
-    max_deviation: float
+    __slots__ = ("name", "passed", "max_deviation")
+    __eq__ = _Record._value_eq
+    __hash__ = _Record._value_hash
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not isinstance(self.passed, (bool, np.bool_)):
+    def __init__(self, name: str, passed: bool, max_deviation: float):
+        if not isinstance(name, str) or not isinstance(passed, (bool, np.bool_)):
             raise ContractViolation(
-                f"a check takes a string name and a bool flag, got {self.name!r}, {self.passed!r}"
+                f"a check takes a string name and a bool flag, got {name!r}, {passed!r}"
             )
-        deviation = self.max_deviation
-        if not isinstance(deviation, (float, np.floating)):  # the common case needs no array
-            (deviation,) = _numeric_vector([deviation], "biuf", "a check's deviation").tolist()
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "max_deviation", float(deviation))
+        if not isinstance(max_deviation, (float, np.floating)):  # the common case needs no array
+            (max_deviation,) = _numeric_vector([max_deviation], "biuf",
+                                               "a check's deviation").tolist()
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", bool(passed))
+        object.__setattr__(self, "max_deviation", float(max_deviation))
 
 
 def within(name: str, deviation) -> Check:

@@ -387,6 +387,21 @@ class TestVerify:
         for check in report["checks"]:
             assert check["name"] in text
 
+    def test_passes_without_an_svd(self, capsys, monkeypatch):
+        # probability_map_rank decides rank 9 by a Cholesky factorization; an
+        # SVD is its fallback for a map that does not factor
+        def no_svd(*args, **kwargs):
+            raise AssertionError("verify ran an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)  # the name matrix_rank reads
+        with pytest.raises(AssertionError, match="ran an SVD"):  # the patch reaches matrix_rank
+            np.linalg.matrix_rank(np.eye(2))
+        code, report = run_json(capsys, ["verify"])
+        assert code == 0 and report["pass"] is True
+        assert {"name": "probability-map-rank", "pass": True, "max_deviation": 0.0} \
+            in report["checks"]
+
     def test_failed_check_gives_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
             protocol, "invariant_checks", lambda: [Check("forced-failure", False, 1.0)]
@@ -454,6 +469,15 @@ def test_a_command_that_draws_imports_numpy_random_and_passes(argv):
     code, *imported = done.stderr.splitlines()[-1].split()
     assert code == "0", done.stderr
     assert "numpy.random" in imported
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_argparse():
+    # records are slotted classes, whose creation execs no generated code,
+    # and only a call that parses arguments imports argparse
+    done = run_python(["-c", "import sys, retroking, retroking.cli; print(*(m for m in "
+                       "('dataclasses', 'argparse') if m in sys.modules))"])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_bench_expects_only_checks_verify_reports():

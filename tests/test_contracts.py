@@ -2,7 +2,9 @@
 projection onto nothing, ImpossibleOutcome), never a raw Python or numpy
 error."""
 
+import copy
 import inspect
+import pickle
 import types
 
 import numpy as np
@@ -42,6 +44,7 @@ from retroking import (
     sample_outcome,
     simulate_rounds,
 )
+from retroking import linalg
 from retroking.cli import RunConfig
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
@@ -291,3 +294,85 @@ def test_junk_at_each_entry_raises_only_contract_errors(name, a, b):
         ENTRY_POINTS[name](a, b)
     except (ContractViolation, ImpossibleOutcome):
         pass
+
+
+# Each record type, built by keyword from its field names, with its fields
+# in order: the names a frozen dataclass gave them.
+RECORDS = {
+    "StateVector": (lambda: StateVector(amps=[0, 1, 0]), ("amps",)),
+    "OrthonormalBasis": (lambda: OrthonormalBasis(vectors=tuple(map(StateVector, np.eye(2)))),
+                         ("vectors", "matrix")),
+    "MubSet": (lambda: MubSet(bases=build_qutrit_mubs().bases),
+               ("bases", "dim", "matrices", "projectors")),
+    "DensityMatrix": (lambda: DensityMatrix(entries=np.eye(3) / 3), ("entries",)),
+    "ProbabilityTable": (lambda: ProbabilityTable(values=np.full((4, 3), 1 / 3)), ("values",)),
+    "PhysicistBasis": (lambda: PhysicistBasis(labels=PHYSICIST_LABELS), ("labels", "basis")),
+    "Check": (lambda: Check(name="x", passed=True, max_deviation=0.5),
+              ("name", "passed", "max_deviation")),
+    "RunConfig": (lambda: RunConfig(command="simulate", rounds=5, seed=1, basis=2,
+                                    format="json", state="pure"),
+                  ("command", "rounds", "seed", "basis", "format", "state")),
+}
+
+# The records that compare field by field, each with a twin that differs in one field.
+VALUE_TWINS = {
+    "Check": lambda: Check("x", False, 0.5),
+    "RunConfig": lambda: RunConfig("simulate", rounds=5, seed=2, basis=2, format="json",
+                                   state="pure"),
+}
+
+
+def test_every_record_type_is_listed():
+    assert {cls.__name__ for cls in linalg._Record.__subclasses__()} == set(RECORDS)
+
+
+def _same(a, b):
+    """Whether ``b`` holds what ``a`` does, field by field, all the way down;
+    every array in ``b`` must be read-only."""
+    if isinstance(a, linalg._Record):
+        return type(a) is type(b) and all(map(_same, a._values(), b._values()))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+                and not b.flags.writeable)
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+class TestRecordContract:
+    def test_keyword_construction_sets_the_named_fields(self, name):
+        build, fields = RECORDS[name]
+        record = build()
+        assert type(record).__name__ == name and type(record).__slots__ == fields
+        assert repr(record).startswith(f"{name}({fields[0]}=")
+
+    def test_fields_can_be_neither_assigned_nor_deleted(self, name):
+        build, fields = RECORDS[name]
+        record = build()
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        assert _same(build(), record)
+
+    @pytest.mark.parametrize("again", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        lambda r: pickle.loads(pickle.dumps(r, protocol=0)),
+        copy.deepcopy,
+        copy.copy,
+    ], ids=["pickle", "pickle-protocol-0", "deepcopy", "copy"])
+    def test_round_trips(self, name, again):
+        record = RECORDS[name][0]()
+        assert _same(record, again(record))
+
+    def test_equality(self, name):
+        build = RECORDS[name][0]
+        record, twin = build(), build()
+        assert record == record
+        if name in VALUE_TWINS:
+            assert record == twin and hash(record) == hash(twin)
+            assert record != VALUE_TWINS[name]()
+        else:
+            assert record != twin

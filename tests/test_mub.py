@@ -335,6 +335,41 @@ def test_qubit_probability_map_rank_is_four(qubit_mubs):
     assert probability_map_rank(qubit_mubs) == 4
 
 
+def _with_projectors(mubs, edit):
+    """A copy of ``mubs`` whose projector matrix ``edit`` has doctored in place."""
+    doctored = MubSet(mubs.bases)
+    projectors = mubs.projectors.copy()
+    edit(projectors)
+    object.__setattr__(doctored, "projectors", projectors)
+    return doctored
+
+
+def _copy_basis_2_into_3(p):
+    p[9:12] = p[6:9]
+
+
+def _row_4_times_i(p):
+    p[4] *= 1j
+
+
+@pytest.mark.parametrize("name, edit, rank", [
+    ("qutrit_mubs", None, 9),
+    ("qubit_mubs", None, 4),
+    # a repeated basis spans nothing new: 12 rows, 7 independent
+    ("qutrit_mubs", _copy_basis_2_into_3, 7),
+    # i|m_k><m_k| is not Hermitian: its real and imaginary parts add a tenth
+    # direction, so the Cholesky path must not decide this one
+    ("qutrit_mubs", _row_4_times_i, 10),
+])
+def test_map_rank_is_the_svd_rank_of_real_and_imaginary_parts(request, name, edit, rank):
+    mubs = request.getfixturevalue(name)
+    if edit is not None:
+        mubs = _with_projectors(mubs, edit)
+    p = mubs.projectors
+    assert np.linalg.matrix_rank(np.hstack([p.real, p.imag]), tol=TOL) == rank
+    assert probability_map_rank(mubs) == rank
+
+
 @pytest.mark.parametrize("name", ["qutrit_mubs", "qubit_mubs"])
 def test_projector_rows_are_flattened_projectors(request, name):
     mubs = request.getfixturevalue(name)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import inspect
 import itertools
@@ -401,15 +400,22 @@ class TestBracketFamily:
 
 def _handed_out_arrays(value, path):
     """(path, array) for each array in a cached result: the result itself,
-    tuple members and the fields of returned containers, all the way down."""
+    tuple members and the slots of returned records, all the way down."""
     if isinstance(value, np.ndarray):
         yield path, value
     elif isinstance(value, tuple):
         for i, item in enumerate(value):
             yield from _handed_out_arrays(item, f"{path}[{i}]")
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _handed_out_arrays(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, linalg._Record):
+        for name in value.__slots__:
+            yield from _handed_out_arrays(getattr(value, name), f"{path}.{name}")
+
+
+def _writable_paths(result, name):
+    """The paths of the writable arrays a cached result hands out."""
+    arrays = dict(_handed_out_arrays(result, name))
+    assert arrays or _holds_only_ints(result)
+    return [path for path, array in arrays.items() if array.flags.writeable]
 
 
 CACHED_BUILDERS = {
@@ -444,10 +450,14 @@ def test_cached_builders_hand_out_only_read_only_arrays(name):
     # every caller shares a cached result: one writable array in it would let
     # one caller change what all the others read.  A builder of no array
     # hands out ints in tuples, which no caller can change
-    result = CACHED_BUILDERS[name]()
-    arrays = dict(_handed_out_arrays(result, name))
-    assert arrays or _holds_only_ints(result)
-    assert [path for path, array in arrays.items() if array.flags.writeable] == []
+    assert _writable_paths(CACHED_BUILDERS[name](), name) == []
+
+
+def test_a_record_holding_a_writable_array_is_caught():
+    # the control: a writable array deep in a record, in a tuple of records
+    mubs = mub.build_qubit_mubs.__wrapped__()
+    object.__setattr__(mubs.bases[1], "matrix", mubs.bases[1].matrix.copy())
+    assert _writable_paths((mubs,), "mubs") == ["mubs[0].bases[1].matrix"]
 
 
 def set_deviations(label_sets):

@@ -214,3 +214,16 @@ def test_the_cli_reads_no_round_bins():
         for name in _spelled(node) & engine
     )
     assert found == []
+
+
+def test_no_library_module_imports_dataclasses():
+    # records are linalg._Record subclasses: a dataclass generates and execs
+    # its methods when its module is imported, ~0.7 ms a class
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.alias, ast.ImportFrom)) and "dataclasses" in _spelled(node)
+    ]
+    assert SOURCES
+    assert found == []
