@@ -40,16 +40,11 @@ class RunConfig(_Record):
             raise ContractViolation(f"unknown format {format!r}")
         if not isinstance(state, str) or state not in TOMOGRAPHY_STATES:
             raise ContractViolation(f"unknown tomography state {state!r}")
-        for name, value in zip(self.__slots__, (command, rounds, seed, basis, format, state)):
-            object.__setattr__(self, name, value)
-
-
-def _complex_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+        super().__init__(command, rounds, seed, basis, format, state)
 
 
 def _matrix_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_complex_json(z) for z in row] for row in m]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
 def _format_complex(z: complex) -> str:
@@ -143,23 +138,8 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
 
 
 def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
-    sets = protocol.search_bases()
-    index = protocol._search()[0]  # the sets' ALL_LABELS positions
-    reference = tuple(sorted(protocol.PHYSICIST_LABELS))
-    reference_index = sets.index(reference) if reference in sets else None
-    pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
-    wrong = int((pairs.reshape(81, 81) != protocol._coverage()).sum())
-    checks = [
-        Check("search-reference-present", reference_index is not None,
-              0.0 if reference_index is not None else 1.0),
-        within("search-recertification", protocol._set_deviations(index)),
-        Check("search-coverage", wrong == 0, float(wrong)),
-    ]
-    data = {
-        "count": len(sets),
-        "reference_index": reference_index,
-        "bases": protocol._label_digits()[index].tolist(),
-    }
+    checks, reference_index, digits = protocol.search_report()
+    data = {"count": len(digits), "reference_index": reference_index, "bases": digits.tolist()}
     return checks, data
 
 

@@ -103,15 +103,22 @@ def _orthonormality_deviation(matrix: np.ndarray) -> np.ndarray:
 
 class _Record:
     """Base of the package's immutable records.  A record's fields are its
-    ``__slots__``, set once in ``__init__`` through ``object.__setattr__``;
-    assigning or deleting one afterwards raises AttributeError.  Records
-    compare by identity unless a class opts into field-wise ``==`` and
-    ``hash`` with ``_value_eq`` and ``_value_hash``.  The repr names every
-    field but those in ``_repr_omits``; pickling and copying carry the fields
-    over as they are, marking any array among them read-only again."""
+    ``__slots__``; ``_Record.__init__`` alone stores them, once, in slot
+    order, and marks each array among them read-only, so a subclass hands
+    it arrays of its own.  Assigning or deleting a field afterwards raises
+    AttributeError.  Records compare by identity unless a class opts into
+    field-wise ``==`` and ``hash`` with ``_value_eq`` and ``_value_hash``.
+    The repr names every field but those in ``_repr_omits``; pickling and
+    copying rebuild a record through ``_Record.__init__``."""
 
     __slots__ = ()
     _repr_omits: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            if isinstance(value, np.ndarray):
+                _readonly(value)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -139,10 +146,7 @@ class _Record:
         return dict(zip(self.__slots__, self._values()))
 
     def __setstate__(self, state):
-        for name, value in state.items():
-            if isinstance(value, np.ndarray):
-                _readonly(value)
-            object.__setattr__(self, name, value)
+        _Record.__init__(self, *(state[name] for name in self.__slots__))
 
 
 class StateVector(_Record):
@@ -160,7 +164,7 @@ class StateVector(_Record):
             raise ContractViolation(
                 f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}"
             )
-        object.__setattr__(self, "amps", _readonly(amps))
+        super().__init__(amps)
 
     @property
     def dim(self) -> int:
@@ -195,8 +199,7 @@ class OrthonormalBasis(_Record):
         dev = _orthonormality_deviation(matrix).max()
         if dev > TOL:
             raise ContractViolation(f"basis is not orthonormal: Gram deviation {dev:.3e}")
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "matrix", _readonly(matrix))
+        super().__init__(vectors, matrix)
 
     @property
     def dim(self) -> int:

@@ -100,10 +100,7 @@ class MubSet(_Record):
                 f"bases {a} and {b} are not unbiased: deviation {bias[a, b]:.3e}"
             )
         projectors = np.einsum("mik,mjk->mkij", u, u.conj()).reshape(-1, dim**2)
-        object.__setattr__(self, "bases", bases)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "matrices", _readonly(u))
-        object.__setattr__(self, "projectors", _readonly(projectors))
+        super().__init__(bases, dim, u, projectors)
 
 
 def _family(stack) -> MubSet:
@@ -215,7 +212,7 @@ class DensityMatrix(_Record):
         m = _check_densities(entries)
         if np.ndim(entries) != 2:
             raise ContractViolation("expected one 3x3 density matrix, got a stack")
-        object.__setattr__(self, "entries", _readonly(m[0]))
+        super().__init__(m[0])
 
 
 def _random_densities(rng: "np.random.Generator", count: int) -> np.ndarray:
@@ -242,7 +239,7 @@ class ProbabilityTable(_Record):
         v = _check_tables(values)
         if np.ndim(values) != 2:
             raise ContractViolation("expected one 4x3 probability table, got a stack")
-        object.__setattr__(self, "values", _readonly(v[0]))
+        super().__init__(v[0])
 
 
 def _qutrit_projectors(mubs: MubSet) -> np.ndarray:

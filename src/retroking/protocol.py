@@ -207,8 +207,7 @@ class PhysicistBasis(_Record):
                 f"labels {labels[a]} and {labels[b]} agree in "
                 f"{agreement[a, b]} coordinates, want exactly 1"
             )
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "basis", OrthonormalBasis(tuple(map(bracket_state, labels))))
+        super().__init__(labels, OrthonormalBasis(tuple(map(bracket_state, labels))))
 
 
 @lru_cache(maxsize=None)
@@ -556,6 +555,26 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
     is the result.  This is the tuple view of ``_search``, run once per process.
     """
     return _search()[1]
+
+
+def search_report() -> tuple[list[Check], int | None, np.ndarray]:
+    """``search-bases``' certificate of ``search_bases()``: the checks
+    ``search-reference-present``, ``search-recertification`` and
+    ``search-coverage``, the reference set's index (None when absent), and
+    the sets as a (72, 9, 4) int8 array of label digits."""
+    sets = search_bases()
+    index = _search()[0]  # the sets' ALL_LABELS positions
+    reference = tuple(sorted(PHYSICIST_LABELS))
+    present = reference in sets
+    reference_index = sets.index(reference) if present else None
+    pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
+    wrong = int((pairs.reshape(81, 81) != _coverage()).sum())
+    checks = [
+        Check("search-reference-present", present, float(not present)),
+        within("search-recertification", _set_deviations(index)),
+        Check("search-coverage", wrong == 0, float(wrong)),
+    ]
+    return checks, reference_index, _label_digits()[index]
 
 
 def _measured_round(seed: int, index: int) -> tuple[int, int, int]:

@@ -20,9 +20,7 @@ class Check(_Record):
         if not isinstance(max_deviation, (float, np.floating)):  # the common case needs no array
             (max_deviation,) = _numeric_vector([max_deviation], "biuf",
                                                "a check's deviation").tolist()
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", bool(passed))
-        object.__setattr__(self, "max_deviation", float(max_deviation))
+        super().__init__(name, bool(passed), float(max_deviation))
 
 
 def within(name: str, deviation) -> Check:

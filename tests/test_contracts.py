@@ -3,6 +3,7 @@ projection onto nothing, ImpossibleOutcome), never a raw Python or numpy
 error."""
 
 import copy
+import gc
 import inspect
 import pickle
 import types
@@ -376,3 +377,21 @@ class TestRecordContract:
             assert record != VALUE_TWINS[name]()
         else:
             assert record != twin
+
+
+def test_records_freeze_only_their_own_arrays():
+    # _Record.__init__ marks every array a record stores read-only; each record
+    # stores a copy of what its caller handed it, so the caller's stays writable
+    amps, entries, values = np.array([0j, 1, 0]), np.eye(3) / 3, np.full((4, 3), 1 / 3)
+    state, rho, table = StateVector(amps), DensityMatrix(entries), ProbabilityTable(values)
+    assert all(a.flags.writeable for a in (amps, entries, values))
+    assert not any(a.flags.writeable for a in (state.amps, rho.entries, table.values))
+
+    class Holder(linalg._Record):
+        __slots__ = ("array", "label")
+
+    given = np.zeros(2)
+    holder = Holder(given, "x")
+    assert holder.array is given and not given.flags.writeable and holder.label == "x"
+    del Holder, holder
+    gc.collect()  # so _Record.__subclasses__() lists only the package's records again

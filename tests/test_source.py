@@ -216,6 +216,46 @@ def test_the_cli_reads_no_round_bins():
     assert found == []
 
 
+def test_the_cli_reads_no_private_name_of_protocol_or_mub():
+    # protocol and mub hand the cli what it reports through public calls
+    # (search-bases through protocol.search_report): their internals stay theirs
+    path = Path(retroking.__file__).parent / "cli.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, names = node.value.id, [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            module, names = node.module, [alias.name for alias in node.names]
+        else:
+            continue
+        if module in ("protocol", "mub"):
+            found += [f"{node.lineno}:{module}.{name}" for name in names if name.startswith("_")]
+    assert found == []
+
+
+def test_only_the_record_base_stores_fields():
+    # linalg._Record.__init__ is the one place a record stores its fields and
+    # freezes its arrays: no other source spells object.__setattr__
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {
+            id(n)
+            for c in tree.body
+            if path.name == "linalg.py" and isinstance(c, ast.ClassDef) and c.name == "_Record"
+            for n in ast.walk(c)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+            and id(node) not in inside
+        ]
+    assert any(path.name == "linalg.py" for path in SOURCES)
+    assert found == []
+
+
 def test_no_library_module_imports_dataclasses():
     # records are linalg._Record subclasses: a dataclass generates and execs
     # its methods when its module is imported, ~0.7 ms a class
