@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import mub, protocol
-from .linalg import TOL, ContractViolation, _index, _Record
+from .linalg import TOL, ContractViolation, _as_instance, _index, _Record
 from .mub import OMEGA
 from .reporting import Check, within
 
@@ -166,6 +166,7 @@ def cmd_tomography(config: RunConfig) -> tuple[list[Check], dict]:
 
 def run(config: RunConfig) -> dict:
     """Execute one command and assemble its report."""
+    _as_instance(config, RunConfig, "config")
     started = time.perf_counter()
     checks, data = _guarded(COMMANDS[config.command][0], config, said=set())
     elapsed = time.perf_counter() - started

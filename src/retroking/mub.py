@@ -48,7 +48,8 @@ def qutrit_basis_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     OMEGA to the integer exponents [I, 2I, jk], over sqrt(3)."""
     j, k = np.indices((3, 3))
     powers = np.stack([j == k, 2 * (j == k), j * k])
-    return tuple(map(_readonly, OMEGA**powers / np.sqrt(3)))
+    roots = np.array([OMEGA**p for p in range(5)])  # every power is below 5
+    return tuple(map(_readonly, roots[powers] / np.sqrt(3)))
 
 
 def fourier_matrix() -> np.ndarray:
@@ -166,26 +167,34 @@ def _reject(bad: np.ndarray, message: str, detail=None) -> None:
 
 @lru_cache(maxsize=None)
 def _positivity_shift() -> np.ndarray:
-    """3 x 3 read-only 0.99 TOL I: ``_check_densities`` factors m plus it."""
+    """3 x 3 read-only 0.99 TOL I: ``_check_densities`` tests the Cholesky
+    pivots of m plus it."""
     return _readonly(0.99 * TOL * _identity(3))
 
 
 def _check_densities(values) -> np.ndarray:
     """Validated (n, 3, 3) complex copy of a (..., 3, 3) stack of density
-    matrices: each finite, Hermitian, of unit trace and positive (one
-    batched Cholesky factorization); the stack index of the first offender
-    counts the leading axes flattened."""
+    matrices: each finite, Hermitian, of unit trace and positive (the 3 x 3
+    Cholesky pivots over the whole stack); the stack index of the first
+    offender counts the leading axes flattened."""
     m = _numeric_stack(values, "biufc", np.complex128, (3, 3), "density matrix")
     skew = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
     _reject(skew > TOL, "density matrix must be Hermitian, deviation", skew)
     trace_error = np.abs(np.einsum("nii->n", m) - 1.0)
     _reject(trace_error > TOL, "density matrix trace must be 1, deviation", trace_error)
-    # m + s*I factors only when every eigenvalue of m is above -s, up to a
-    # round-off far below TOL - s: so a stack that factors has none below
-    # -TOL.  One that does not is judged, and its offender named, by eigvalsh.
-    try:
-        np.linalg.cholesky(m + _positivity_shift())
-    except np.linalg.LinAlgError:
+    # m + s*I factors by Cholesky only when every eigenvalue of m is above -s,
+    # up to a round-off far below TOL - s: so a stack whose pivots, read from
+    # the lower triangle as numpy's cholesky does, are all positive has none
+    # below -TOL.  A zero pivot or an overflow makes -inf or nan, which fail
+    # the test without a warning.  A stack that fails is judged, and its
+    # offender named, by eigvalsh.
+    a = m + _positivity_shift()
+    with np.errstate(all="ignore"):
+        d0 = a[:, 0, 0].real
+        d1 = a[:, 1, 1].real - np.abs(a[:, 1, 0]) ** 2 / d0
+        l21 = a[:, 2, 1] - a[:, 2, 0] * a[:, 1, 0].conj() / d0
+        d2 = a[:, 2, 2].real - np.abs(a[:, 2, 0]) ** 2 / d0 - np.abs(l21) ** 2 / d1
+    if not ((d0 > 0) & (d1 > 0) & (d2 > 0)).all():
         smallest = np.linalg.eigvalsh(m)[:, 0]
         _reject(smallest < -TOL, "density matrix must be positive, smallest eigenvalue", smallest)
     return m
@@ -290,20 +299,20 @@ def probability_map_rank(mubs: MubSet) -> int:
     their singular values above TOL counted.
 
     When every row is a Hermitian matrix, those singular values are the
-    complex projector matrix P's, so the rank is d**2 whenever
-    P^dagger P - TOL I factors by Cholesky, as ``_check_densities`` decides
-    positivity: then every singular value exceeds sqrt(TOL) = 1e-5.  Only a
-    map that does not factor, or rows that are not Hermitian, pay for an SVD.
+    complex projector matrix P's.  A complete MUB set's projectors satisfy
+    the frame identity P^dagger P = I + vec(I) vec(I)^T, whose eigenvalues
+    are 1 and d + 1; within TOL entrywise of it, every eigenvalue is within
+    d**2 TOL of those, so the rank is d**2.  Only a map that misses the
+    identity, or rows that are not Hermitian, pay for an SVD.
     """
     projectors = _as_instance(mubs, MubSet, "mubs").projectors
     d = mubs.dim
     rows = projectors.reshape(-1, d, d)
     if np.array_equal(rows, rows.conj().swapaxes(1, 2)):
-        try:
-            np.linalg.cholesky(projectors.conj().T @ projectors - TOL * _identity(d * d))
+        vec_i = _identity(d).reshape(-1)
+        frame = projectors.conj().T @ projectors - _identity(d * d) - np.outer(vec_i, vec_i)
+        if (np.abs(frame) <= TOL).all():
             return d * d
-        except np.linalg.LinAlgError:
-            pass
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))
 
 

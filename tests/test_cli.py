@@ -13,7 +13,7 @@ import pytest
 
 import retroking
 from retroking import OMEGA, Check
-from retroking.cli import COMMANDS, RunConfig, build_parser, main
+from retroking.cli import COMMANDS, TOMOGRAPHY_STATES, RunConfig, build_parser, main, run
 from retroking import linalg, mub, protocol, reporting
 
 from conftest import _clear_caches, mutated
@@ -388,19 +388,29 @@ class TestVerify:
             assert check["name"] in text
 
     def test_passes_without_an_svd(self, capsys, monkeypatch):
-        # probability_map_rank decides rank 9 by a Cholesky factorization; an
-        # SVD is its fallback for a map that does not factor
-        def no_svd(*args, **kwargs):
-            raise AssertionError("verify ran an SVD")
+        # probability_map_rank decides rank 9 by the MUB frame identity and
+        # _check_densities positivity by the 3 x 3 Cholesky pivots; an SVD
+        # and eigvalsh are their fallbacks, for a map that misses the
+        # identity and a stack that does not factor
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"ran numpy.linalg.{name}")
+            return call
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)  # the name matrix_rank reads
-        with pytest.raises(AssertionError, match="ran an SVD"):  # the patch reaches matrix_rank
+        for name in ("cholesky", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse(name))
+            # the names matrix_rank reads
+            monkeypatch.setattr(np.linalg._linalg, name, refuse(name))
+        with pytest.raises(AssertionError, match="ran numpy.linalg.svd"):  # it reaches matrix_rank
             np.linalg.matrix_rank(np.eye(2))
-        code, report = run_json(capsys, ["verify"])
+        _clear_caches()  # the cached builders run under the patches too
+        code, report = run_json(capsys, ["verify"])  # main calls cli.run
         assert code == 0 and report["pass"] is True
         assert {"name": "probability-map-rank", "pass": True, "max_deviation": 0.0} \
             in report["checks"]
+        for state in TOMOGRAPHY_STATES:
+            assert run(RunConfig("tomography", state=state))["pass"] is True
+        assert run(RunConfig("search-bases"))["pass"] is True
 
     def test_failed_check_gives_exit_one(self, capsys, monkeypatch):
         monkeypatch.setattr(

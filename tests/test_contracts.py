@@ -46,7 +46,7 @@ from retroking import (
     simulate_rounds,
 )
 from retroking import linalg
-from retroking.cli import RunConfig
+from retroking.cli import RunConfig, run
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
 from retroking.reporting import within
@@ -94,6 +94,9 @@ from conftest import Uniform
         lambda: within("x", "abc"),
         lambda: within("x", None),
         lambda: within("x", [[0.0], [0.0, 0.0]]),
+        lambda: run("verify"),
+        # indefinite, with entries whose squares overflow
+        lambda: DensityMatrix([[1e200, 1e200, 0], [1e200, -1e200, 0], [0, 0, 1]]),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
@@ -108,6 +111,7 @@ from conftest import Uniform
         "infer-bool-basis", "run-config-bool-rounds",
         "run-config-rounds-past-blocks", "round-chunks-past-blocks",
         "within-str-deviation", "within-none-deviation", "within-ragged-deviation",
+        "cli-run-str-config", "density-overflowing-pivot",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):

@@ -198,21 +198,35 @@ class TestStackValidators:
         with pytest.raises(ContractViolation, match=message):
             mub._check_densities(stack)
 
+    # Member 37 of the positivity gate's stack: its eigenvalues, and whether
+    # they sit in a random basis or on the diagonal.
+    GATE_MEMBERS = {
+        **{str(s): ((s, 0.4, 0.6 - s), True)
+           for s in [-0.5, -2e-10, -1.01e-10, -0.99e-10, -5e-11, 0.0]},
+        "rank-1": ((0.0, 0.0, 1.0), True),  # a pure state
+        "rank-2": ((0.0, 0.3, 0.7), True),  # mixed but singular
+        # a_00 = m_00 + 0.99 TOL is exactly 0: the first pivot is zero, and
+        # eigvalsh accepts the member
+        "zero-pivot": ((-0.99 * TOL, 0.4, 0.6 + 0.99 * TOL), False),
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no pivot may warn
     @pytest.mark.parametrize("skewed", [False, True])
-    @pytest.mark.parametrize("smallest", [-0.5, -2e-10, -1.01e-10, -0.99e-10, -5e-11, 0.0])
-    def test_positivity_gate_agrees_with_eigvalsh(self, smallest, skewed):
-        # member 37 has eigenvalues (smallest, 0.4, 0.6 - smallest) in a
-        # random basis; skewed, its upper triangle is off by 0.9 TOL, which
-        # the Hermitian check lets through
+    @pytest.mark.parametrize("member", list(GATE_MEMBERS))
+    def test_positivity_gate_agrees_with_eigvalsh(self, member, skewed):
+        # skewed, member 37's upper triangle is off by 0.9 TOL, which the
+        # Hermitian check lets through
+        spectrum, rotated = self.GATE_MEMBERS[member]
         rng = np.random.default_rng(37)
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        q = q if rotated else np.eye(3)
         stack = self.stack()
-        stack[37] = q @ np.diag([smallest, 0.4, 0.6 - smallest]) @ q.conj().T
+        stack[37] = q @ np.diag(spectrum) @ q.conj().T
         stack[37, 0, 1] += 0.9 * TOL * skewed
         # the rule it replaced: one batched eigvalsh, the first offender named
         eigenvalues = np.linalg.eigvalsh(stack)[:, 0]
         bad = np.flatnonzero(eigenvalues < -TOL).tolist()
-        assert bad == ([37] if smallest < -TOL else [])
+        assert bad == ([37] if min(spectrum) < -TOL else [])
         if bad:
             want = (f"density matrix must be positive, smallest eigenvalue "
                     f"{eigenvalues[37]:.3e} (stack index 37)")
@@ -358,7 +372,7 @@ def _row_4_times_i(p):
     # a repeated basis spans nothing new: 12 rows, 7 independent
     ("qutrit_mubs", _copy_basis_2_into_3, 7),
     # i|m_k><m_k| is not Hermitian: its real and imaginary parts add a tenth
-    # direction, so the Cholesky path must not decide this one
+    # direction, so the frame identity must not decide this one
     ("qutrit_mubs", _row_4_times_i, 10),
 ])
 def test_map_rank_is_the_svd_rank_of_real_and_imaginary_parts(request, name, edit, rank):
@@ -368,6 +382,16 @@ def test_map_rank_is_the_svd_rank_of_real_and_imaginary_parts(request, name, edi
     p = mubs.projectors
     assert np.linalg.matrix_rank(np.hstack([p.real, p.imag]), tol=TOL) == rank
     assert probability_map_rank(mubs) == rank
+
+
+@pytest.mark.parametrize("name", ["qutrit_mubs", "qubit_mubs"])
+def test_projectors_satisfy_the_frame_identity(request, name):
+    # P^dagger P = I + vec(I) vec(I)^T for a complete MUB set: the fact
+    # probability_map_rank decides rank d**2 by
+    mubs = request.getfixturevalue(name)
+    p, d = mubs.projectors, mubs.dim
+    vec_i = np.eye(d).reshape(-1)
+    assert np.abs(p.conj().T @ p - np.eye(d * d) - np.outer(vec_i, vec_i)).max() <= TOL
 
 
 @pytest.mark.parametrize("name", ["qutrit_mubs", "qubit_mubs"])
