@@ -122,11 +122,6 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
         config.rounds, config.seed, config.basis
     )
     failures = config.rounds - successes
-    checks = [
-        Check("retrodiction-success", failures == 0, float(failures)),
-        protocol.word_constants_check(),
-        Check("simulate-replay", mismatches == 0, float(mismatches)),
-    ]
     data = {
         "rounds": config.rounds,
         "successes": successes,
@@ -134,6 +129,16 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
         "king_outcomes": king_grid.tolist(),
         "physicist_outcomes": physicist.tolist(),
     }
+    # conservation: each printed tally counts every round once
+    totals = (king_grid.sum(), sum(data["basis_choices"]), sum(data["physicist_outcomes"]))
+    miscount = sum(abs(int(t) - config.rounds) for t in totals)
+    miscount += abs(len(data["physicist_outcomes"]) - 9)
+    checks = [
+        Check("retrodiction-success", failures == 0, float(failures)),
+        protocol.word_constants_check(),
+        Check("simulate-replay", mismatches == 0, float(mismatches)),
+        Check("simulate-tally", miscount == 0, float(miscount)),
+    ]
     return checks, data
 
 

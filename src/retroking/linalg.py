@@ -9,6 +9,13 @@ All containers are immutable after construction (their arrays are marked
 read-only) and safe to share across threads.  Every function here is pure
 except ``sample_outcome``, which advances only the random generator passed
 to it.
+
+Every product of the package's arrays, real, complex or integer, goes through
+``_product``, numpy's own einsum loop: no ``@``, ``dot``, ``vdot`` or other
+BLAS-backed call, and no ``numpy.linalg`` routine outside the two fallbacks
+in ``mub`` for a stack or map that fails its cheap test.  The matrices are at
+most 9 x 81, where BLAS saves microseconds a call, and the first call of each
+BLAS kernel faults in ~0.1-0.4 MB of its code in every process.
 """
 
 import math
@@ -95,10 +102,27 @@ def _numeric_vector(values, kinds: str, what: str) -> np.ndarray:
     return v
 
 
+def _product(a, b) -> np.ndarray:
+    """``a @ b`` by numpy's own einsum loop, which never calls BLAS (einsum
+    without ``optimize``): the package's one product.  ``b`` is a vector or
+    a matrix, or a stack of them; ``a`` a vector, a matrix or a stack.  The
+    contraction runs over the last axis of both operands, ``b``'s made
+    contiguous, where einsum's loop is fastest; a real ``a`` meets a complex
+    matrix ``b`` as its real and imaginary parts side by side, one real
+    contraction at half the cost of a mixed one."""
+    a, b = np.asarray(a), np.asarray(b)
+    if b.ndim == 1:
+        return np.einsum("...k,k->...", a, b)
+    if b.dtype.kind == "c" and a.dtype.kind != "c":
+        return _product(a, np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
+    rows = np.ascontiguousarray(b.swapaxes(-1, -2))
+    return np.einsum("...ik,...jk->...ij" if a.ndim > 1 else "k,...jk->...j", a, rows)
+
+
 def _orthonormality_deviation(matrix: np.ndarray) -> np.ndarray:
     """|M^dagger M - I| entry by entry, for a matrix or each of a stack of
     them: zero when M's columns are orthonormal."""
-    return np.abs(matrix.conj().swapaxes(-1, -2) @ matrix - _identity(matrix.shape[-1]))
+    return np.abs(_product(matrix.conj().swapaxes(-1, -2), matrix) - _identity(matrix.shape[-1]))
 
 
 class _Record:
@@ -157,7 +181,8 @@ class StateVector(_Record):
     def __init__(self, amps: np.ndarray):
         amps = _numeric_vector(amps, "biufc", "state amplitudes").astype(np.complex128)
         # one reduction: it is NaN or infinite when an amplitude is (or on overflow)
-        norm = math.sqrt(np.vdot(amps, amps).real)
+        parts = amps.view(np.float64)  # re, im interleaved
+        norm = math.sqrt(_product(parts, parts))
         if not math.isfinite(norm) and not np.isfinite(amps).all():
             raise ContractViolation("state amplitudes must be finite")
         if not abs(norm - 1.0) <= TOL:  # a NaN norm fails too
@@ -219,7 +244,7 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugating a's amplitudes."""
     if _as_instance(a, StateVector, "bra").dim != _as_instance(b, StateVector, "ket").dim:
         raise ContractViolation(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
+    return complex(_product(a.amps.conj(), b.amps))
 
 
 def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> StateVector:
@@ -232,9 +257,9 @@ def project_and_normalize(state: StateVector, subspace_vector: StateVector) -> S
     """
     grid = _as_instance(state, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
     v = _as_instance(subspace_vector, StateVector, "a single-atom vector", 3).amps
-    flat = ((v[:, None] * v.conj()) @ grid).reshape(-1)  # np.outer's product
-    re, im = flat.real, flat.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's own sum, bit for bit
+    flat = _product(v[:, None] * v.conj(), grid).reshape(-1)  # np.outer's product
+    parts = flat.view(np.float64)  # re, im interleaved
+    norm = math.sqrt(_product(parts, parts))
     if norm < TOL:
         raise ImpossibleOutcome("projection removed the whole state")
     return StateVector(flat / norm)
@@ -245,7 +270,7 @@ def born_probabilities(state: StateVector, basis: OrthonormalBasis) -> np.ndarra
     state = _as_instance(state, StateVector, "state")
     if state.dim != _as_instance(basis, OrthonormalBasis, "basis").dim:
         raise ContractViolation(f"dimension mismatch: state {state.dim}, basis {basis.dim}")
-    overlaps = basis.matrix.conj().T @ state.amps
+    overlaps = _product(state.amps, basis.matrix.conj())
     return np.abs(overlaps) ** 2
 
 

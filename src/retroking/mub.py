@@ -30,6 +30,7 @@ from .linalg import (
     _as_instance,
     _identity,
     _orthonormality_deviation,
+    _product,
     _readonly,
 )
 from .reporting import Check, within
@@ -229,7 +230,7 @@ def _random_densities(rng: "np.random.Generator", count: int) -> np.ndarray:
     the i-th of ``count`` sequential ``random_density_matrix`` calls."""
     g = rng.standard_normal((count, 2, 3, 3))
     g = g[:, 0] + 1j * g[:, 1]
-    m = g @ g.conj().swapaxes(1, 2)
+    m = _product(g, g.conj().swapaxes(1, 2))
     return m / np.einsum("nii->n", m).real[:, None, None]
 
 
@@ -259,7 +260,7 @@ def _qutrit_projectors(mubs: MubSet) -> np.ndarray:
 
 def _probabilities(densities: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """(n, 4, 3) probabilities vec(rho) @ P^dagger of a (..., 3, 3) stack."""
-    raw = densities.reshape(-1, 9) @ projectors.conj().T
+    raw = _product(densities.reshape(-1, 9), projectors.conj().T)
     imaginary = np.abs(raw.imag).max(axis=1)
     _reject(imaginary > TOL, "probabilities came out non-real, imaginary part", imaginary)
     return raw.real.reshape(-1, 4, 3)
@@ -267,7 +268,7 @@ def _probabilities(densities: np.ndarray, projectors: np.ndarray) -> np.ndarray:
 
 def _densities(tables: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """(n, 3, 3) reconstructions (p - 1/4) @ P of a (..., 4, 3) stack."""
-    return ((tables.reshape(-1, 12) - 0.25) @ projectors).reshape(-1, 3, 3)
+    return _product(tables.reshape(-1, 12) - 0.25, projectors).reshape(-1, 3, 3)
 
 
 def probabilities_from_density(
@@ -310,7 +311,8 @@ def probability_map_rank(mubs: MubSet) -> int:
     rows = projectors.reshape(-1, d, d)
     if np.array_equal(rows, rows.conj().swapaxes(1, 2)):
         vec_i = _identity(d).reshape(-1)
-        frame = projectors.conj().T @ projectors - _identity(d * d) - np.outer(vec_i, vec_i)
+        frame = _product(projectors.conj().T, projectors) - _identity(d * d)
+        frame -= np.outer(vec_i, vec_i)
         if (np.abs(frame) <= TOL).all():
             return d * d
     return int(np.linalg.matrix_rank(np.hstack([projectors.real, projectors.imag]), tol=TOL))

@@ -30,6 +30,7 @@ from .linalg import (
     _identity,
     _index,
     _orthonormality_deviation,
+    _product,
     _readonly,
     _sample_rows,
     born_probabilities,
@@ -70,7 +71,7 @@ def selection_matrix() -> np.ndarray:
 def agreement_matrix() -> np.ndarray:
     """81 x 81 read-only: entry (i, j) counts the coordinates where
     ALL_LABELS[i] and ALL_LABELS[j] agree: S^T S, S the selection matrix."""
-    return _readonly(selection_matrix().T @ selection_matrix())
+    return _readonly(_product(selection_matrix().T, selection_matrix()))
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +124,7 @@ def build_psi_basis() -> OrthonormalBasis:
     """
     psi0 = prepare_psi0().amps
     # unmixed[m] holds the columns of trio m, un-mixed
-    unmixed = trio_matrix().reshape(4, 3, 9).transpose(0, 2, 1) @ fourier_matrix().conj().T
+    unmixed = _product(trio_matrix().reshape(4, 3, 9).transpose(0, 2, 1), fourier_matrix().conj().T)
     drift = np.abs(unmixed[:, :, 0] - psi0).max(axis=1)
     if drift.max() >= TOL:
         m = int(drift.argmax())
@@ -135,7 +136,7 @@ def build_psi_basis() -> OrthonormalBasis:
 def _label_index(labels, ndim: int) -> np.ndarray:
     """ALL_LABELS positions of bracket labels, and the one rule for what a label
     is: an integer array holds ``ndim`` axes of labels, then a last axis of four
-    digits 0..2.  intp, as uint64 @ int64 is float."""
+    digits 0..2.  intp, as a uint64 and int64 product is float."""
     try:
         array = np.asarray(labels)
     except ValueError:  # nested sequences of unequal lengths
@@ -144,7 +145,7 @@ def _label_index(labels, ndim: int) -> np.ndarray:
     if not (shaped and ((array >= 0) & (array <= 2)).all()):
         raise ContractViolation(f"bracket labels: want {ndim + 1}-d integers, a last axis of 4 "
                                 f"digits 0..2; got {array.dtype} of shape {array.shape}")
-    return array.astype(np.intp) @ (27, 9, 3, 1)
+    return _product(array.astype(np.intp), (27, 9, 3, 1))
 
 
 def overlap_law(matches):
@@ -170,8 +171,8 @@ def bracket_matrix() -> np.ndarray:
     1).  So G S = S + J and T* B = S / sqrt(3), which is selectivity; and
     S^T G S = agreement + 4J, so B^H B = (S^T G S - 5J) / 3 = (agreement - 1) / 3,
     which is the overlap law."""
-    brackets = trio_matrix().T @ selection_matrix() * 3**-0.5 - prepare_psi0().amps[:, None]
-    return _readonly(brackets)
+    brackets = _product(trio_matrix().T, selection_matrix()) * 3**-0.5
+    return _readonly(brackets - prepare_psi0().amps[:, None])
 
 
 def bracket_state(label) -> StateVector:
@@ -185,7 +186,7 @@ def bracket_gram() -> np.ndarray:
     """81 x 81 read-only Gram matrix of the bracket family: by the overlap
     law it equals overlap_law(agreement_matrix())."""
     brackets = bracket_matrix()
-    return _readonly(brackets.conj().T @ brackets)
+    return _readonly(_product(brackets.conj().T, brackets))
 
 
 class PhysicistBasis(_Record):
@@ -235,7 +236,7 @@ def _king_born(psi0: StateVector, matrices: np.ndarray) -> np.ndarray:
     """Born probabilities for measuring, on the given atom alone, the basis
     whose kets are the columns of ``matrices``, or each basis of a stack."""
     grid = _as_instance(psi0, StateVector, "a two-atom state", 9).amps.reshape(3, 3)
-    return (np.abs(matrices.conj().swapaxes(-1, -2) @ grid) ** 2).sum(axis=-1)
+    return (np.abs(_product(matrices.conj().swapaxes(-1, -2), grid)) ** 2).sum(axis=-1)
 
 
 def king_measure(
@@ -303,7 +304,7 @@ def _thirds(born: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _collapse_born(pb: PhysicistBasis) -> np.ndarray:
     """12 x 9: entry (3*m + k, j) is the probability of physicist outcome j
     after the king's outcome k in basis m, |<P_j|trio (m, k)>|^2."""
-    return np.abs(trio_matrix().conj() @ pb.basis.matrix) ** 2
+    return np.abs(_product(trio_matrix().conj(), pb.basis.matrix)) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -486,7 +487,7 @@ def tally_rounds(rounds: int, seed: int, basis: int | None = None) -> tuple:
     mismatches += run_round(basis, round_stream(seed, rounds - 1))[:4] != rows[bins[-1]]
     _, k, j, inferred = round_outcomes().T
     king = counts.reshape(4, 3, 3).sum(axis=2)  # bin b = 9m + 3k + jb
-    physicist = counts @ (j[:, None] == np.arange(9))
+    physicist = _product(counts, j[:, None] == np.arange(9))
     return king, physicist, int(counts[inferred == k].sum()), mismatches
 
 
@@ -599,9 +600,9 @@ def _measured_rounds(seed: int, rounds: int) -> np.ndarray:
     ket = kets[np.arange(rounds), :, k]
     # project_and_normalize on each round: the given atom onto its drawn ket
     grid = psi0.amps.reshape(3, 3)
-    collapsed = ((ket[:, :, None] * ket.conj()[:, None]) @ grid).reshape(rounds, 9)
+    collapsed = _product(ket[:, :, None] * ket.conj()[:, None], grid).reshape(rounds, 9)
     collapsed /= np.sqrt((collapsed.real**2 + collapsed.imag**2).sum(axis=1))[:, None]
-    born = np.abs(collapsed @ build_physicist_basis().basis.matrix.conj()) ** 2
+    born = np.abs(_product(collapsed, build_physicist_basis().basis.matrix.conj())) ** 2
     return np.stack([m, k, _sample_rows(born, draws[:, 2])], axis=1)
 
 
@@ -625,11 +626,12 @@ def invariant_checks() -> list[Check]:
     trios, kets = trio_matrix(), psi.matrix.T  # row i of kets is psi_i
     # row k of (mixing^T @ triples[m]) is column k of (psi_0, psi_2m+1, psi_2m+2) @ mixing
     triples = kets[[[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 7, 8]]]
-    checks.append(within("trio-reconstruction", np.abs(mixing.T @ triples - trios.reshape(4, 3, 9))))
+    checks.append(within("trio-reconstruction",
+                         np.abs(_product(mixing.T, triples) - trios.reshape(4, 3, 9))))
 
     # overlaps[m, k, i] = |<trio (m, k)|bracket i>|: 3**-0.5 where label i
     # selects (m, k), zero elsewhere.
-    overlaps = np.abs(trios.conj() @ bracket_matrix()).reshape(4, 3, -1)
+    overlaps = np.abs(_product(trios.conj(), bracket_matrix())).reshape(4, 3, -1)
     dev = np.where(selection_matrix().reshape(4, 3, -1), np.abs(overlaps**2 - 1.0 / 3.0), overlaps)
     checks.append(within("bracket-trio-selectivity", dev))
 

@@ -6,7 +6,9 @@ from .linalg import TOL, ContractViolation, _numeric_vector, _Record
 
 
 class Check(_Record):
-    """One named check: its pass flag and the worst deviation observed."""
+    """One named check: its pass flag and the worst deviation observed.  A
+    passing check's deviation is below TOL (a count check reports 0.0), so a
+    pass with a larger or NaN deviation is refused."""
 
     __slots__ = ("name", "passed", "max_deviation")
     __eq__ = _Record._value_eq
@@ -20,7 +22,11 @@ class Check(_Record):
         if not isinstance(max_deviation, (float, np.floating)):  # the common case needs no array
             (max_deviation,) = _numeric_vector([max_deviation], "biuf",
                                                "a check's deviation").tolist()
-        super().__init__(name, bool(passed), float(max_deviation))
+        deviation = float(max_deviation)
+        if passed and not deviation < TOL:
+            raise ContractViolation(f"check {name} passes with deviation {deviation}, "
+                                    f"not below {TOL:g}")
+        super().__init__(name, bool(passed), deviation)
 
 
 def within(name: str, deviation) -> Check:

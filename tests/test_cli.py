@@ -72,15 +72,15 @@ PINNED_STDOUT = {
     ("tables", "json"): "285adeef13604c8d1875949b4620183ee9f3fcfb143eddb26e29a9a6c60b329b",
     ("search-bases", "text"): "b182986eb755f9b3e8f337f8bd70f97c5098a5d3bf26c7d981b82bdae89f144b",
     ("search-bases", "json"): "c2430e8fbeb767314af4c183a27f4ef8a15ed8f0d651b2e216b480930d785a1a",
-    ("verify", "json", 0): "fba775c9e830b097b0e0f2f9650eb1ef6d9fe5e575b69ca248797cef642a8b2f",
+    ("verify", "json", 0): "07885a858df89fbabd90f154c3fd134a8ca915803a2e91a158782de9f62b1708",
     ("verify", "json", 2**64 - 1):
-        "3c7471fafbd9920f85eb8d72c91740d6866223b37cd89844a028357ac196d669",
-    ("verify", "text", 0): "5d8829446e9bea2143f342aa28e6423091f73138c757d3b8ddbdd536986a6ce5",
-    ("simulate", "text", 0): "06a10e2286028e94d45a42619d7c69619139e45e492c5b8275b772e888c26779",
-    ("tomography", "text", 0): "b9a4f8c30a9c1378a424a7892dc89d52f76760bf260ba66413826f9ae1a42193",
-    ("tomography", "text", 7): "6ca0827ee710f515bd29c8fe660b43475e25f93d6b9c7923f2860db662e8aa8d",
-    ("tomography", "json", 0): "dcb1ab5145b8233bd4ee9f045d1500b78b07d943b6bc210f6a651abac0b4b378",
-    ("tomography", "json", 7): "d09579cc04ab0aaaf0fa31bb99dca85e1040922d9d1eb668ad76f29fc3796dff",
+        "0ca9b27411615cd10d9e250121bbd533ffe233a8628d318ded6853d7689d5258",
+    ("verify", "text", 0): "1b639f6525e5fd2f8403d12cb730dc0abf3c199edce2540f73e2ce334af7c578",
+    ("simulate", "text", 0): "21d725a5edf87fd87c15c2e5845a7987ebb9f3abddd20b9bc083cc961e475035",
+    ("tomography", "text", 0): "47be72f7caf6b1ce9ab074dbd54aca2d9acaedd7f4ea748978103404949ec48d",
+    ("tomography", "text", 7): "5a95c97ac55591934359dad1d5e298bdbf3a48f16c2b57d1e4f1c25b6b3d090e",
+    ("tomography", "json", 0): "6a196778d1535357ee0701a72c19dabe6238be05cc47528bac6623360ec78555",
+    ("tomography", "json", 7): "aa6de9991281b2c34a8f71126692887ce7d76b18349ec48117c8bd9e1fad7f17",
 }
 
 
@@ -154,6 +154,11 @@ MUTANTS = {
     "tomography-quarter": (mub, "_densities", "- 0.25", "- 0.2"),
     "psi-unmix-unconjugated": (protocol, "build_psi_basis", "fourier_matrix().conj().T",
                                "fourier_matrix().T"),
+    "rank-deviation-plus-1": (mub, "invariant_checks", "abs(rank - 9)", "abs(rank - 10)"),
+    "rank-deviation-sum": (mub, "invariant_checks", "abs(rank - 9)", "abs(rank + 9)"),
+    "tally-physicist-complement": (protocol, "tally_rounds", "j[:, None] == np.arange(9)",
+                                   "j[:, None] != np.arange(9)"),
+    "tally-physicist-tenth": (protocol, "tally_rounds", "np.arange(9)", "np.arange(10)"),
 }
 MUTANT_RUNS = {
     "verify": ["verify"],
@@ -191,7 +196,10 @@ MUTANT_RUNS = {
 # under a wrong inference coordinate.  Only verify reads the psi basis: an
 # un-mixing by the transpose of the mixing matrix, not its adjoint, keeps
 # column 0 at psi_0, so the drift guard passes, but swaps columns 1 and 2 of
-# every trio, which only trio-reconstruction sees.
+# every trio, which only trio-reconstruction sees.  A rank deviation of 1 or
+# 18 beside a passing flag is a Check that refuses itself, so verify reports
+# a failed mub construction.  Only simulate tallies its rounds, and its
+# simulate-tally check sees a physicist count that is not conserved.
 STILL_PASSING = {
     "bracket-unconjugated": {"tomography"},
     "selection-reversed": {"search-bases", "tomography"},
@@ -210,6 +218,10 @@ STILL_PASSING = {
     "chunks-block-1": {"tables", "search-bases", "tomography"},
     "tomography-quarter": {"tables", "simulate", "search-bases"},
     "psi-unmix-unconjugated": {"tables", "simulate", "search-bases", "tomography"},
+    "rank-deviation-plus-1": {"tables", "simulate", "search-bases", "tomography"},
+    "rank-deviation-sum": {"tables", "simulate", "search-bases", "tomography"},
+    "tally-physicist-complement": {"verify", "tables", "search-bases", "tomography"},
+    "tally-physicist-tenth": {"verify", "tables", "search-bases", "tomography"},
     **dict.fromkeys(
         ["one-third-x1.01", "one-third-x1.2", "one-third-plus-1", "one-third-float"],
         {"tables", "search-bases", "tomography"},
@@ -291,7 +303,8 @@ GUARDED = {
     "qubit-basis-gram": "OrthonormalBasis: each basis of a MubSet is orthonormal within TOL",
     "qutrit-unbiasedness": "MubSet: a family with a biased pair is refused",
     "qubit-unbiasedness": "MubSet: a family with a biased pair is refused",
-    "probability-map-rank": "MubSet: a complete unbiased family has a map of rank d**2",
+    "probability-map-rank": "MubSet: a complete unbiased family has a map of rank d**2, "
+                            "and Check refuses a pass whose deviation is not below TOL",
     "entangled-four-forms": "OrthonormalBasis: each trio of a MubSet's projectors sums to vec(I)",
     "tomography-round-trip": "mub._check_densities: a reconstruction must be a density matrix",
     "tomography-reconstruction": "DensityMatrix: a reconstruction must be a density matrix",
@@ -488,6 +501,49 @@ def test_importing_the_cli_loads_no_dataclasses_or_argparse():
                        "('dataclasses', 'argparse') if m in sys.modules))"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+# Prints the resident kB of numpy's OpenBLAS mappings after importing
+# retroking and after every command has run through cli.run and passed, or
+# "skip" without a smaps file or an OpenBLAS mapping.  One BLAS thread, so
+# OpenBLAS starts no thread pool.
+BLAS_PROBE = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+def blas_rss():
+    kb, mapped, blas = 0, False, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            key, *rest = line.split()
+            if not key.endswith(":"):  # a mapping's header; its path comes last
+                blas = "openblas" in line.lower()
+                mapped |= blas
+            elif blas and key == "Rss:":
+                kb += int(rest[0])
+    return kb if mapped else None
+
+from retroking.cli import COMMANDS, RunConfig, run
+
+before = blas_rss() if os.path.exists("/proc/self/smaps") else None
+if before is None:
+    print("skip")
+else:
+    for command in COMMANDS:
+        assert run(RunConfig(command))["pass"] is True, command
+    print(before, blas_rss())
+"""
+
+
+def test_no_passing_command_touches_openblas():
+    # linalg._product keeps every product on numpy's own einsum loop: BLAS's
+    # first call of each kernel faults in its code, ~0.6 MB in all
+    done = run_python(["-c", BLAS_PROBE])
+    assert done.returncode == 0, done.stderr
+    if done.stdout.split() == ["skip"]:
+        pytest.skip("no /proc/self/smaps or no OpenBLAS mapping")
+    before, after = map(int, done.stdout.split())
+    assert after <= before, f"OpenBLAS resident kB grew from {before} to {after}"
 
 
 def test_bench_expects_only_checks_verify_reports():

@@ -26,6 +26,7 @@ from retroking import (
     ProbabilityTable,
     RoundRecord,
     StateVector,
+    TOL,
     born_probabilities,
     bracket_state,
     build_qutrit_mubs,
@@ -97,6 +98,10 @@ from conftest import Uniform
         lambda: run("verify"),
         # indefinite, with entries whose squares overflow
         lambda: DensityMatrix([[1e200, 1e200, 0], [1e200, -1e200, 0], [0, 0, 1]]),
+        # a pass reports a deviation below TOL
+        lambda: Check("x", True, 1.0),
+        lambda: Check("x", True, TOL),
+        lambda: Check("x", True, float("nan")),
     ],
     ids=[
         "state-from-matrix", "state-from-str", "state-overflowed-norm", "inner-product-int",
@@ -112,6 +117,7 @@ from conftest import Uniform
         "run-config-rounds-past-blocks", "round-chunks-past-blocks",
         "within-str-deviation", "within-none-deviation", "within-ragged-deviation",
         "cli-run-str-config", "density-overflowing-pivot",
+        "check-pass-off-tolerance", "check-pass-at-tolerance", "check-pass-nan",
     ],
 )
 def test_bad_arguments_are_contract_violations(call):
@@ -312,7 +318,7 @@ RECORDS = {
     "DensityMatrix": (lambda: DensityMatrix(entries=np.eye(3) / 3), ("entries",)),
     "ProbabilityTable": (lambda: ProbabilityTable(values=np.full((4, 3), 1 / 3)), ("values",)),
     "PhysicistBasis": (lambda: PhysicistBasis(labels=PHYSICIST_LABELS), ("labels", "basis")),
-    "Check": (lambda: Check(name="x", passed=True, max_deviation=0.5),
+    "Check": (lambda: Check(name="x", passed=True, max_deviation=5e-11),
               ("name", "passed", "max_deviation")),
     "RunConfig": (lambda: RunConfig(command="simulate", rounds=5, seed=1, basis=2,
                                     format="json", state="pure"),
@@ -321,7 +327,7 @@ RECORDS = {
 
 # The records that compare field by field, each with a twin that differs in one field.
 VALUE_TWINS = {
-    "Check": lambda: Check("x", False, 0.5),
+    "Check": lambda: Check("x", False, 5e-11),
     "RunConfig": lambda: RunConfig("simulate", rounds=5, seed=2, basis=2, format="json",
                                    state="pure"),
 }

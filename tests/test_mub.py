@@ -19,7 +19,7 @@ from retroking import (
     probability_map_rank,
     random_density_matrix,
 )
-from retroking import mub
+from retroking import linalg, mub
 
 INV_SQRT3 = 3**-0.5
 # the qubit and qutrit reference bases: ket k is e_k
@@ -169,7 +169,7 @@ def sequential_draws(seed: int, count: int) -> np.ndarray:
     draws = []
     for _ in range(count):
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        m = g @ g.conj().T
+        m = linalg._product(g, g.conj().T)
         draws.append(m / m.trace().real)
     return np.array(draws)
 

@@ -202,6 +202,54 @@ def test_the_sampling_rule_is_stated_once():
     assert found == []
 
 
+# numpy calls that multiply arrays through BLAS (or, for integers, a loop
+# that is a second spelling of the product)
+BLAS_PRODUCTS = {"dot", "vdot", "matmul", "inner", "tensordot", "vecdot", "matvec", "vecmat"}
+# the functions that may call numpy.linalg: each is the fallback for a stack
+# or a map that fails its cheap test
+LINALG_FALLBACKS = {("mub.py", "_check_densities"), ("mub.py", "probability_map_rank")}
+
+
+def _loads_numpy_linalg(node):
+    """``node`` spells numpy's linalg: ``np.linalg``, or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "linalg"
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.linalg") for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").startswith("numpy")
+            and ("linalg" in node.module or any(a.name == "linalg" for a in node.names)))
+
+
+def test_every_product_is_linalg_product():
+    # linalg._product, numpy's own einsum loop, is the one product: BLAS's
+    # first call of each kernel faults in its code in every process, to save
+    # microseconds at these sizes.  No source spells @, a BLAS-backed numpy
+    # product or einsum's optimize (which hands contractions to BLAS), and
+    # numpy.linalg runs only in the two fallbacks
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fallbacks = {
+            id(n)
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef) and (path.name, f.name) in LINALG_FALLBACKS
+            for n in ast.walk(f)
+        }
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{where}:@")
+            elif isinstance(node, ast.keyword) and node.arg == "optimize":
+                found.append(f"{where}:optimize")
+            elif _loads_numpy_linalg(node) and id(node) not in fallbacks:
+                found.append(f"{where}:linalg")
+            else:
+                found += [f"{where}:{name}" for name in sorted(_spelled(node) & BLAS_PRODUCTS)]
+    assert any(path.name == "linalg.py" for path in SOURCES)
+    assert found == []
+
+
 def test_the_cli_reads_no_round_bins():
     # round bins stay behind protocol: the cli counts, replays and reads a
     # run only through protocol.tally_rounds, so no bin crosses the module line
