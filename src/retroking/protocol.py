@@ -540,12 +540,11 @@ def _search() -> tuple[np.ndarray, tuple[tuple[BracketLabel, ...], ...]]:
         candidates = candidates[rows] & later[last]
     digits = _label_digits()
     shifted = _label_index((digits[sets] + digits[:, None, None]) % 3, 3).reshape(-1, 9)
-    # one of each: sorted rows, column 0 first, each kept if it differs from
-    # the row before.  np.unique(..., axis=0) gives the same, but imports numpy.ma
-    rows = np.sort(shifted, axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    found = _readonly(rows[np.diff(rows, axis=0, prepend=-1).any(axis=1)])
-    return found, tuple(operator.itemgetter(*s)(ALL_LABELS) for s in found.tolist())
+    # one of each, as sorted tuples, ordered as tuples are: column 0 first.  No
+    # numpy sort: its code is ~0.3 MB of every search's peak, for 648 rows
+    rows = sorted({tuple(sorted(row)) for row in shifted.tolist()})
+    found = _readonly(np.array(rows, dtype=np.intp).reshape(-1, 9))
+    return found, tuple(operator.itemgetter(*s)(ALL_LABELS) for s in rows)
 
 
 def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
@@ -560,9 +559,20 @@ def search_bases() -> tuple[tuple[BracketLabel, ...], ...]:
 
 def search_report() -> tuple[list[Check], int | None, np.ndarray]:
     """``search-bases``' certificate of ``search_bases()``: the checks
-    ``search-reference-present``, ``search-recertification`` and
-    ``search-coverage``, the reference set's index (None when absent), and
-    the sets as a (72, 9, 4) int8 array of label digits."""
+    ``search-reference-present``, ``search-recertification``,
+    ``search-coverage`` and ``search-certainty``, the reference set's index
+    (None when absent), and the sets as a (72, 9, 4) int8 array of label digits.
+
+    ``search-coverage`` counts the wrong entries of the sets' 81 x 81 label
+    pair count, plus the adjacent sets out of strictly increasing order.
+    ``search-certainty`` counts the (trio member, set) pairs where the member
+    is not selected by exactly three of the set's labels.  With
+    ``bracket-trio-selectivity`` (a bracket meets the trio member its label
+    selects with squared overlap 1/3, and no other) and
+    ``search-recertification`` (a set's nine states are orthonormal), the
+    collapse after the king's (m, k) then gives three physicist outcomes of
+    1/3, each a label with k_m = k that infers k: ``retrodiction-certainty``
+    for every set, in integers."""
     sets = search_bases()
     index = _search()[0]  # the sets' ALL_LABELS positions
     reference = tuple(sorted(PHYSICIST_LABELS))
@@ -570,10 +580,13 @@ def search_report() -> tuple[list[Check], int | None, np.ndarray]:
     reference_index = sets.index(reference) if present else None
     pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
     wrong = int((pairs.reshape(81, 81) != _coverage()).sum())
+    wrong += sum(a >= b for a, b in zip(sets, sets[1:]))
+    uncertain = int((selection_matrix()[:, index].sum(axis=2) != 3).sum())
     checks = [
         Check("search-reference-present", present, float(not present)),
         within("search-recertification", _set_deviations(index)),
         Check("search-coverage", wrong == 0, float(wrong)),
+        Check("search-certainty", uncertain == 0, float(uncertain)),
     ]
     return checks, reference_index, _label_digits()[index]
 

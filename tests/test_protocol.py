@@ -1249,6 +1249,14 @@ class TestSearchBases:
         assert np.array_equal(protocol._search()[0], unique)
         assert counts.tolist() == [9] * 72
 
+    def test_coverage_counts_sets_out_of_order(self, monkeypatch):
+        # the sets listed in reverse: each of the 71 adjacent pairs that does
+        # not strictly increase adds one to search-coverage's deviation
+        positions, labels = protocol._search()
+        monkeypatch.setattr(protocol, "_search", lambda: (positions, labels[::-1]))
+        coverage = {c.name: c for c in protocol.search_report()[0]}["search-coverage"]
+        assert (coverage.passed, coverage.max_deviation) == (False, 71.0)
+
     def test_count_and_reference_membership(self):
         sets = search_bases()
         assert len(sets) == 72  # frozen from the independent clique oracle

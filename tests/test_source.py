@@ -315,3 +315,22 @@ def test_no_library_module_imports_dataclasses():
     ]
     assert SOURCES
     assert found == []
+
+
+# numpy's sorts, spelled as functions or as array methods
+NUMPY_SORTS = {"sort", "lexsort", "argsort", "unique", "partition", "argpartition"}
+
+
+def test_no_source_sorts_with_numpy():
+    # the first numpy sort in a process faults in ~0.3 MB of numpy's sort
+    # code (measured as certify's peak RSS), which no command needs: the
+    # search orders its 648 rows as Python tuples.  No source spells a numpy
+    # sort or an array's sort method; Python's sorted() is the one sort
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in sorted(_spelled(node) & NUMPY_SORTS)
+    ]
+    assert any(path.name == "protocol.py" for path in SOURCES)
+    assert found == []
