@@ -50,10 +50,10 @@ def _identity(n: int) -> np.ndarray:
     return _readonly(np.eye(n))
 
 
-def _index(value, stop: int | None, what: str, start: int = 0) -> int:
-    """``value`` as an int in [start, stop) (no upper end when stop is None);
-    a non-integer, such as 1.5, 1.0 or True, or one out of range is a ContractViolation."""
-    if type(value) is int and start <= value and (stop is None or value < stop):
+def _index(value, stop: int, what: str, start: int = 0) -> int:
+    """``value`` as an int in [start, stop); a non-integer, such as 1.5, 1.0
+    or True, or one out of range is a ContractViolation."""
+    if type(value) is int and start <= value < stop:
         return value
     try:
         if isinstance(value, bool):
@@ -61,8 +61,8 @@ def _index(value, stop: int | None, what: str, start: int = 0) -> int:
         v = operator.index(value)
     except TypeError:
         raise ContractViolation(f"{what} must be an integer, got {value!r}") from None
-    if v < start or (stop is not None and v >= stop):
-        raise ContractViolation(f"{what} {v} outside [{start}, {'inf' if stop is None else stop})")
+    if not start <= v < stop:
+        raise ContractViolation(f"{what} {v} outside [{start}, {stop})")
     return v
 
 
@@ -88,18 +88,26 @@ def _as_generator(value, method: str):
     return value
 
 
+def _numbers(values, kinds: str, what: str, form: str, fits=None) -> np.ndarray:
+    """``values`` as an array of numpy dtype ``kinds`` that ``fits`` accepts,
+    when given: the one gate for a caller's array.  A ragged nest, another
+    dtype, or an array ``fits`` refuses is a ContractViolation naming
+    ``what`` must be ``form``; ``fits`` sees only arrays of ``kinds``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # nested sequences of unequal lengths
+        raise ContractViolation(f"{what} must form a regular array") from None
+    if array.dtype.kind not in kinds or (fits is not None and not fits(array)):
+        raise ContractViolation(
+            f"{what} must be {form}, got shape {array.shape} of dtype {array.dtype}"
+        )
+    return array
+
+
 def _numeric_vector(values, kinds: str, what: str) -> np.ndarray:
     """``values`` as a 1-d array of numpy dtype ``kinds``; anything else,
     such as a matrix, a string or a ragged list, is a ContractViolation."""
-    try:
-        v = np.asarray(values)
-    except ValueError:
-        raise ContractViolation(f"{what} must form a regular array") from None
-    if v.ndim != 1 or v.dtype.kind not in kinds:
-        raise ContractViolation(
-            f"{what} must be a 1-d array of numbers, got shape {v.shape} of dtype {v.dtype}"
-        )
-    return v
+    return _numbers(values, kinds, what, "a 1-d array of numbers", lambda v: v.ndim == 1)
 
 
 def _product(a, b) -> np.ndarray:

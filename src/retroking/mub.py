@@ -29,6 +29,7 @@ from .linalg import (
     _as_generator,
     _as_instance,
     _identity,
+    _numbers,
     _orthonormality_deviation,
     _product,
     _readonly,
@@ -142,16 +143,8 @@ def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str)
     """A ``dtype`` copy of a (..., *shape) stack of finite numbers of numpy
     dtype ``kinds``, flattened to (n, *shape); anything else is a
     ContractViolation."""
-    try:
-        raw = np.asarray(values)
-    except ValueError:
-        raise ContractViolation(f"{what} entries must form a regular array") from None
-    if raw.dtype.kind not in kinds:
-        raise ContractViolation(f"{what} entries must be numbers, got dtype {raw.dtype}")
-    if raw.shape[-2:] != shape:
-        raise ContractViolation(
-            f"expected {what} stacks of shape (..., {shape[0]}, {shape[1]}), got {raw.shape}"
-        )
+    form = f"a (..., {shape[0]}, {shape[1]}) stack of numbers"
+    raw = _numbers(values, kinds, what, form, lambda a: a.shape[-2:] == shape)
     stack = raw.astype(dtype).reshape(-1, *shape)
     _reject(~np.isfinite(stack).all(axis=(1, 2)), f"{what} entries must be finite")
     return stack

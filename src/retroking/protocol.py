@@ -29,6 +29,7 @@ from .linalg import (
     _as_instance,
     _identity,
     _index,
+    _numbers,
     _orthonormality_deviation,
     _product,
     _readonly,
@@ -137,14 +138,9 @@ def _label_index(labels, ndim: int) -> np.ndarray:
     """ALL_LABELS positions of bracket labels, and the one rule for what a label
     is: an integer array holds ``ndim`` axes of labels, then a last axis of four
     digits 0..2.  intp, as a uint64 and int64 product is float."""
-    try:
-        array = np.asarray(labels)
-    except ValueError:  # nested sequences of unequal lengths
-        raise ContractViolation("bracket labels must form a regular array") from None
-    shaped = array.dtype.kind in "iu" and array.shape[ndim:] == (4,)
-    if not (shaped and ((array >= 0) & (array <= 2)).all()):
-        raise ContractViolation(f"bracket labels: want {ndim + 1}-d integers, a last axis of 4 "
-                                f"digits 0..2; got {array.dtype} of shape {array.shape}")
+    array = _numbers(labels, "iu", "bracket labels",
+                     f"{ndim + 1}-d integers with a last axis of 4 digits 0..2",
+                     lambda a: a.shape[ndim:] == (4,) and ((a >= 0) & (a <= 2)).all())
     return _product(array.astype(np.intp), (27, 9, 3, 1))
 
 
@@ -625,7 +621,8 @@ def invariant_checks() -> list[Check]:
 
     psi0 = prepare_psi0()
     forms = entangled_forms()
-    checks.append(within("entangled-four-forms", [1.0 - abs(inner_product(psi0, f)) for f in forms]))
+    distances = [abs(1.0 - abs(inner_product(psi0, f))) for f in forms]  # each |<psi_0|f>| is 1
+    checks.append(within("entangled-four-forms", distances))
 
     psi = build_psi_basis()
     gram = _orthonormality_deviation(psi.matrix)

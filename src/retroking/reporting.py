@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .linalg import TOL, ContractViolation, _numeric_vector, _Record
+from .linalg import TOL, ContractViolation, _numbers, _Record
 
 
 class Check(_Record):
@@ -20,8 +20,8 @@ class Check(_Record):
                 f"a check takes a string name and a bool flag, got {name!r}, {passed!r}"
             )
         if not isinstance(max_deviation, (float, np.floating)):  # the common case needs no array
-            (max_deviation,) = _numeric_vector([max_deviation], "biuf",
-                                               "a check's deviation").tolist()
+            max_deviation = _numbers(max_deviation, "biuf", "a check's deviation",
+                                     "a real number", lambda a: a.ndim == 0).item()
         deviation = float(max_deviation)
         if passed and not deviation < TOL:
             raise ContractViolation(f"check {name} passes with deviation {deviation}, "
@@ -35,17 +35,8 @@ def within(name: str, deviation) -> Check:
     that entry is the reported deviation.  An empty deviation measured
     nothing, so it fails with deviation 0.  A deviation that is not numbers,
     such as a string or None, is a ContractViolation."""
-    if isinstance(deviation, float):  # its own largest entry, with no array
-        worst = deviation
-    else:
-        try:
-            deviation = np.asarray(deviation)
-        except ValueError:  # nested sequences of unequal lengths
-            raise ContractViolation(f"{name}: a deviation must form a regular array") from None
-        if deviation.dtype.kind not in "biuf":
-            raise ContractViolation(f"{name}: a deviation must be real numbers, "
-                                    f"got dtype {deviation.dtype}")
-        if not deviation.size:
-            return Check(name, False, 0.0)
-        worst = np.maximum.reduce(deviation, axis=None)
+    deviation = _numbers(deviation, "biuf", f"{name}: a deviation", "real numbers")
+    if not deviation.size:
+        return Check(name, False, 0.0)
+    worst = np.maximum.reduce(deviation, axis=None)
     return Check(name, worst < TOL, worst)

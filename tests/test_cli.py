@@ -72,10 +72,10 @@ PINNED_STDOUT = {
     ("tables", "json"): "285adeef13604c8d1875949b4620183ee9f3fcfb143eddb26e29a9a6c60b329b",
     ("search-bases", "text"): "772a2561b41b2a5d6c2549b12867e43f1486ae3b678f84b2178e8dff33983492",
     ("search-bases", "json"): "f18c162a7896f8f87869b19053e49c030ff44dbd382682427562b0490f9bb8c9",
-    ("verify", "json", 0): "07885a858df89fbabd90f154c3fd134a8ca915803a2e91a158782de9f62b1708",
+    ("verify", "json", 0): "ff73f18945e5dfde1719691351ea035d0e7accdd6fd4b9b3fe81458fb47bb36e",
     ("verify", "json", 2**64 - 1):
-        "0ca9b27411615cd10d9e250121bbd533ffe233a8628d318ded6853d7689d5258",
-    ("verify", "text", 0): "1b639f6525e5fd2f8403d12cb730dc0abf3c199edce2540f73e2ce334af7c578",
+        "728b18c1f1abbc5fc920bd0812c3ae2ee05c57b0b8c6defe77d095666a208d7f",
+    ("verify", "text", 0): "45cc917723bbe074290d7673c9423ca9358c73ba073a84458a6acdad83fd025d",
     ("simulate", "text", 0): "21d725a5edf87fd87c15c2e5845a7987ebb9f3abddd20b9bc083cc961e475035",
     ("tomography", "text", 0): "47be72f7caf6b1ce9ab074dbd54aca2d9acaedd7f4ea748978103404949ec48d",
     ("tomography", "text", 7): "5a95c97ac55591934359dad1d5e298bdbf3a48f16c2b57d1e4f1c25b6b3d090e",
@@ -344,6 +344,26 @@ def test_equivalent_mutants_change_no_report(capsys, mutant):
     expected = _json_reports(capsys)
     with mutated(*EQUIVALENT[mutant]):
         assert _json_reports(capsys) == expected
+
+
+def test_every_deviation_handed_to_within_is_a_distance(capsys, monkeypatch):
+    # a reported deviation is how far a value lies from its law, never below
+    # zero: a signed one prints 0 or less where it is off by round-off
+    lowest = {}
+    original = reporting.within
+
+    def recording(name, deviation):
+        entries = np.asarray(deviation, dtype=float)
+        lowest[name] = min(lowest.get(name, np.inf), entries.min(initial=np.inf))
+        return original(name, deviation)
+
+    for module in (reporting, mub, protocol, retroking.cli):
+        monkeypatch.setattr(module, "within", recording)
+    for argv in MUTANT_RUNS.values():
+        assert main(argv + ["--format", "json"]) == 0
+    capsys.readouterr()
+    assert "entangled-four-forms" in lowest
+    assert {name: low for name, low in lowest.items() if low < 0} == {}
 
 
 @pytest.mark.parametrize("command", ["tables", "simulate", "search-bases", "tomography"])

@@ -46,7 +46,7 @@ from retroking import (
     sample_outcome,
     simulate_rounds,
 )
-from retroking import linalg
+from retroking import linalg, mub
 from retroking.cli import RunConfig, run
 from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
@@ -134,6 +134,35 @@ def test_within_fails_an_empty_deviation():
     # an empty deviation measured nothing
     assert within("x", np.zeros(0)) == Check("x", False, 0.0)
     assert within("x", []) == Check("x", False, 0.0)
+
+
+# Every entry point that takes an array of numbers from its caller, and the
+# labels among them: linalg._numbers words each refusal.
+ARRAY_ENTRY_POINTS = {
+    "state": StateVector,
+    "sample": lambda a: sample_outcome(a, np.random.default_rng(0)),
+    "density": DensityMatrix,
+    "table": ProbabilityTable,
+    "density-stack": mub._check_densities,
+    "bracket": bracket_state,
+    "physicist-basis": PhysicistBasis,
+    "within": lambda a: within("x", a),
+    "check": lambda a: Check("x", False, a),
+}
+LABEL_ENTRY_POINTS = {"bracket", "physicist-basis"}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_ENTRY_POINTS))
+@pytest.mark.parametrize(("value", "ending"), [
+    ([[1, 0], [0]], "must form a regular array"),
+    ([["a", "b"], ["c", "d"]], "got shape (2, 2) of dtype <U1"),
+], ids=["ragged", "strings"])
+def test_every_array_entry_point_refuses_in_one_form(name, value, ending):
+    with pytest.raises(ContractViolation) as refused:
+        ARRAY_ENTRY_POINTS[name](value)
+    message = str(refused.value)
+    assert message.endswith(ending), message
+    assert message.startswith("bracket labels") == (name in LABEL_ENTRY_POINTS), message
 
 
 # Candidate bracket labels and whether they are labels.

@@ -334,3 +334,28 @@ def test_no_source_sorts_with_numpy():
     ]
     assert any(path.name == "protocol.py" for path in SOURCES)
     assert found == []
+
+
+def _catches_value_error(handler):
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught)
+
+
+def test_only_the_array_gate_catches_value_error():
+    # linalg._numbers is the one code that turns a caller's value into an
+    # array, and so the one place numpy's ValueError for a ragged nest
+    # becomes a ContractViolation: no other source handles a ValueError
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # handler -> its innermost function: ast.walk visits outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(h), func.name) for h in ast.walk(func)
+                             if isinstance(h, ast.ExceptHandler))
+        found += [
+            f"{path.name}:{owner.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and _catches_value_error(node)
+        ]
+    assert found == ["linalg.py:_numbers"]
