@@ -5,6 +5,7 @@ and a nine-state final measurement whose outcome pins down, with
 certainty, the result of an unknown intermediate measurement.
 """
 
+# the layers in the order they build on each other: linalg imports numpy first
 from .linalg import (
     TOL,
     ContractViolation,
@@ -31,24 +32,26 @@ from .mub import (
     qutrit_basis_matrices,
     random_density_matrix,
 )
-from .protocol import (
+from .brackets import (
     ALL_LABELS,
     PHYSICIST_LABELS,
     PhysicistBasis,
-    RoundRecord,
     bracket_state,
     build_physicist_basis,
     build_psi_basis,
     entangled_forms,
-    exhaustive_verify,
     infer,
-    king_measure,
     prepare_psi0,
+    search_bases,
+    trio_matrix,
+)
+from .protocol import (
+    RoundRecord,
+    exhaustive_verify,
+    king_measure,
     round_stream,
     run_round,
-    search_bases,
     simulate_rounds,
-    trio_matrix,
 )
 from .reporting import Check
 

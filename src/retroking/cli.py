@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import mub, protocol
+from . import brackets, mub, protocol
 from .linalg import TOL, ContractViolation, _as_instance, _index, _Record
 from .mub import OMEGA
 from .reporting import Check, within
@@ -99,20 +99,20 @@ def cmd_tables(config: RunConfig) -> tuple[list[Check], dict]:
     data = {
         "basis_matrices": [_matrix_json(m) for m in matrices],
         "mixing_matrix": _matrix_json(mub.fourier_matrix()),
-        "physicist_labels": [list(lab) for lab in protocol.PHYSICIST_LABELS],
+        "physicist_labels": [list(lab) for lab in brackets.PHYSICIST_LABELS],
         "inference_table": [
-            [protocol.infer(m, j) for m in range(4)] for j in range(9)
+            [brackets.infer(m, j) for m in range(4)] for j in range(9)
         ],
-        "overlap_by_matches": {str(c): protocol.overlap_law(c) for c in range(5)},
+        "overlap_by_matches": {str(c): brackets.overlap_law(c) for c in range(5)},
     }
     # the printed tables, against the round engine's bins and the bracket Gram
-    wrong = sum(inferred != k or k != protocol.infer(m, j)
+    wrong = sum(inferred != k or k != brackets.infer(m, j)
                 for m, k, j, inferred in protocol.round_outcomes().tolist())
     printed = np.array([data["overlap_by_matches"][str(c)] for c in range(5)])
     checks = [
         Check("tables-inference", wrong == 0, float(wrong)),
         within("tables-overlap-law",
-               np.abs(protocol.bracket_gram() - printed[protocol.agreement_matrix()])),
+               np.abs(brackets.bracket_gram() - printed[brackets.agreement_matrix()])),
     ]
     return checks, data
 
@@ -143,7 +143,7 @@ def cmd_simulate(config: RunConfig) -> tuple[list[Check], dict]:
 
 
 def cmd_search(config: RunConfig) -> tuple[list[Check], dict]:
-    checks, reference_index, digits = protocol.search_report()
+    checks, reference_index, digits = brackets.search_report()
     data = {"count": len(digits), "reference_index": reference_index, "bases": digits.tolist()}
     return checks, data
 

@@ -139,12 +139,16 @@ def certify_unbiasedness(mubs: MubSet) -> list[Check]:
     ]
 
 
-def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str) -> np.ndarray:
+def _numeric_stack(values, kinds: str, dtype, shape: tuple[int, int], what: str,
+                   one: bool = False) -> np.ndarray:
     """A ``dtype`` copy of a (..., *shape) stack of finite numbers of numpy
-    dtype ``kinds``, flattened to (n, *shape); anything else is a
-    ContractViolation."""
+    dtype ``kinds``, or of one such matrix when ``one``, flattened to
+    (n, *shape); anything else is a ContractViolation.  The caller's value is
+    converted once, by the gate."""
     form = f"a (..., {shape[0]}, {shape[1]}) stack of numbers"
     raw = _numbers(values, kinds, what, form, lambda a: a.shape[-2:] == shape)
+    if one and raw.ndim != 2:
+        raise ContractViolation(f"expected one {shape[0]}x{shape[1]} {what}, got a stack")
     stack = raw.astype(dtype).reshape(-1, *shape)
     _reject(~np.isfinite(stack).all(axis=(1, 2)), f"{what} entries must be finite")
     return stack
@@ -166,12 +170,12 @@ def _positivity_shift() -> np.ndarray:
     return _readonly(0.99 * TOL * _identity(3))
 
 
-def _check_densities(values) -> np.ndarray:
+def _check_densities(values, one: bool = False) -> np.ndarray:
     """Validated (n, 3, 3) complex copy of a (..., 3, 3) stack of density
-    matrices: each finite, Hermitian, of unit trace and positive (the 3 x 3
-    Cholesky pivots over the whole stack); the stack index of the first
-    offender counts the leading axes flattened."""
-    m = _numeric_stack(values, "biufc", np.complex128, (3, 3), "density matrix")
+    matrices, or of one when ``one``: each finite, Hermitian, of unit trace
+    and positive (the 3 x 3 Cholesky pivots over the whole stack); the stack
+    index of the first offender counts the leading axes flattened."""
+    m = _numeric_stack(values, "biufc", np.complex128, (3, 3), "density matrix", one)
     skew = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
     _reject(skew > TOL, "density matrix must be Hermitian, deviation", skew)
     trace_error = np.abs(np.einsum("nii->n", m) - 1.0)
@@ -194,11 +198,12 @@ def _check_densities(values) -> np.ndarray:
     return m
 
 
-def _check_tables(values) -> np.ndarray:
+def _check_tables(values, one: bool = False) -> np.ndarray:
     """Validated (n, 4, 3) float copy, clipped to [0, 1], of a (..., 4, 3)
-    stack of probability tables: each finite, in [0, 1] and with rows
-    summing to 1; the stack index counts the leading axes flattened."""
-    v = _numeric_stack(values, "biuf", np.float64, (4, 3), "probability table")
+    stack of probability tables, or of one when ``one``: each finite, in
+    [0, 1] and with rows summing to 1; the stack index counts the leading
+    axes flattened."""
+    v = _numeric_stack(values, "biuf", np.float64, (4, 3), "probability table", one)
     outside = np.maximum(-v, v - 1.0).max(axis=(1, 2))
     _reject(outside > TOL, "probabilities must lie in [0, 1], overshoot", outside)
     row_error = np.abs(v.sum(axis=2) - 1.0).max(axis=1)
@@ -212,10 +217,7 @@ class DensityMatrix(_Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: np.ndarray):
-        m = _check_densities(entries)
-        if np.ndim(entries) != 2:
-            raise ContractViolation("expected one 3x3 density matrix, got a stack")
-        super().__init__(m[0])
+        super().__init__(_check_densities(entries, one=True)[0])
 
 
 def _random_densities(rng: "np.random.Generator", count: int) -> np.ndarray:
@@ -239,10 +241,7 @@ class ProbabilityTable(_Record):
     __slots__ = ("values",)
 
     def __init__(self, values: np.ndarray):
-        v = _check_tables(values)
-        if np.ndim(values) != 2:
-            raise ContractViolation("expected one 4x3 probability table, got a stack")
-        super().__init__(v[0])
+        super().__init__(_check_tables(values, one=True)[0])
 
 
 def _qutrit_projectors(mubs: MubSet) -> np.ndarray:

@@ -1,12 +1,13 @@
 import contextlib
 import inspect
+import sys
 import textwrap
 
 import hypothesis
 import numpy as np
 import pytest
 
-from retroking import cli, linalg, mub, protocol, reporting
+from retroking import linalg
 from retroking import (
     StateVector,
     build_physicist_basis,
@@ -22,8 +23,14 @@ hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
 
 
+def _package_modules():
+    """The retroking package and every one of its modules loaded so far."""
+    return [module for key, module in list(sys.modules.items())
+            if key == "retroking" or key.startswith("retroking.")]
+
+
 def _clear_caches():
-    for module in (linalg, mub, protocol):
+    for module in _package_modules():
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -34,12 +41,12 @@ def mutated(module, name, fragment, replacement):
     """Run with ``module.name`` rebuilt from its source with ``fragment``
     replaced, in the module's own namespace, bound in its place in every
     package module that imported it by name, and every cached builder of
-    linalg, mub and protocol cleared; the original is restored, and the
-    caches cleared again, on exit."""
+    the package cleared; the original is restored, and the caches cleared
+    again, on exit."""
     original = getattr(module, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(fragment) == 1, (name, fragment)
-    holders = [m for m in (linalg, reporting, mub, protocol, cli) if vars(m).get(name) is original]
+    holders = [m for m in _package_modules() if vars(m).get(name) is original]
     try:
         exec(source.replace(fragment, replacement), vars(module))
         for holder in holders:

@@ -14,7 +14,7 @@ import pytest
 import retroking
 from retroking import OMEGA, Check
 from retroking.cli import COMMANDS, TOMOGRAPHY_STATES, RunConfig, build_parser, main, run
-from retroking import linalg, mub, protocol, reporting
+from retroking import brackets, linalg, mub, protocol, reporting
 
 from conftest import _clear_caches, mutated
 
@@ -128,11 +128,11 @@ def test_verify_reports_a_builder_that_raises(capsys, psi_basis_raises):
 # ``mutated`` cannot rewrite.
 ONE_THIRD = protocol.ONE_THIRD
 MUTANTS = {
-    "bracket-unconjugated": (protocol, "bracket_matrix", " - prepare_psi0().amps[:, None]", ""),
-    "selection-reversed": (protocol, "selection_matrix", "np.arange(3)", "np.arange(3)[::-1]"),
-    "overlap-law": (protocol, "overlap_law", "/ 3.0", "/ 3.1"),
-    "label-index": (protocol, "_label_index", "(27, 9, 3, 1)", "(27, 9, 1, 3)"),
-    "trio-conjugated": (protocol, "trio_matrix", ".projectors", ".projectors.conj()"),
+    "bracket-unconjugated": (brackets, "bracket_matrix", " - prepare_psi0().amps[:, None]", ""),
+    "selection-reversed": (brackets, "selection_matrix", "np.arange(3)", "np.arange(3)[::-1]"),
+    "overlap-law": (brackets, "overlap_law", "/ 3.0", "/ 3.1"),
+    "label-index": (brackets, "_label_index", "(27, 9, 3, 1)", "(27, 9, 1, 3)"),
+    "trio-conjugated": (brackets, "trio_matrix", ".projectors", ".projectors.conj()"),
     "bias-diagonal": (mub, "_bias", "np.fill_diagonal(bias, 0.0)", "pass"),
     "collapse-unconjugated": (protocol, "_collapse_born", "trio_matrix().conj()",
                               "trio_matrix()"),
@@ -140,21 +140,21 @@ MUTANTS = {
     "projector-unconjugated": (mub, "MubSet", "u, u.conj())", "u, u)"),
     "thirds-off": (protocol, "_thirds", "1.0 / 3.0", "0.3"),
     "sum-doubled": (linalg, "sample_outcome", "abs(p.sum()", "abs(p.sum() * 2"),
-    "search-drops-last": (protocol, "_search", ".tolist()})", ".tolist()})[:-1]"),
-    "search-every-other": (protocol, "_search", ".tolist()})", ".tolist()})[::2]"),
-    "search-reversed": (protocol, "_search", ".tolist()})", ".tolist()}, reverse=True)"),
-    "certainty-eight-labels": (protocol, "search_report", "[:, index].sum", "[:, index[:, 1:]].sum"),
+    "search-drops-last": (brackets, "_search", ".tolist()})", ".tolist()})[:-1]"),
+    "search-every-other": (brackets, "_search", ".tolist()})", ".tolist()})[::2]"),
+    "search-reversed": (brackets, "_search", ".tolist()})", ".tolist()}, reverse=True)"),
+    "certainty-eight-labels": (brackets, "search_report", "[:, index].sum", "[:, index[:, 1:]].sum"),
     "one-third-x1.01": (protocol, "ONE_THIRD", ONE_THIRD * 101 // 100),
     "one-third-x1.2": (protocol, "ONE_THIRD", ONE_THIRD * 6 // 5),
     "one-third-plus-1": (protocol, "ONE_THIRD", ONE_THIRD + 1),
     "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
-    "search-finds-nothing": (protocol, "_search", ".tolist()})", ".tolist()})[:0]"),
-    "infer-coordinate": (protocol, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
+    "search-finds-nothing": (brackets, "_search", ".tolist()})", ".tolist()})[:0]"),
+    "infer-coordinate": (brackets, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
     "map-words-basis": (protocol, "_map_words", "words[:, 0] >> 62", "words[:, 3] >> 62"),
     "run-round-basis": (protocol, "run_round", "m = w0 >> 62", "m = w2 >> 62"),
     "chunks-block-1": (protocol, "round_chunks", "round_stream(seed, 0)", "round_stream(seed, 1)"),
     "tomography-quarter": (mub, "_densities", "- 0.25", "- 0.2"),
-    "psi-unmix-unconjugated": (protocol, "build_psi_basis", "fourier_matrix().conj().T",
+    "psi-unmix-unconjugated": (brackets, "build_psi_basis", "fourier_matrix().conj().T",
                                "fourier_matrix().T"),
     "rank-deviation-plus-1": (mub, "invariant_checks", "abs(rank - 9)", "abs(rank - 10)"),
     "rank-deviation-sum": (mub, "invariant_checks", "abs(rank - 9)", "abs(rank + 9)"),
@@ -357,7 +357,7 @@ def test_every_deviation_handed_to_within_is_a_distance(capsys, monkeypatch):
         lowest[name] = min(lowest.get(name, np.inf), entries.min(initial=np.inf))
         return original(name, deviation)
 
-    for module in (reporting, mub, protocol, retroking.cli):
+    for module in (reporting, mub, brackets, protocol, retroking.cli):
         monkeypatch.setattr(module, "within", recording)
     for argv in MUTANT_RUNS.values():
         assert main(argv + ["--format", "json"]) == 0
@@ -718,7 +718,7 @@ class TestSearchBases:
         ref = report["data"]["reference_index"]
         assert ref is not None
         listed = [tuple(lab) for lab in report["data"]["bases"][ref]]
-        assert set(listed) == set(map(tuple, map(list, protocol.PHYSICIST_LABELS)))
+        assert set(listed) == set(map(tuple, map(list, brackets.PHYSICIST_LABELS)))
         names = {c["name"]: c["pass"] for c in report["checks"]}
         assert names["search-reference-present"]
         assert names["search-recertification"]
@@ -733,12 +733,12 @@ class TestSearchBases:
             raise AssertionError("cmd_search re-derived label positions")
 
         _clear_caches()
-        protocol._search()
-        monkeypatch.setattr(protocol, "_label_index", refused)
+        brackets._search()
+        monkeypatch.setattr(brackets, "_label_index", refused)
         for _ in range(2):
             checks, data = COMMANDS["search-bases"][0](RunConfig("search-bases"))
             assert all(c.passed for c in checks) and data["count"] == 72
-        assert protocol._search.cache_info().misses == 1
+        assert brackets._search.cache_info().misses == 1
         _clear_caches()
 
 

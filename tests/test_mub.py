@@ -163,6 +163,34 @@ class TestProbabilityTable:
             ProbabilityTable(values)
 
 
+class Converted:
+    """An array-like that counts how often numpy converts it."""
+
+    def __init__(self, array):
+        self.array = array
+        self.conversions = 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.conversions += 1
+        return self.array if dtype is None else self.array.astype(dtype)
+
+
+@pytest.mark.parametrize(("record", "value", "shape"), [
+    (DensityMatrix, np.eye(3) / 3, "3x3"),
+    (ProbabilityTable, np.full((4, 3), 1 / 3), "4x3"),
+], ids=["density", "table"])
+def test_a_record_converts_its_value_once(record, value, shape):
+    # the gate's array decides one matrix against a stack, so a caller's
+    # value is converted once, whether it is taken or refused as a stack
+    one = Converted(value)
+    assert np.array_equal(getattr(record(one), record.__slots__[0]), value)
+    assert one.conversions == 1
+    stack = Converted(value[None])
+    with pytest.raises(ContractViolation, match=f"expected one {shape} .*, got a stack"):
+        record(stack)
+    assert stack.conversions == 1
+
+
 def sequential_draws(seed: int, count: int) -> np.ndarray:
     """GG*/tr(GG*) drawn one matrix at a time: real parts of G, then imaginary."""
     rng = np.random.default_rng(seed)

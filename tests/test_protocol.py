@@ -41,7 +41,7 @@ from retroking import (
     simulate_rounds,
     trio_matrix,
 )
-from retroking import cli, linalg, mub, protocol
+from retroking import brackets, cli, linalg, mub, protocol
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
 
 from conftest import Uniform, _clear_caches, forced_collapse, mutated, sample_many
@@ -86,7 +86,7 @@ def float_rows():
     """The float Born vectors the explicit path samples from: king rows
     m = 0..3, then collapse rows 3*m + k."""
     psi0 = prepare_psi0()
-    physicist = protocol.build_physicist_basis().basis
+    physicist = brackets.build_physicist_basis().basis
     rows = [protocol._king_born(psi0, matrix) for matrix in build_qutrit_mubs().matrices]
     return rows + [
         born_probabilities(forced_collapse(m, k)[1], physicist)
@@ -111,7 +111,7 @@ def as_lists(records):
 def law_overlap(a, b):
     """The overlap law at the matches of labels a and b, read off the agreement matrix."""
     i, j = ALL_LABELS.index(a), ALL_LABELS.index(b)
-    return protocol.overlap_law(protocol.agreement_matrix()[i, j])
+    return brackets.overlap_law(brackets.agreement_matrix()[i, j])
 
 
 class TestPreparation:
@@ -351,16 +351,16 @@ class TestBracketStates:
 
 class TestBracketFamily:
     def test_columns_are_bracket_states(self):
-        brackets = protocol.bracket_matrix()
-        assert brackets.shape == (9, 81)
+        family = brackets.bracket_matrix()
+        assert family.shape == (9, 81)
         for i, label in enumerate(ALL_LABELS):
-            assert np.array_equal(brackets[:, i], bracket_state(label).amps)
+            assert np.array_equal(family[:, i], bracket_state(label).amps)
 
     def test_every_searched_basis_measures_its_columns(self):
         for labels in search_bases():
             positions = [ALL_LABELS.index(lab) for lab in labels]
             matrix = PhysicistBasis(labels).basis.matrix
-            assert np.array_equal(matrix, protocol.bracket_matrix()[:, positions])
+            assert np.array_equal(matrix, brackets.bracket_matrix()[:, positions])
 
     @pytest.mark.parametrize("matches", range(5))
     def test_tables_print_the_overlap_law(self, matches):
@@ -375,22 +375,22 @@ class TestBracketFamily:
         coefficients[0] = 1 / 3
         coefficients[1::2] = OMEGA ** np.array(ALL_LABELS).T / 3
         coefficients[2::2] = coefficients[1::2].conj()
-        reference = protocol.build_psi_basis().matrix @ coefficients
-        assert np.abs(protocol.bracket_matrix() - reference).max() < 1e-15
+        reference = brackets.build_psi_basis().matrix @ coefficients
+        assert np.abs(brackets.bracket_matrix() - reference).max() < 1e-15
 
     def test_selection_matrix_marks_the_selected_trio_members(self):
-        selection = protocol.selection_matrix()
+        selection = brackets.selection_matrix()
         assert selection.shape == (12, 81) and selection.dtype == np.int8
         for i, label in enumerate(ALL_LABELS):
             assert selection[:, i].tolist() == [int(label[m] == k) for m in range(4) for k in range(3)]
 
     def test_trios_meet_each_bracket_as_selected(self):
         # T* B = S / sqrt(3), phases included
-        overlaps = protocol.trio_matrix().conj() @ protocol.bracket_matrix()
-        assert np.abs(overlaps - protocol.selection_matrix() * 3**-0.5).max() < 1e-15
+        overlaps = brackets.trio_matrix().conj() @ brackets.bracket_matrix()
+        assert np.abs(overlaps - brackets.selection_matrix() * 3**-0.5).max() < 1e-15
 
     def test_agreement_matrix_counts_matching_coordinates(self):
-        agreement = protocol.agreement_matrix()
+        agreement = brackets.agreement_matrix()
         assert agreement.shape == (81, 81)
         for i, a in enumerate(ALL_LABELS):
             assert agreement[i].tolist() == [
@@ -418,12 +418,20 @@ def _writable_paths(result, name):
     return [path for path, array in arrays.items() if array.flags.writeable]
 
 
-CACHED_BUILDERS = {
-    f"{f.__module__}.{f.__qualname__}": f
-    for module in (mub, protocol)
-    for f in vars(module).values()
-    if hasattr(f, "cache_clear") and not inspect.signature(f).parameters
-}
+def _cached_builders(*modules):
+    """Every argument-free cached builder the modules hold, each named by the
+    first module that holds it: protocol names the bracket builders it
+    re-exports, and brackets only those it keeps to itself."""
+    found = {}
+    for module in modules:
+        for name, f in vars(module).items():
+            if (hasattr(f, "cache_clear") and not inspect.signature(f).parameters
+                    and f not in found.values()):
+                found[f"{module.__name__}.{name}"] = f
+    return found
+
+
+CACHED_BUILDERS = _cached_builders(mub, protocol, brackets)
 
 
 def test_cached_builders_are_all_listed():
@@ -461,8 +469,8 @@ def test_a_record_holding_a_writable_array_is_caught():
 
 
 def set_deviations(label_sets):
-    """protocol._set_deviations of a stack of label sets, placed by the one label rule."""
-    return protocol._set_deviations(protocol._label_index(label_sets, 2))
+    """brackets._set_deviations of a stack of label sets, placed by the one label rule."""
+    return brackets._set_deviations(brackets._label_index(label_sets, 2))
 
 
 class TestLabelSetDeviations:
@@ -477,7 +485,7 @@ class TestLabelSetDeviations:
         assert set_deviations(labels)[0] < TOL
 
     def test_every_searched_set_is_orthonormal(self):
-        deviations = protocol._set_deviations(protocol._search()[0])
+        deviations = brackets._set_deviations(brackets._search()[0])
         assert deviations.shape == (72,)
         assert deviations.max() < TOL
 
@@ -499,11 +507,12 @@ class TestDoctoredBracketFamily:
         # afresh from the true one, so that only the family checks see the
         # doctoring, whatever ran before
         _clear_caches()
-        protocol.build_physicist_basis()
+        brackets.build_physicist_basis()
         # column i holds the state of label i - 1
-        brackets = np.roll(protocol.bracket_matrix(), 1, axis=1)
-        monkeypatch.setattr(protocol, "bracket_matrix", lambda: brackets)
-        monkeypatch.setattr(protocol, "bracket_gram", lambda: brackets.conj().T @ brackets)
+        rolled = np.roll(brackets.bracket_matrix(), 1, axis=1)
+        for module in (brackets, protocol):  # the search's readers and the suite's
+            monkeypatch.setattr(module, "bracket_matrix", lambda: rolled)
+            monkeypatch.setattr(module, "bracket_gram", lambda: rolled.conj().T @ rolled)
 
     @pytest.mark.parametrize("name", ["bracket-trio-selectivity", "bracket-overlap-law"])
     def test_verify_check_fails(self, doctored, name):
@@ -516,7 +525,7 @@ class TestDoctoredBracketFamily:
         # search-bases report is what certifies their states
         assert len(search_bases()) == 72
         # every set reads labels shifted by one, so each fails by 1/3 or 2/3
-        thirds = 3 * protocol._set_deviations(protocol._search()[0])
+        thirds = 3 * brackets._set_deviations(brackets._search()[0])
         assert thirds == pytest.approx(np.rint(thirds))
         assert np.bincount(np.rint(thirds).astype(int)).tolist() == [0, 36, 36]
         assert cli.main(["search-bases", "--format", "json"]) == 1
@@ -527,7 +536,7 @@ class TestDoctoredBracketFamily:
 
 
 def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):
-    matrix = protocol.build_psi_basis().matrix.copy()
+    matrix = brackets.build_psi_basis().matrix.copy()
     matrix[:, 4] = matrix[:, 3]  # pair m = 1 made parallel
     monkeypatch.setattr(protocol, "build_psi_basis", lambda: SimpleNamespace(matrix=matrix))
     check = next(c for c in protocol.invariant_checks() if c.name == "paired-orthogonality")
@@ -541,9 +550,9 @@ def doctored_trios(monkeypatch):
     # cached afresh from the true trios, whatever ran before: the bracket
     # family, the physicist basis measuring it and the psi basis
     _clear_caches()
-    protocol.build_physicist_basis()
-    protocol.build_psi_basis()
-    trios = protocol.trio_matrix().copy()
+    brackets.build_physicist_basis()
+    brackets.build_psi_basis()
+    trios = brackets.trio_matrix().copy()
     trios[3:6] = np.roll(trios[3:6], -1, axis=0)
     monkeypatch.setattr(protocol, "trio_matrix", lambda: trios)
     yield
@@ -865,7 +874,7 @@ class TestRoundChunks:
         word = np.random.Philox(key=3).random_raw()
         assert Draw(word).random() == np.random.Generator(np.random.Philox(key=3)).random()
         psi0, kets = prepare_psi0(), build_qutrit_mubs().matrices
-        physicist = protocol.build_physicist_basis().basis
+        physicist = brackets.build_physicist_basis().basis
         outcomes = [tuple(row) for row in protocol.round_outcomes()[:, :3].tolist()]
         middle = [(2 * i + 1) * 2**64 // 6 for i in range(3)]
 
@@ -1231,11 +1240,11 @@ class TestExhaustiveVerify:
 
 class TestSearchBases:
     def test_positions_and_labels_are_one_derivation(self):
-        positions, labels = protocol._search()
+        positions, labels = brackets._search()
         assert labels is search_bases()
         assert positions.dtype == np.intp and positions.shape == (72, 9)
-        assert np.array_equal(protocol._label_index(labels, 2), positions)
-        assert np.array_equal(protocol._label_digits(), ALL_LABELS)
+        assert np.array_equal(brackets._label_index(labels, 2), positions)
+        assert np.array_equal(brackets._label_digits(), ALL_LABELS)
 
     def test_one_of_each_is_numpys_unique_rows(self):
         # the 648 translates of the 8 sets through label 0 by the 81 digit
@@ -1246,15 +1255,15 @@ class TestSearchBases:
         rows = ((digits[None] + np.array(through_zero)[:, :, None]) % 3) @ (27, 9, 3, 1)
         rows = np.sort(rows.transpose(0, 2, 1).reshape(648, 9), axis=1)
         unique, counts = np.unique(rows, axis=0, return_counts=True)
-        assert np.array_equal(protocol._search()[0], unique)
+        assert np.array_equal(brackets._search()[0], unique)
         assert counts.tolist() == [9] * 72
 
     def test_coverage_counts_sets_out_of_order(self, monkeypatch):
         # the sets listed in reverse: each of the 71 adjacent pairs that does
         # not strictly increase adds one to search-coverage's deviation
-        positions, labels = protocol._search()
-        monkeypatch.setattr(protocol, "_search", lambda: (positions, labels[::-1]))
-        coverage = {c.name: c for c in protocol.search_report()[0]}["search-coverage"]
+        positions, labels = brackets._search()
+        monkeypatch.setattr(brackets, "_search", lambda: (positions, labels[::-1]))
+        coverage = {c.name: c for c in brackets.search_report()[0]}["search-coverage"]
         assert (coverage.passed, coverage.max_deviation) == (False, 71.0)
 
     def test_count_and_reference_membership(self):
@@ -1293,6 +1302,6 @@ class TestSearchBases:
         # labels keeps their agreement, so translates of a set are sets
         digits = np.array(ALL_LABELS)
         shifted = ((digits + digits[:, None]) % 3) @ (27, 9, 3, 1)  # shifted[s, i]: label i + s
-        agreement = protocol.agreement_matrix()
+        agreement = brackets.agreement_matrix()
         assert shifted.shape == (81, 81)
         assert (agreement[shifted[:, :, None], shifted[:, None, :]] == agreement).all()
