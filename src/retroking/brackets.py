@@ -8,7 +8,7 @@ exactly one coordinate are orthonormal: the physicist measures such a basis,
 and her outcome j names the king's result label_j[m].  The 72 such label sets
 are found by ``search_bases`` and certified by ``search_report``.  What the
 family is built from lives here too: the entangled preparation, the trio
-matrix and the psi basis that ``verify`` certifies.
+matrix and the psi basis; ``invariant_checks`` is ``verify``'s suite of it all.
 
 Index conventions as in ``protocol``: two-atom amplitudes sit at flat index
 3*i + j, the given atom the left factor; king bases m = 0..3, outcomes
@@ -31,8 +31,10 @@ from .linalg import (
     _identity,
     _index,
     _numbers,
+    _orthonormality_deviation,
     _product,
     _readonly,
+    inner_product,
 )
 from .mub import build_qutrit_mubs, fourier_matrix
 from .reporting import Check, within
@@ -299,3 +301,39 @@ def search_report() -> tuple[list[Check], int | None, np.ndarray]:
     ]
     return checks, reference_index, _label_digits()[index]
 
+
+def invariant_checks() -> list[Check]:
+    """The bracket family's verification suite as named checks."""
+    checks = []
+
+    psi0 = prepare_psi0()
+    forms = entangled_forms()
+    distances = [abs(1.0 - abs(inner_product(psi0, f))) for f in forms]  # each |<psi_0|f>| is 1
+    checks.append(within("entangled-four-forms", distances))
+
+    psi = build_psi_basis()
+    gram = _orthonormality_deviation(psi.matrix)
+    checks.append(within("psi-basis-gram", gram))
+
+    mixing = fourier_matrix()
+    checks.append(within("mixing-unitarity", _orthonormality_deviation(mixing)))
+
+    checks.append(within("paired-orthogonality", gram[1::2, 2::2].diagonal()))  # (2m+1, 2m+2)
+
+    trios, kets = trio_matrix(), psi.matrix.T  # row i of kets is psi_i
+    # row k of (mixing^T @ triples[m]) is column k of (psi_0, psi_2m+1, psi_2m+2) @ mixing
+    triples = kets[[[0, 1, 2], [0, 3, 4], [0, 5, 6], [0, 7, 8]]]
+    checks.append(within("trio-reconstruction",
+                         np.abs(_product(mixing.T, triples) - trios.reshape(4, 3, 9))))
+
+    # |T* B|^2 = S / 3: trio member (m, k) meets bracket i with squared
+    # overlap 1/3 where label i selects (m, k), and not at all elsewhere
+    overlaps = np.abs(_product(trios.conj(), bracket_matrix())) ** 2
+    checks.append(within("bracket-trio-selectivity", np.abs(overlaps - selection_matrix() / 3.0)))
+
+    dev = np.abs(bracket_gram() - _law_gram())
+    checks.append(within("bracket-overlap-law", dev))
+
+    pb = build_physicist_basis()
+    checks.append(within("physicist-basis-gram", _orthonormality_deviation(pb.basis.matrix)))
+    return checks

@@ -34,8 +34,9 @@ from retroking import (
     simulate_rounds,
     trio_matrix,
 )
+from retroking.brackets import agreement_matrix, overlap_law
 from retroking.cli import main
-from retroking.protocol import agreement_matrix, overlap_law, round_outcomes
+from retroking.protocol import round_outcomes
 
 from conftest import forced_collapse, sample_many
 

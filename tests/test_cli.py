@@ -103,7 +103,7 @@ def psi_basis_raises(monkeypatch):
     def broken():
         raise RuntimeError("trio 3 un-mixes to a shared column off psi_0")
 
-    monkeypatch.setattr(protocol, "build_psi_basis", broken)
+    monkeypatch.setattr(brackets, "build_psi_basis", broken)
     _clear_caches()
     yield
     _clear_caches()
@@ -116,10 +116,11 @@ def test_verify_reports_a_builder_that_raises(capsys, psi_basis_raises):
     assert code == 1
     assert report["pass"] is False
     names = [c["name"] for c in report["checks"]]
-    assert "qutrit-unbiasedness" in names  # the mub suite still reports
-    assert report["checks"][-1] == {
-        "name": "protocol-construction", "pass": False, "max_deviation": 1.0,
-    }
+    # the mub and protocol suites still report: only the family's suite fails to build
+    assert "qutrit-unbiasedness" in names and "round-engine-replay" in names
+    assert [c for c in report["checks"] if not c["pass"]] == [
+        {"name": "brackets-construction", "pass": False, "max_deviation": 1.0},
+    ]
     assert out.err == "error: trio 3 un-mixes to a shared column off psi_0\n"
 
 
@@ -374,7 +375,7 @@ def test_only_verify_reads_the_psi_basis(capsys, psi_basis_raises, command):
 
 
 def test_verify_prints_each_error_once(capsys):
-    # both suites fail on the same broken mub construction
+    # every suite fails on the same broken mub construction
     with mutated(*MUTANTS["bias-diagonal"]):
         assert main(["verify", "--format", "json"]) == 1
     lines = capsys.readouterr().err.splitlines()
@@ -393,6 +394,12 @@ class TestVerify:
         ]
         assert reported == [
             {"name": c.name, "pass": c.passed, "max_deviation": c.max_deviation} for c in checks
+        ]
+        # verify is the three suites in order, and nothing else
+        suites = [*mub.invariant_checks(np.random.default_rng(0)), *brackets.invariant_checks(),
+                  *protocol.invariant_checks()]
+        assert report["checks"] == [
+            {"name": c.name, "pass": c.passed, "max_deviation": c.max_deviation} for c in suites
         ]
 
     def test_passes_with_exit_zero(self, capsys):

@@ -15,7 +15,7 @@ from retroking import (
     sample_outcome,
 )
 from retroking import build_physicist_basis, build_qubit_mubs, build_qutrit_mubs
-from retroking.protocol import PHYSICIST_LABELS
+from retroking.brackets import PHYSICIST_LABELS
 
 from conftest import sample_many
 

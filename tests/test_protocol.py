@@ -510,13 +510,13 @@ class TestDoctoredBracketFamily:
         brackets.build_physicist_basis()
         # column i holds the state of label i - 1
         rolled = np.roll(brackets.bracket_matrix(), 1, axis=1)
-        for module in (brackets, protocol):  # the search's readers and the suite's
-            monkeypatch.setattr(module, "bracket_matrix", lambda: rolled)
-            monkeypatch.setattr(module, "bracket_gram", lambda: rolled.conj().T @ rolled)
+        # the search and the family's suite both read them in brackets
+        monkeypatch.setattr(brackets, "bracket_matrix", lambda: rolled)
+        monkeypatch.setattr(brackets, "bracket_gram", lambda: rolled.conj().T @ rolled)
 
     @pytest.mark.parametrize("name", ["bracket-trio-selectivity", "bracket-overlap-law"])
     def test_verify_check_fails(self, doctored, name):
-        check = next(c for c in protocol.invariant_checks() if c.name == name)
+        check = next(c for c in brackets.invariant_checks() if c.name == name)
         assert not check.passed
         assert check.max_deviation > 0.1
 
@@ -538,8 +538,8 @@ class TestDoctoredBracketFamily:
 def test_paired_orthogonality_reads_the_psi_matrix(monkeypatch):
     matrix = brackets.build_psi_basis().matrix.copy()
     matrix[:, 4] = matrix[:, 3]  # pair m = 1 made parallel
-    monkeypatch.setattr(protocol, "build_psi_basis", lambda: SimpleNamespace(matrix=matrix))
-    check = next(c for c in protocol.invariant_checks() if c.name == "paired-orthogonality")
+    monkeypatch.setattr(brackets, "build_psi_basis", lambda: SimpleNamespace(matrix=matrix))
+    check = next(c for c in brackets.invariant_checks() if c.name == "paired-orthogonality")
     assert not check.passed
 
 
@@ -554,7 +554,8 @@ def doctored_trios(monkeypatch):
     brackets.build_psi_basis()
     trios = brackets.trio_matrix().copy()
     trios[3:6] = np.roll(trios[3:6], -1, axis=0)
-    monkeypatch.setattr(protocol, "trio_matrix", lambda: trios)
+    for module in (brackets, protocol):  # the readers of the family's suite and of protocol's
+        monkeypatch.setattr(module, "trio_matrix", lambda: trios)
     yield
     _clear_caches()
 
@@ -567,7 +568,8 @@ class TestDoctoredTrioMatrix:
         "name", ["trio-reconstruction", "retrodiction-certainty", "round-engine-replay"]
     )
     def test_verify_check_fails(self, doctored_trios, name):
-        check = next(c for c in protocol.invariant_checks() if c.name == name)
+        checks = brackets.invariant_checks() + protocol.invariant_checks()
+        check = next(c for c in checks if c.name == name)
         assert not check.passed
 
     def test_engine_rows_still_look_like_thirds(self, doctored_trios):

@@ -140,6 +140,33 @@ def test_every_definition_is_used_or_exported():
     assert orphans == []
 
 
+# Imported names that no code of their module reads: perfbench's tracer looks
+# these up on retroking.protocol (perfbench/spans.py TARGETS), so protocol
+# holds them for it
+HELD_FOR_THE_TRACER = {("protocol.py", "bracket_state"), ("protocol.py", "search_bases")}
+
+
+def test_every_imported_name_is_read():
+    # a name a module imports and never reads is a dependency on paper only:
+    # a re-export belongs in the package's export list, not in a layer
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [
+            f"{path.name}:{name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for name in (alias.asname or alias.name for alias in node.names)
+            if name not in read and (path.name, name) not in HELD_FOR_THE_TRACER
+        ]
+    assert any(path.name == "protocol.py" for path in SOURCES)
+    assert found == []
+
+
 def _names_read(module, function):
     """Every name and attribute that a top-level function of ``module`` spells."""
     path = Path(retroking.__file__).parent / f"{module}.py"
