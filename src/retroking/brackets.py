@@ -226,11 +226,17 @@ def infer(m: int, j: int, basis: PhysicistBasis | None = None) -> int:
 
 
 
+def _pair_index(index: np.ndarray) -> np.ndarray:
+    """(n, k, k) flat positions 81 i + j of the label pairs (i, j) of each
+    set, given as a row of ALL_LABELS positions."""
+    return 81 * index[:, :, None] + index[:, None]
+
+
 def _set_deviations(index: np.ndarray) -> np.ndarray:
     """For each set, given as a row of ALL_LABELS positions, the worst entry of
     |Gram - I| over its bracket states, read off the cached bracket Gram
     matrix.  Zero (to round-off) exactly when the set's states are orthonormal."""
-    gram = bracket_gram()[index[:, :, None], index[:, None, :]]
+    gram = bracket_gram().take(_pair_index(index))
     return np.abs(gram - _identity(index.shape[1])).max(axis=(1, 2))
 
 
@@ -289,7 +295,7 @@ def search_report() -> tuple[list[Check], int | None, np.ndarray]:
     reference = tuple(sorted(PHYSICIST_LABELS))
     present = reference in sets
     reference_index = sets.index(reference) if present else None
-    pairs = np.bincount((81 * index[:, :, None] + index[:, None]).ravel(), minlength=81 * 81)
+    pairs = np.bincount(_pair_index(index).ravel(), minlength=81 * 81)
     wrong = int((pairs.reshape(81, 81) != _coverage()).sum())
     wrong += sum(a >= b for a, b in zip(sets, sets[1:]))
     uncertain = int((selection_matrix()[:, index].sum(axis=2) != 3).sum())

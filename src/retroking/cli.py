@@ -84,11 +84,10 @@ def _guarded(call, *args, name="construction", said: set[str]) -> tuple[list[Che
 
 
 def cmd_verify(config: RunConfig) -> tuple[list[Check], dict]:
-    rng = np.random.default_rng(config.seed)
     checks, said = [], set()
     # one guard per suite, so a suite that fails to build leaves the others'
     # checks; each names its failure apart, so a report's check names are unique
-    suites = {"mub": lambda: mub.invariant_checks(rng), "brackets": brackets.invariant_checks,
+    suites = {"mub": mub.invariant_checks, "brackets": brackets.invariant_checks,
               "protocol": protocol.invariant_checks}
     for name, suite in suites.items():
         checks += _guarded(lambda: (suite(), {}), name=f"{name}-construction", said=said)[0]

@@ -72,10 +72,10 @@ PINNED_STDOUT = {
     ("tables", "json"): "285adeef13604c8d1875949b4620183ee9f3fcfb143eddb26e29a9a6c60b329b",
     ("search-bases", "text"): "772a2561b41b2a5d6c2549b12867e43f1486ae3b678f84b2178e8dff33983492",
     ("search-bases", "json"): "f18c162a7896f8f87869b19053e49c030ff44dbd382682427562b0490f9bb8c9",
-    ("verify", "json", 0): "ff73f18945e5dfde1719691351ea035d0e7accdd6fd4b9b3fe81458fb47bb36e",
+    ("verify", "json", 0): "653f616c7d1758a187458af6583b13e0cb52979e3056f234679fa047ac198c17",
     ("verify", "json", 2**64 - 1):
-        "728b18c1f1abbc5fc920bd0812c3ae2ee05c57b0b8c6defe77d095666a208d7f",
-    ("verify", "text", 0): "45cc917723bbe074290d7673c9423ca9358c73ba073a84458a6acdad83fd025d",
+        "4d143c88d2f1782b8147cee177991931d3c0b133b050065a5ca76249f92ad91e",
+    ("verify", "text", 0): "c74e1afabe191980a3831584d01877fb7aa7bda9830a14d6c7c704507e151767",
     ("simulate", "text", 0): "21d725a5edf87fd87c15c2e5845a7987ebb9f3abddd20b9bc083cc961e475035",
     ("tomography", "text", 0): "47be72f7caf6b1ce9ab074dbd54aca2d9acaedd7f4ea748978103404949ec48d",
     ("tomography", "text", 7): "5a95c97ac55591934359dad1d5e298bdbf3a48f16c2b57d1e4f1c25b6b3d090e",
@@ -289,6 +289,17 @@ def test_simulate_replay_catches_a_basis_word_mutant(capsys, mutant, seed):
     assert [c["name"] for c in checks if not c["pass"]] == ["simulate-replay"]
 
 
+def test_verify_sees_a_wrong_reconstruction_in_the_round_trip(capsys):
+    # the rebuilt states are not validated, so an offset of 1/4 - 1/5 on each
+    # of the twelve probabilities adds 0.2 I to every rebuilt state
+    with mutated(*MUTANTS["tomography-quarter"]):
+        code, report = run_json(capsys, ["verify"])
+    assert code == 1
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["tomography-round-trip"]
+    assert failed[0]["max_deviation"] == pytest.approx(0.2)
+
+
 # Equivalent mutants: rewrites that change no report, each with the reason.
 EQUIVALENT = {
     # no deviation lands exactly on TOL
@@ -311,7 +322,6 @@ GUARDED = {
     "probability-map-rank": "MubSet: a complete unbiased family has a map of rank d**2, "
                             "and Check refuses a pass whose deviation is not below TOL",
     "entangled-four-forms": "OrthonormalBasis: each trio of a MubSet's projectors sums to vec(I)",
-    "tomography-round-trip": "mub._check_densities: a reconstruction must be a density matrix",
     "tomography-reconstruction": "DensityMatrix: a reconstruction must be a density matrix",
     "psi-basis-gram": "OrthonormalBasis: build_psi_basis refuses columns not orthonormal",
     "paired-orthogonality": "OrthonormalBasis: build_psi_basis refuses columns not orthonormal",
@@ -396,11 +406,18 @@ class TestVerify:
             {"name": c.name, "pass": c.passed, "max_deviation": c.max_deviation} for c in checks
         ]
         # verify is the three suites in order, and nothing else
-        suites = [*mub.invariant_checks(np.random.default_rng(0)), *brackets.invariant_checks(),
+        suites = [*mub.invariant_checks(), *brackets.invariant_checks(),
                   *protocol.invariant_checks()]
         assert report["checks"] == [
             {"name": c.name, "pass": c.passed, "max_deviation": c.max_deviation} for c in suites
         ]
+
+    def test_checks_do_not_depend_on_the_seed(self, capsys):
+        # no check reads the seed: the tomography round trip runs on fixed
+        # states, and the round replay on seed 0
+        reports = [run_json(capsys, ["verify", f"--seed={seed}"])[1]["checks"]
+                   for seed in (0, 7, 2**64 - 1)]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_passes_with_exit_zero(self, capsys):
         code, report = run_json(capsys, ["verify"])

@@ -48,7 +48,6 @@ from retroking import (
 )
 from retroking import linalg, mub
 from retroking.cli import RunConfig, run
-from retroking.mub import invariant_checks as mub_invariant_checks
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
 from retroking.reporting import within
 
@@ -80,7 +79,6 @@ from conftest import Uniform
         lambda: MubSet(()),
         lambda: PhysicistBasis(1),
         lambda: PhysicistBasis([(0, 0, 0, 0), (0, 1, 1)]),
-        lambda: mub_invariant_checks(None),
         lambda: Check("x", True, "0.1"),
         lambda: Check("x", True, 1j),
         lambda: Check("x", True, None),
@@ -110,7 +108,7 @@ from conftest import Uniform
         "sample-str-probabilities", "random-density-no-generator", "exhaustive-verify-str",
         "check-ints-and-str", "check-int-name", "probabilities-int-mubs", "map-rank-int",
         "certify-int", "mub-set-int-bases", "mub-set-empty", "physicist-basis-ints",
-        "label-sets-ragged", "mub-invariants-no-generator",
+        "label-sets-ragged",
         "check-str-deviation", "check-complex-deviation", "check-none-deviation",
         "run-config-array-format", "run-config-array-state",
         "infer-bool-basis", "run-config-bool-rounds",
@@ -262,7 +260,6 @@ ENTRY_POINTS = {
     "certify": lambda a, b: certify_unbiasedness(a),
     "mub-set": lambda a, b: MubSet(a),
     "physicist-basis": lambda a, b: PhysicistBasis(a),
-    "mub-invariants": lambda a, b: mub_invariant_checks(a),
     "density": lambda a, b: DensityMatrix(a),
     "table": lambda a, b: ProbabilityTable(a),
     "density-from-table": lambda a, b: density_from_probabilities(a, b),

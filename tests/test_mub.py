@@ -279,8 +279,18 @@ class TestStackValidators:
 
 class TestTomographyRoundTripCheck:
     @staticmethod
-    def round_trip(rng):
-        return next(c for c in mub.invariant_checks(rng) if c.name == "tomography-round-trip")
+    def round_trip():
+        return next(c for c in mub.invariant_checks() if c.name == "tomography-round-trip")
+
+    def test_spanning_states_are_a_real_basis_of_the_hermitian_matrices(self):
+        states = mub._spanning_densities()
+        assert states.shape == (9, 3, 3)
+        assert not states.flags.writeable
+        assert np.array_equal(mub._check_densities(states), states)
+        # each state is pure
+        assert np.abs(states @ states - states).max() < TOL
+        flat = states.reshape(9, 9)
+        assert np.linalg.matrix_rank(np.hstack([flat.real, flat.imag])) == 9
 
     @pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
     def test_batched_sources_equal_sequential_draws(self, seed):
@@ -292,9 +302,18 @@ class TestTomographyRoundTripCheck:
         assert np.array_equal(public, expected)
 
     def test_passes_tightly(self):
-        check = self.round_trip(np.random.default_rng(0))
+        check = self.round_trip()
         assert check.passed
         assert check.max_deviation < 1e-14
+
+    def test_an_offset_reconstruction_fails_with_its_deviation(self, monkeypatch):
+        # the rebuilt stack is not validated: a wrong rebuild is a failed
+        # check carrying how far it lies off, not a raised construction
+        densities = mub._densities
+        monkeypatch.setattr(mub, "_densities", lambda t, p: densities(t, p) + 0.125)
+        check = self.round_trip()
+        assert not check.passed
+        assert check.max_deviation == pytest.approx(0.125)
 
     def test_swapped_projector_rows_fail(self, monkeypatch, qutrit_mubs):
         # Rows 0 and 3 belong to bases 0 and 1, so table rows 0 and 1 stop
@@ -307,7 +326,7 @@ class TestTomographyRoundTripCheck:
         object.__setattr__(doctored, "projectors", projectors)
         monkeypatch.setattr(mub, "build_qutrit_mubs", lambda: doctored)
         with pytest.raises(ContractViolation, match="rows must sum to 1"):
-            self.round_trip(np.random.default_rng(0))
+            self.round_trip()
 
 
 class TestProbabilitiesFromDensity:
