@@ -82,19 +82,22 @@ class RoundRecord(NamedTuple):
 
 
 # Rounds mapped per chunk of the batch path; bounds its memory for any round
-# count.  A chunk's 256 KiB of words and its temporaries stay in a core's L2
+# count.  A chunk's 128 KiB of words and its temporaries stay in a core's L2
 # cache: on a 2 MiB-L2 Xeon, 2**16-round chunks made simulate ~1.6x slower.
 CHUNK_ROUNDS = 2**13
-# Round i owns Philox counter block i: four 64-bit words.  Word 0 picks the
-# king's basis (its top two bits), words 1 and 2 are the king's and the
-# physicist's draws, word 3 is unused.  Generator.random() would read a word
-# w as the uniform u = (w >> 11) * 2**-53, and u >= c holds exactly when
-# w >= ceil(c * 2**53) << 11.  Every distribution a round draws from picks
-# one of three outcomes with probability 1/3 (``_round_engine`` certifies
-# it), so its cdf steps are 1/3 and 2/3 and a draw picks the outcome given by
-# how many of these two words it reaches.  Both are computed in integers:
-# float division rounds 2**54 / 3 down by one.
-WORDS_PER_ROUND = 4
+# Round i reads words 2i and 2i+1 of the seed's Philox stream, the two halves
+# of counter block i >> 1.  The king's word w0 holds his basis in its low two
+# bits and his draw in its top 53; the physicist's word w1 holds her draw.
+# Generator.random() would read a word w as the uniform u = (w >> 11) * 2**-53,
+# and u >= c holds exactly when w >= ceil(c * 2**53) << 11.  Every
+# distribution a round draws from picks one of three outcomes with
+# probability 1/3 (``_round_engine`` certifies it), so its cdf steps are 1/3
+# and 2/3 and a draw picks the outcome given by how many of these two words
+# it reaches.  Both are computed in integers: float division rounds 2**54 / 3
+# down by one.  Both have zero low 11 bits, so the king's outcome depends on
+# w0 >> 11 alone, and for every value of those bits each basis takes 2**9 of
+# the 2**11 low patterns: his basis and his outcome are independent.
+WORDS_PER_ROUND = 2
 _UNIFORM_SHIFT = 11
 ONE_THIRD = -(-(2**53) // 3) << _UNIFORM_SHIFT
 TWO_THIRDS = -(-(2**54) // 3) << _UNIFORM_SHIFT
@@ -172,7 +175,7 @@ def run_round(
 ) -> RoundRecord:
     """Play one round: prepare, king measures (basis m, or random when m is
     None), physicist measures her basis, inference is recorded.  Reads the
-    next four raw words of ``rng``, one counter block of ``round_stream``."""
+    next two raw words of ``rng``, half a counter block of ``round_stream``."""
     m = None if m is None else _index(m, 4, "basis index")
     try:
         draw = rng.bit_generator.random_raw
@@ -180,11 +183,12 @@ def run_round(
         raise ContractViolation(
             f"a round draws from a numpy Generator, got {type(rng).__name__}"
         ) from None
-    w0, w1, w2, _ = draw(WORDS_PER_ROUND).tolist()
+    # two scalar draws come as Python ints, faster than one pair's tolist()
+    w0, w1 = draw(), draw()
     if m is None:
-        m = w0 >> 62
-    k = (w1 >= ONE_THIRD) + (w1 >= TWO_THIRDS)
-    jb = (w2 >= ONE_THIRD) + (w2 >= TWO_THIRDS)
+        m = w0 & 3
+    k = (w0 >= ONE_THIRD) + (w0 >= TWO_THIRDS)
+    jb = (w1 >= ONE_THIRD) + (w1 >= TWO_THIRDS)
     m, k, j, inferred = _round_rows()[9 * m + 3 * k + jb]
     # NamedTuple's own __new__ is a Python-level call; _make builds records this way
     return tuple.__new__(RoundRecord, (m, k, j, inferred, inferred == k, seed, round_index))
@@ -232,9 +236,10 @@ _key_registered = False
 
 def round_stream(seed: int, index: int) -> "np.random.Generator":
     """The random stream of round ``index``: Philox keyed by ``seed`` at
-    counter block ``index``.  It depends only on (seed, index), so rounds
-    can run in any order (or in parallel) with identical results, and the
-    stream of round 0 runs on through the blocks of rounds 1, 2, ..."""
+    counter block ``index >> 1``, past the block's first two words when
+    ``index`` is odd.  It depends only on (seed, index), so rounds can run in
+    any order (or in parallel) with identical results, and the stream of
+    round 0 runs on through the words of rounds 1, 2, ..."""
     global _key_registered
     if not _key_registered:
         from numpy.random.bit_generator import ISeedSequence
@@ -245,23 +250,28 @@ def round_stream(seed: int, index: int) -> "np.random.Generator":
     # is exact for every block and skips numpy's Python loop that splits an
     # int; a list without a dtype would pass through float64 and alias blocks.
     key = _index(seed, 2**64, "seed")
+    index = _index(index, 2**64, "round index")
     counter = _ZERO_COUNTER.copy()
-    counter[0] = _index(index, 2**64, "round index")
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=counter))
+    counter[0] = index >> 1
+    bits = np.random.Philox(_PhiloxKey(key), counter=counter)
+    if index & 1:
+        # two scalar draws skip the even round's words faster than random_raw(2)
+        bits.random_raw(), bits.random_raw()
+    return np.random.Generator(bits)
 
 
 def _map_words(words: np.ndarray, basis: int | None) -> np.ndarray:
     """Raw words, one row of WORDS_PER_ROUND per round, to int8 round bins
     9*m + 3*k + jb: the vectorized twin of ``run_round``."""
-    # 1-d column views: a 2-d slice such as words[:, 1:3] would give numpy
-    # inner loops of length 2
-    w1, w2 = words[:, 1], words[:, 2]
-    bins = (w1 >= ONE_THIRD).view(np.int8) + (w1 >= TWO_THIRDS).view(np.int8)
+    # 1-d column views: a 2-d comparison of the rows would give numpy inner
+    # loops of length 2
+    w0, w1 = words[:, 0], words[:, 1]
+    bins = (w0 >= ONE_THIRD).view(np.int8) + (w0 >= TWO_THIRDS).view(np.int8)
     bins *= 3
-    bins += (w2 >= ONE_THIRD).view(np.int8)
-    bins += (w2 >= TWO_THIRDS).view(np.int8)
+    bins += (w1 >= ONE_THIRD).view(np.int8)
+    bins += (w1 >= TWO_THIRDS).view(np.int8)
     if basis is None:
-        bins += 9 * (words[:, 0] >> 62).astype(np.int8)
+        bins += 9 * (w0 & 3).astype(np.int8)
     else:
         bins += 9 * basis
     return bins
@@ -271,7 +281,7 @@ def round_chunks(rounds: int, seed: int, basis: int | None = None):
     """Rounds 0 .. rounds-1 as int8 round bins (rows of ``round_outcomes()``),
     in chunks of at most CHUNK_ROUNDS rounds; entry i is the round
     ``run_round`` plays on ``round_stream(seed, i)``.  Arguments are checked
-    on the call; rounds run up to 2**64, one per counter block."""
+    on the call; rounds run up to 2**64, two per counter block."""
     rounds = _index(rounds, 2**64 + 1, "rounds", start=1)
     basis = None if basis is None else _index(basis, 4, "basis index")
     bits = round_stream(seed, 0).bit_generator
@@ -338,9 +348,12 @@ def exhaustive_verify(basis: PhysicistBasis | None = None) -> Check:
 
 def _measured_round(seed: int, index: int) -> tuple[int, int, int]:
     """Round ``index`` of ``seed`` played by measuring and collapsing states
-    on its own stream: (king basis, king outcome, physicist outcome)."""
+    on its own stream: (king basis, king outcome, physicist outcome).  The
+    basis is read off one stream, and the king's and the physicist's draws
+    off a second from the same start, so his draw reads the word his basis
+    came from."""
+    m = round_stream(seed, index).bit_generator.random_raw() & 3
     gen = round_stream(seed, index)
-    m = int(gen.bit_generator.random_raw() >> 62)
     k, collapsed = king_measure(prepare_psi0(), m, gen)
     j = sample_outcome(born_probabilities(collapsed, build_physicist_basis().basis), gen)
     return m, k, j
@@ -348,20 +361,21 @@ def _measured_round(seed: int, index: int) -> tuple[int, int, int]:
 
 def _measured_rounds(seed: int, rounds: int) -> np.ndarray:
     """(rounds, 3): row i is ``_measured_round(seed, i)``, every round measured
-    and collapsed at once.  Round i reads uniforms 4i .. 4i+3 of the stream,
-    and floor(4u) of its first is exactly its word's top two bits."""
+    and collapsed at once.  Round i reads words 2i and 2i+1: its basis from
+    the raw words of one stream, its uniforms from a second."""
+    words = round_stream(seed, 0).bit_generator.random_raw(WORDS_PER_ROUND * rounds)
+    m = (words[::WORDS_PER_ROUND] & 3).astype(np.intp)
     draws = round_stream(seed, 0).random(WORDS_PER_ROUND * rounds).reshape(rounds, -1)
-    m = (4 * draws[:, 0]).astype(np.intp)
     kets = build_qutrit_mubs().matrices[m]  # kets[i] holds round i's basis as columns
     psi0 = prepare_psi0()
-    k = _sample_rows(_king_born(psi0, kets), draws[:, 1])
+    k = _sample_rows(_king_born(psi0, kets), draws[:, 0])
     ket = kets[np.arange(rounds), :, k]
     # project_and_normalize on each round: the given atom onto its drawn ket
     grid = psi0.amps.reshape(3, 3)
     collapsed = _product(ket[:, :, None] * ket.conj()[:, None], grid).reshape(rounds, 9)
     collapsed /= np.sqrt((collapsed.real**2 + collapsed.imag**2).sum(axis=1))[:, None]
     born = np.abs(_product(collapsed, build_physicist_basis().basis.matrix.conj())) ** 2
-    return np.stack([m, k, _sample_rows(born, draws[:, 2])], axis=1)
+    return np.stack([m, k, _sample_rows(born, draws[:, 1])], axis=1)
 
 
 def invariant_checks() -> list[Check]:

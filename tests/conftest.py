@@ -1,7 +1,10 @@
 import contextlib
+import functools
+import importlib.util
 import inspect
 import sys
 import textwrap
+from pathlib import Path
 
 import hypothesis
 import numpy as np
@@ -57,6 +60,17 @@ def mutated(module, name, fragment, replacement):
         for holder in holders:
             setattr(holder, name, original)
         _clear_caches()
+
+
+@functools.cache
+def perfbench_checks():
+    """perfbench/checks.py, loaded from its file: the output checks the
+    benchmark applies to every report it times."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
 
 
 class Uniform:

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -13,10 +12,12 @@ import pytest
 
 import retroking
 from retroking import OMEGA, Check
-from retroking.cli import COMMANDS, TOMOGRAPHY_STATES, RunConfig, build_parser, main, run
+from retroking.cli import (
+    COMMANDS, TOMOGRAPHY_STATES, RunConfig, _format_symbolic, build_parser, main, run,
+)
 from retroking import brackets, linalg, mub, protocol, reporting
 
-from conftest import _clear_caches, mutated
+from conftest import _clear_caches, mutated, perfbench_checks
 
 
 def run_json(capsys, argv):
@@ -76,7 +77,7 @@ PINNED_STDOUT = {
     ("verify", "json", 2**64 - 1):
         "4d143c88d2f1782b8147cee177991931d3c0b133b050065a5ca76249f92ad91e",
     ("verify", "text", 0): "c74e1afabe191980a3831584d01877fb7aa7bda9830a14d6c7c704507e151767",
-    ("simulate", "text", 0): "21d725a5edf87fd87c15c2e5845a7987ebb9f3abddd20b9bc083cc961e475035",
+    ("simulate", "text", 0): "58312896e7ae709b70370eff7b46e9bc8fd798ce7857ed0fafcce48faa7c38be",
     ("tomography", "text", 0): "47be72f7caf6b1ce9ab074dbd54aca2d9acaedd7f4ea748978103404949ec48d",
     ("tomography", "text", 7): "5a95c97ac55591934359dad1d5e298bdbf3a48f16c2b57d1e4f1c25b6b3d090e",
     ("tomography", "json", 0): "6a196778d1535357ee0701a72c19dabe6238be05cc47528bac6623360ec78555",
@@ -151,8 +152,8 @@ MUTANTS = {
     "one-third-float": (protocol, "ONE_THIRD", ONE_THIRD * 1.01),
     "search-finds-nothing": (brackets, "_search", ".tolist()})", ".tolist()})[:0]"),
     "infer-coordinate": (brackets, "infer", ".labels[j][m]", ".labels[j][(m + 1) % 4]"),
-    "map-words-basis": (protocol, "_map_words", "words[:, 0] >> 62", "words[:, 3] >> 62"),
-    "run-round-basis": (protocol, "run_round", "m = w0 >> 62", "m = w2 >> 62"),
+    "map-words-basis": (protocol, "_map_words", "(w0 & 3)", "(w1 & 3)"),
+    "run-round-basis": (protocol, "run_round", "m = w0 & 3", "m = w1 & 3"),
     "chunks-block-1": (protocol, "round_chunks", "round_stream(seed, 0)", "round_stream(seed, 1)"),
     "tomography-quarter": (mub, "_densities", "- 0.25", "- 0.2"),
     "psi-unmix-unconjugated": (brackets, "build_psi_basis", "fourier_matrix().conj().T",
@@ -277,11 +278,11 @@ def test_a_survivor_prints_the_unmutated_report(capsys, mutant, command):
 
 
 @pytest.mark.parametrize(("mutant", "seed"), [
-    ("map-words-basis", 78), ("map-words-basis", 81), ("run-round-basis", 0), ("run-round-basis", 15),
+    ("map-words-basis", 1), ("map-words-basis", 9), ("run-round-basis", 13), ("run-round-basis", 50),
 ])
 def test_simulate_replay_catches_a_basis_word_mutant(capsys, mutant, seed):
-    # at these seeds and the default rounds, the mutant's word and word 0
-    # draw the same basis on rounds 0 and rounds - 1: only a replay of more
+    # at these seeds and the default rounds, the physicist's word and the
+    # king's draw the same basis on rounds 0 and rounds - 1: only a replay of more
     # rounds sees the mutant (under map-words-basis the tally itself is wrong)
     with mutated(*MUTANTS[mutant]):
         assert main(["simulate", f"--seed={seed}", "--format", "json"]) == 1
@@ -596,11 +597,7 @@ def test_no_passing_command_touches_openblas():
 
 def test_bench_expects_only_checks_verify_reports():
     # a check dropped from verify fails here, not first in a benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
-    assert checks.EXPECTED_VERIFY_CHECKS <= set(VERIFY_CHECKS)
+    assert perfbench_checks().EXPECTED_VERIFY_CHECKS <= set(VERIFY_CHECKS)
 
 
 @pytest.mark.parametrize("command", ["verify", "search-bases"])
@@ -614,28 +611,28 @@ def test_optimized_interpreter_keeps_every_check(command):
         assert len(report["data"]["bases"]) == 72
 
 
-# What (rounds, seed, basis) gave when the round engine still drew float
-# uniforms: any later engine must play the same rounds.
+# What (rounds, seed, basis) gives with two Philox words per round: any
+# later engine on the same layout must play the same rounds.
 PINNED_SIMULATIONS = [
     ((100_000, 42, None), {
         "rounds": 100000, "successes": 100000,
-        "basis_choices": [25000, 25089, 24950, 24961],
-        "king_outcomes": [[8347, 8217, 8436], [8307, 8346, 8436], [8419, 8312, 8219],
-                          [8290, 8220, 8451]],
-        "physicist_outcomes": [11147, 11076, 11178, 11102, 11025, 11163, 10978, 11310, 11021],
+        "basis_choices": [25112, 24916, 25108, 24864],
+        "king_outcomes": [[8344, 8410, 8358], [8249, 8383, 8284], [8387, 8478, 8243],
+                          [8262, 8357, 8245]],
+        "physicist_outcomes": [11006, 11147, 11188, 11145, 11059, 10989, 11222, 11134, 11110],
     }),
     ((70_000, 7, 2), {
         "rounds": 70000, "successes": 70000,
         "basis_choices": [0, 0, 70000, 0],
-        "king_outcomes": [[0, 0, 0], [0, 0, 0], [23402, 23325, 23273], [0, 0, 0]],
-        "physicist_outcomes": [7972, 7905, 7731, 7614, 7791, 7758, 7751, 7672, 7806],
+        "king_outcomes": [[0, 0, 0], [0, 0, 0], [23470, 23168, 23362], [0, 0, 0]],
+        "physicist_outcomes": [7924, 7702, 7775, 7650, 7775, 7830, 7812, 7716, 7816],
     }),
     ((65_539, 2**64 - 1, None), {
         "rounds": 65539, "successes": 65539,
-        "basis_choices": [16314, 16442, 16513, 16270],
-        "king_outcomes": [[5361, 5518, 5435], [5453, 5560, 5429], [5493, 5459, 5561],
-                          [5350, 5402, 5518]],
-        "physicist_outcomes": [7254, 7271, 7486, 7360, 7273, 7221, 7152, 7338, 7184],
+        "basis_choices": [16366, 16466, 16228, 16479],
+        "king_outcomes": [[5474, 5467, 5425], [5471, 5532, 5463], [5443, 5465, 5320],
+                          [5555, 5387, 5537]],
+        "physicist_outcomes": [7231, 7304, 7151, 7454, 7209, 7284, 7133, 7419, 7354],
     }),
 ]
 
@@ -671,6 +668,10 @@ class TestTables:
         out = capsys.readouterr().out
         assert code == 0
         assert "x/√3" in out and "x^2/√3" in out and "1/√3" in out
+
+    def test_symbolic_format_prints_other_entries_as_numbers(self):
+        # -1/√3 is no power of ω over √3
+        assert _format_symbolic(-(3**-0.5) + 0j) == "-0.57735+0i"
 
 
 class TestSimulate:

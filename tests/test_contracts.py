@@ -87,7 +87,7 @@ from conftest import Uniform
         # a bool is not an index, though operator.index takes it
         lambda: infer(True, 0),
         lambda: RunConfig("simulate", rounds=True),
-        # round i draws from counter block i, and there are 2**64 of them
+        # round i draws half of counter block i >> 1, and there are 2**64 rounds
         lambda: RunConfig("simulate", rounds=2**64 + 1),
         lambda: round_chunks(2**64 + 1, 0),
         lambda: within("x", "abc"),
@@ -195,6 +195,12 @@ def test_every_label_entry_point_gives_the_same_verdict(name):
         except ContractViolation as exc:
             verdicts.append(not str(exc).startswith("bracket labels"))
     assert verdicts == [valid] * 2
+
+
+@pytest.mark.parametrize("count", [8, 10])
+def test_physicist_basis_needs_nine_labels(count):
+    with pytest.raises(ContractViolation, match="nine labelled"):
+        PhysicistBasis((PHYSICIST_LABELS * 2)[:count])
 
 
 def test_physicist_basis_rejects_a_one_shot_iterator():
@@ -411,6 +417,9 @@ class TestRecordContract:
         if name in VALUE_TWINS:
             assert record == twin and hash(record) == hash(twin)
             assert record != VALUE_TWINS[name]()
+            # a tuple of the same fields is another type, not an equal record
+            assert record.__eq__(record._values()) is NotImplemented
+            assert record != record._values()
         else:
             assert record != twin
 

@@ -72,6 +72,10 @@ class TestOrthonormalBasis:
         with pytest.raises(ContractViolation):
             OrthonormalBasis((e0, e1))
 
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(ContractViolation, match="share one dimension"):
+            OrthonormalBasis((BASES[2][0], BASES[3][1]))
+
     def test_matrix_columns_are_vectors(self):
         basis = OrthonormalBasis(tuple(map(StateVector, np.eye(3))))
         assert np.array_equal(basis.matrix, np.eye(3))

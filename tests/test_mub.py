@@ -386,6 +386,13 @@ class TestDensityFromProbabilities:
         assert np.abs(rebuilt.entries - rho.entries).max() < 1e-10
 
 
+def test_tomography_refuses_the_qubit_set(qubit_mubs):
+    with pytest.raises(ContractViolation, match="qutrit set only"):
+        probabilities_from_density(np.eye(3) / 3, qubit_mubs)
+    with pytest.raises(ContractViolation, match="qutrit set only"):
+        density_from_probabilities(np.full((4, 3), 1 / 3), qubit_mubs)
+
+
 def test_probability_map_rank_is_nine(qutrit_mubs):
     # 12 probabilities minus 4 row sums leave 8 parameters plus the trace
     assert probability_map_rank(qutrit_mubs) == 9

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import random
 import re
 import tracemalloc
 import warnings
@@ -44,7 +45,7 @@ from retroking import (
 from retroking import brackets, cli, linalg, mub, protocol
 from retroking.protocol import CHUNK_ROUNDS, round_chunks
 
-from conftest import Uniform, _clear_caches, forced_collapse, mutated, sample_many
+from conftest import Uniform, _clear_caches, forced_collapse, mutated, perfbench_checks, sample_many
 
 INV_SQRT3 = 3**-0.5
 
@@ -52,33 +53,34 @@ labels_strategy = st.tuples(*[st.integers(0, 2)] * 4)
 
 
 class Draw:
-    """Stands in for a Generator: random_raw() hands out the given words and
-    random() reads the first as Generator.random() would."""
+    """Stands in for a Generator: random_raw() hands out the given words in
+    turn, and random() reads the next as Generator.random() would."""
 
     def __init__(self, *words):
         self.bit_generator = self
-        self.words = np.array(words, dtype=np.uint64)
+        self.words = iter(words)
 
-    def random_raw(self, n):
-        return self.words[:n]
+    def random_raw(self):
+        return next(self.words)
 
     def random(self, size=None):
-        u = (int(self.words[0]) >> 11) * 2.0**-53
+        u = (next(self.words) >> 11) * 2.0**-53
         return u if size is None else np.full(size, u)
 
 
-def exact_round(m, w1, w2):
-    """[m, k, j, inferred] by the exact rational cdf: word w draws the
-    uniform Fraction(w >> 11, 2**53) and picks the outcome given by how many
-    of the steps 1/3 and 2/3 it reaches; the physicist's outcomes after the
-    king's (m, k) are the labels with k in coordinate m, in order."""
+def exact_round(w0, w1, basis=None):
+    """[m, k, j, inferred] by the exact rational cdf: the king's word w0
+    names his basis m in its low two bits (unless it is forced), and word w
+    draws the uniform Fraction(w >> 11, 2**53) and picks the outcome given by
+    how many of the steps 1/3 and 2/3 it reaches; the physicist's outcomes
+    after the king's (m, k) are the labels with k in coordinate m, in order."""
 
     def pick(w):
         u = Fraction(w >> 11, 2**53)
         return (u >= Fraction(1, 3)) + (u >= Fraction(2, 3))
 
-    k = pick(w1)
-    j = [j for j, label in enumerate(PHYSICIST_LABELS) if label[m] == k][pick(w2)]
+    m, k = w0 & 3 if basis is None else basis, pick(w0)
+    j = [j for j, label in enumerate(PHYSICIST_LABELS) if label[m] == k][pick(w1)]
     return [m, k, j, infer(m, j)]
 
 
@@ -699,27 +701,30 @@ class TestRounds:
 
     def test_matches_unbatched_measurement_path(self, physicist):
         # the cached sampling tables must reproduce the explicit
-        # measure-collapse-measure sequence draw for draw
+        # measure-collapse-measure sequence draw for draw, with the basis
+        # read off one stream and both draws off a second
         indices = [*range(100), *range(2**40 - 50, 2**40 + 50)]
         for seed, i in itertools.product((0, 2024, 2**64 - 1), indices):
+            m = round_stream(seed, i).bit_generator.random_raw() & 3
             gen = round_stream(seed, i)
-            m = int(gen.bit_generator.random_raw() >> 62)
             k, collapsed = king_measure(prepare_psi0(), m, gen)
             j = sample_outcome(born_probabilities(collapsed, physicist.basis), gen)
             record = run_round(None, round_stream(seed, i))
             assert (record.king_basis, record.king_outcome, record.physicist_outcome) == (m, k, j)
 
     def test_stream_is_numpys_keyed_philox(self):
-        # every index owns its own counter block, up to 2**64 - 1, and no
-        # cast on the way warns
+        # index i starts at counter block i >> 1, past its first two words
+        # when i is odd, up to 2**64 - 1, and no cast on the way warns
         seeds = (0, 7, 2**63, 2**64 - 1)
         indices = (0, 1, 2**40, 2**63 - 1, 2**63 + 1, 2**64 - 1024, 2**64 - 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for seed, i in itertools.product(seeds, indices):
                 ours = round_stream(seed, i).bit_generator
-                numpys = np.random.Philox(key=seed, counter=i)
-                state, expected = ours.state["state"], numpys.state["state"]
+                numpys = np.random.Philox(key=seed, counter=i >> 1)
+                numpys.random_raw(2 * (i & 1))
+                # key, counter, buffer and buffer position, all in one dict
+                state, expected = ({**s.pop("state"), **s} for s in (ours.state, numpys.state))
                 assert state.keys() == expected.keys()
                 for name in state:
                     assert np.array_equal(state[name], expected[name]), (seed, i, name)
@@ -732,7 +737,7 @@ class TestRounds:
         gen = round_stream(3, 2**40)
         again = pickle.loads(pickle.dumps(gen))
         assert gen.random() == again.random() == np.random.Generator(
-            np.random.Philox(key=3, counter=2**40)).random()
+            np.random.Philox(key=3, counter=2**39)).random()
 
     @pytest.mark.parametrize("request_", [(4, np.uint64), (2, np.uint32), (1, np.uint64)])
     def test_stream_key_refuses_other_requests(self, request_):
@@ -852,19 +857,21 @@ class TestRoundChunks:
         # words on, just below and just above both word constants and every
         # former float threshold, where a < / <= slip or an off-by-one in the
         # shift would split the paths; each round is also mapped by the exact
-        # rational cdf
+        # rational cdf.  The king's word carries each basis m in its low two
+        # bits, which move no word across an edge: every edge has zero low
+        # 11 bits
         edges = {protocol.ONE_THIRD, protocol.TWO_THIRDS}
         edges.update(itertools.chain.from_iterable(former_thresholds()))
         near = sorted({e + d for e in edges for d in (-2048, -1, 0, 1)})
-        rows = [[m << 62, w1, w2, 0] for m in range(4) for w1 in near for w2 in near]
-        expected = [exact_round(m >> 62, w1, w2) for m, w1, w2, _ in rows]
+        rows = [[w0 & ~3 | m, w1] for m in range(4) for w0 in near for w1 in near]
+        expected = [exact_round(w0, w1) for w0, w1 in rows]
         words = np.array(rows, dtype=np.uint64)
         outcomes = protocol.round_outcomes()
         assert {k for _, k, *_ in expected} == {0, 1, 2}
         assert outcomes[protocol._map_words(words, None)].tolist() == expected
         assert as_lists(run_round(None, Draw(*row)) for row in rows) == expected
         for m in range(4):
-            forced = outcomes[protocol._map_words(words[words[:, 0] == m << 62], m)]
+            forced = outcomes[protocol._map_words(words[(words[:, 0] & 3) == m], m)]
             assert forced.tolist() == [e for e in expected if e[0] == m]
 
     def test_float_path_moves_rounds_only_in_named_windows(self):
@@ -888,7 +895,10 @@ class TestRoundChunks:
         def bins(row, w):
             m, k = (row, 0) if row < 4 else divmod(row - 4, 3)
             w1, w2 = (w, middle[0]) if row < 4 else (middle[k], w)
-            engine = protocol._map_words(np.array([[m << 62, w1, w2, 0]], dtype=np.uint64), None)
+            # the king's word names basis m in its low two bits, which no
+            # uniform reads
+            w1 = w1 & ~3 | m
+            engine = protocol._map_words(np.array([[w1, w2]], dtype=np.uint64), None)
             return float_bin(m, w1, w2), int(engine[0])
 
         moved = []
@@ -915,12 +925,12 @@ class TestRoundChunks:
         st.integers(0, 2**64 - 1),
         st.tuples(st.sampled_from([protocol.ONE_THIRD, protocol.TWO_THIRDS]),
                   st.integers(-(2**12), 2**12)).map(sum),
-    )] * 3)
-    def test_mapping_follows_the_exact_rule(self, w0, w1, w2):
-        words = np.array([[w0, w1, w2, 0]], dtype=np.uint64)
+    )] * 2)
+    def test_mapping_follows_the_exact_rule(self, w0, w1):
+        words = np.array([[w0, w1]], dtype=np.uint64)
         for basis in (None, 0, 1, 2, 3):
-            expected = exact_round(w0 >> 62 if basis is None else basis, w1, w2)
-            assert as_lists([run_round(basis, Draw(w0, w1, w2, 0))]) == [expected]
+            expected = exact_round(w0, w1, basis)
+            assert as_lists([run_round(basis, Draw(w0, w1))]) == [expected]
             batch = protocol.round_outcomes()[protocol._map_words(words, basis)]
             assert batch.tolist() == [expected]
 
@@ -994,6 +1004,43 @@ class TestRoundChunks:
         assert peak(10**6) <= 1.5 * peak(2 * CHUNK_ROUNDS)
 
 
+class TestLoneAndBatchRoundsAgree:
+    """The agreements the benchmark's own output checks rest on, at spread
+    seeds and at even and odd indices from the first rounds to the last
+    counter word: a lone round is its batch record, its measured replay
+    and its round on an in-order stream, in any order."""
+
+    SEEDS = [*map(random.Random(48).randrange, [2**64] * 24), 2**63, 2**64 - 1]
+    BATCH = 4096
+    INDICES = (0, 1, 2, 3, 14, 15, 4094, 4095, 2**40, 2**40 + 1,
+               2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lone_rounds_are_batch_and_measured_rounds(self, seed):
+        batch = simulate_rounds(self.BATCH, seed)
+        for i in self.INDICES:
+            lone = run_round(None, round_stream(seed, i), seed=seed, round_index=i)
+            if i < self.BATCH:
+                assert lone == batch[i], (seed, i)
+            assert protocol._measured_round(seed, i) == lone[:3], (seed, i)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_an_in_order_stream_replays_in_reverse(self, seed):
+        for start in (0, 1, 2**40 + 1, 2**64 - 5):
+            stream = round_stream(seed, start)
+            forward = [run_round(None, stream, seed=seed, round_index=i)
+                       for i in range(start, start + 5)]
+            backward = [run_round(None, round_stream(seed, i), seed=seed, round_index=i)
+                        for i in reversed(range(start, start + 5))]
+            assert forward == backward[::-1], (seed, start)
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 16, 17, CHUNK_ROUNDS + 1])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_simulate_reports_pass_the_benchmark_checks(self, rounds, seed):
+        report = cli.run(cli.RunConfig("simulate", rounds=rounds, seed=seed))
+        assert perfbench_checks().simulate_failures(report, rounds) == (0, [])
+
+
 class TestRoundEngineReplayCheck:
     @staticmethod
     def replay_check():
@@ -1033,7 +1080,7 @@ class TestRoundEngineReplayCheck:
         ("run_round", "9 * m + 3 * k + jb", "9 * m + 3 * jb + k"),
         # round i on counter word 1 instead of word 0: block 0 is unchanged,
         # so a batch still starts right
-        ("round_stream", "counter[0] = _index", "counter[1] = _index"),
+        ("round_stream", "counter[0] = index", "counter[1] = index"),
     ])
     def test_catches_a_mutated_lone_path(self, name, fragment, replacement):
         with mutated(protocol, name, fragment, replacement):
@@ -1059,13 +1106,13 @@ class TestRoundEngineReplayCheck:
 
     def test_replayed_rounds_cover_every_king_basis(self):
         # the fact REPLAY_CHECK_ROUNDS states, on the measured stack and on
-        # the engine: 4 bases, 9 of the 12 collapses and 14 of the 36 bins
+        # the engine: 4 bases, 10 of the 12 collapses and 15 of the 36 bins
         measured = protocol._measured_rounds(0, protocol.REPLAY_CHECK_ROUNDS)
         engine = as_lists(simulate_rounds(protocol.REPLAY_CHECK_ROUNDS, 0))
         assert measured.tolist() == [row[:3] for row in engine]
         assert set(measured[:, 0].tolist()) == {0, 1, 2, 3}
-        assert len({(m, k) for m, k, _ in measured.tolist()}) == 9
-        assert len(set(map(tuple, measured.tolist()))) == 14
+        assert len({(m, k) for m, k, _ in measured.tolist()}) == 10
+        assert len(set(map(tuple, measured.tolist()))) == 15
 
     @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
     def test_measured_stack_equals_the_lone_path(self, seed):
